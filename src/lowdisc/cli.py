@@ -39,7 +39,7 @@ from .nets import (
     geometric_net_check,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
-from .weights import min_dual_weight, verify_order_alpha
+from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile
 
 MATRIX_FAMILIES = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
 POINT_FAMILIES = MATRIX_FAMILIES + ("dp-finite", "dp-sequence", "davenport")
@@ -163,10 +163,12 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
     return prov
 
 
-def build_points(cfg: RunConfig):
+def build_points(cfg: RunConfig, gm: GeneratingMatrixSet | None = None):
+    """The family's point set; matrix families reuse `gm` when given."""
     family = cfg.family
     if family in MATRIX_FAMILIES:
-        gm = build_matrices(cfg)
+        if gm is None:
+            gm = build_matrices(cfg)
         return generate_net_points(gm, provenance=_provenance(cfg, m=_single(cfg.m, "m")))
     if family == "dp-finite":
         s, = _need(cfg, "s")
@@ -192,9 +194,9 @@ def _emit(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_construct(cfg: RunConfig) -> int:
-    ps = build_points(cfg)
-    if cfg.family in MATRIX_FAMILIES:
-        gm = build_matrices(cfg)
+    gm = build_matrices(cfg) if cfg.family in MATRIX_FAMILIES else None
+    ps = build_points(cfg, gm)
+    if gm is not None:
         for j, mat in enumerate(gm.matrices, start=1):
             print(f"C{j} = {mat.array.tolist()}", file=sys.stderr)
     if cfg.out:
@@ -230,6 +232,22 @@ def _geometric_t_value(ps) -> int:
     raise ConsistencyError("no quality parameter found; counting is broken")
 
 
+def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> None:
+    """Print a failed check's witness dual element and its support to stderr."""
+    if prof.witness is None:
+        return
+    support = []
+    for j, k in enumerate(prof.witness, start=1):
+        rows = [i for i in range(gm.rows) if (k // gm.base**i) % gm.base]
+        if rows:
+            support.append(f"C{j} rows {rows}")
+    print(
+        f"{name} witness: dual element {prof.witness} of weight {prof.minimum}, "
+        f"support {'; '.join(support)}",
+        file=sys.stderr,
+    )
+
+
 def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
     if path is not None:
         if check not in ("geometric", "all"):
@@ -251,9 +269,11 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
     params = f"b={gm.base};m={gm.cols};s={gm.s};alpha={cfg.alpha or ''}"
     failed = False
 
-    def add(name: str, value, expected, ok: bool):
+    def add(name: str, value, expected, ok: bool, prof: WeightProfile | None = None):
         nonlocal failed
         failed |= not ok
+        if not ok and prof is not None:
+            _report_witness(name, prof, gm)
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
     selected = CHECKS[:-1] if check == "all" else (check,)
@@ -266,32 +286,31 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
             ps = generate_net_points(gm)
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
         elif sel == "mu1":
-            prof = min_dual_weight(dual_space(gm, cfg.cap), "nrt")
+            prof = min_weight_by_rank(gm, "nrt", cap=cfg.cap)
             want = gm.cols - t_val + 1
             value = "inf" if prof.minimum is None else prof.minimum
-            add("mu1", value, want, prof.minimum is None or prof.minimum == want)
+            add("mu1", value, want, prof.minimum is None or prof.minimum == want, prof)
         elif sel == "hamming":
             if check == "all" and cfg.family not in ("chen-skriganov", "faure"):
                 continue  # the dual Hamming floor is this family's guarantee
             alpha = cfg.alpha or 1
-            prof = min_dual_weight(dual_space(gm, cfg.cap), "hamming")
+            prof = min_weight_by_rank(gm, "hamming", cap=cfg.cap)
             value = "inf" if prof.minimum is None else prof.minimum
-            ok = prof.minimum is None or prof.minimum >= alpha + 1
-            add("hamming", value, f">={alpha + 1}", ok)
+            add("hamming", value, f">={alpha + 1}", prof.minimum is None or prof.minimum > alpha, prof)
         elif sel == "order":
             if cfg.family != "dp-net":
                 if check != "all":
                     raise ParameterError("the order check applies to --family dp-net")
                 continue
             alpha = cfg.alpha or 1
-            t_base = niederreiter_t_bound(alpha * gm.s)
-            ok = verify_order_alpha(gm, alpha, t_base, cap=cfg.cap)
-            add("order", str(ok).lower(), "true", ok)
+            prof = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
+            ok = prof.minimum is None
+            add("order", str(ok).lower(), "true", ok, prof)
         elif sel == "char":
             ps = generate_net_points(gm)
             dual = dual_space(gm, cfg.cap)
             worst = 0.0
-            for k in dual.elements()[:64]:
+            for k in dual.elements(limit=64):
                 worst = max(worst, abs(char_property_sum(ps, k) - 1.0))
             rng = np.random.default_rng(cfg.seed)
             limit = gm.base**gm.rows
@@ -394,7 +413,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, help="Monte Carlo samples (default 4096)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--threads", type=int, help="worker threads for pair sums (default 1)")
-    p.add_argument("--cap", type=int, help="dual enumeration cap (default 2^21)")
+    p.add_argument(
+        "--cap",
+        type=int,
+        help="work cap (default 2^21): candidate supports rank-checked by the mu1, hamming "
+        "and order checks, up to the weight searched; dual elements for the char check",
+    )
     p.add_argument("--out", help="output path (default stdout)")
 
 

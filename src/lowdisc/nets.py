@@ -12,8 +12,11 @@ C_j times the base-b digit vector of n (least significant digit first).
 from __future__ import annotations
 
 import cmath
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -293,27 +296,192 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _rows_independent(gm: GeneratingMatrixSet, d: tuple[int, ...]) -> bool:
-    take = [gm.matrices[j].array[: d[j]] for j in range(gm.s) if d[j] > 0]
-    if not take:
-        return True
-    stacked = np.vstack(take)
-    _, pivots = _rref(stacked, gm.base)
-    return len(pivots) == stacked.shape[0]
+def matrix_rows(gm: GeneratingMatrixSet) -> list[list]:
+    """Rows of each C_j in the form `row_dependency` takes.
+
+    Base 2 packs a row into one int (bit c = column c), so elimination is
+    XOR on Python ints; other bases keep int64 arrays.
+    """
+    if gm.base == 2:
+        return [
+            [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in mat.array]
+            for mat in gm.matrices
+        ]
+    return [list(mat.array) for mat in gm.matrices]
+
+
+def row_dependency(rows: Sequence, b: int) -> list[int] | None:
+    """Coefficients c, not all zero, with sum_i c_i rows[i] = 0 over F_b.
+
+    None when the rows are linearly independent.  `rows` come from
+    `matrix_rows`.  A dependency among the rows of the C_j indexed by a
+    support is exactly a dual element whose support lies inside it.
+    """
+    if b == 2:
+        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (row, rows combined)
+        for k, v in enumerate(rows):
+            combo = 1 << k
+            while v:
+                lead = v.bit_length() - 1
+                if lead not in basis:
+                    basis[lead] = (v, combo)
+                    break
+                bv, bc = basis[lead]
+                v ^= bv
+                combo ^= bc
+            else:
+                return [(combo >> i) & 1 for i in range(len(rows))]
+        return None
+    if not rows:
+        return None
+    stacked = np.vstack(rows)
+    _, pivots = _rref(stacked, b)
+    if len(pivots) == len(rows):
+        return None
+    return [int(c) for c in kernel_basis(FieldMatrix(stacked.T, b))[0]]
+
+
+def _row_sets(p: int, k: int, budget: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """k-subsets of rows start..p-1, ascending, whose positions (row + 1) sum to <= budget."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(start, p):
+        if k * (first + 1) + k * (k - 1) // 2 > budget:  # rows first..first+k-1 are cheapest
+            break
+        for rest in _row_sets(p, k - 1, budget - first - 1, first + 1):
+            yield (first,) + rest
+
+
+def _closed_sets(p: int, alpha: int, budget: int, max_rows: int) -> dict[int, list[tuple[int, ...]]]:
+    """The row sets of one coordinate that are maximal for their mu_alpha weight.
+
+    These are the sets of fewer than alpha rows, and each alpha-set T
+    together with every row below min T (rows that do not change the top
+    alpha positions).  Keyed by weight; only weights <= budget and sets of
+    at most max_rows rows.
+    """
+    sets: dict[int, list[tuple[int, ...]]] = {}
+    for k in range(min(alpha, max_rows + 1)):
+        for rows in _row_sets(p, k, budget):
+            sets.setdefault(sum(rows) + k, []).append(rows)
+    for top in _row_sets(p, alpha, budget):
+        if top[0] + alpha <= max_rows:
+            sets.setdefault(sum(top) + alpha, []).append(tuple(range(top[0])) + top)
+    return sets
+
+
+def _product_supports(sets, s: int, weight: int) -> Iterator[list[tuple[int, int]]]:
+    """Supports [(j, row), ...] taking one set per coordinate, of total weight `weight`."""
+    if s == 0:
+        if weight == 0:
+            yield []
+        return
+    j = s - 1
+    for w, group in sets.items():
+        if w <= weight:
+            for head in _product_supports(sets, j, weight - w):
+                for rows in group:
+                    yield head + [(j, i) for i in rows]
+
+
+def _prefix_weight(r: int, alpha: int) -> int:
+    """mu_alpha weight of the first r rows of one coordinate."""
+    return sum(range(max(r - alpha, 0) + 1, r + 1))
+
+
+def min_dependent_support(
+    gm: GeneratingMatrixSet,
+    kind: str = "nrt",
+    alpha: int | None = None,
+    floor: int | None = None,
+    cap: int | None = None,
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest weight of a row support with dependent rows, and a dual element on it.
+
+    A dual element with support inside a row set S exists iff the rows of
+    the C_j indexed by S are linearly dependent (Niederreiter & Pirsic,
+    Acta Arith. 97 (2001)).  The weights "nrt" (mu_1), "mu" (mu_alpha)
+    and "hamming" are monotone in the support, so the minimum dual weight
+    is the smallest W for which some candidate support of weight W -- a
+    support maximal for its weight -- has dependent rows: row prefixes per
+    coordinate for "nrt", the sets of `_closed_sets` for "mu", and any W
+    pooled rows for "hamming".  More than m rows are always dependent and
+    skip the rank check.  Returns (W, k) with k a dual element of weight W
+    (the dependency among the rows), or None when no support is dependent.
+
+    With `floor`, only weights below `floor` are searched.  `cap` bounds
+    the candidate supports that may need a rank check: before weight W is
+    searched, the candidates of weights 1..W are counted, and a count above
+    `cap` raises CapacityError.
+    """
+    b, s, p, m = gm.base, gm.s, gm.rows, gm.cols
+    a = 1 if kind == "nrt" else alpha
+    most = s * p if kind == "hamming" else s * _prefix_weight(p, a)  # weight of every row
+    top = most if floor is None else min(most, floor - 1)
+    counts: Counter = Counter()  # weight -> candidate supports with at most m rows
+    if kind == "hamming":
+        full = m + 1 if s * p > m else None  # the first weight whose supports exceed m rows
+        for w in range(1, min(top, m) + 1):
+            counts[w] = math.comb(s * p, w)
+        pooled = [(j, i) for j in range(s) for i in range(p)]
+
+        def supports(w):
+            return map(list, combinations(pooled, w))
+    else:
+        if s * p > m:
+            # the first m + 1 rows, coordinate by coordinate, exceed m rows
+            spread = [min(p, m + 1 - j * p) for j in range(s) if j * p < m + 1]
+            top = min(top, sum(_prefix_weight(r, a) for r in spread))
+        sets = _closed_sets(p, a, top, m + 1)
+        per_coordinate = Counter((w, len(rows)) for w, group in sets.items() for rows in group)
+        table = Counter({(0, 0): 1})  # (weight, rows capped at m + 1) -> supports
+        for _ in range(s):
+            nxt: Counter = Counter()
+            for (w, r), n in table.items():
+                for (w2, r2), n2 in per_coordinate.items():
+                    if w + w2 <= top:
+                        nxt[w + w2, min(r + r2, m + 1)] += n * n2
+            table = nxt
+        full = min((w for w, r in table if r > m), default=None)
+        for (w, r), n in table.items():
+            if w and r <= m and (full is None or w < full):
+                counts[w] += n
+
+        def supports(w):
+            return _product_supports(sets, s, w)
+
+    rows = matrix_rows(gm)
+    checks = 0
+    for w in range(1, (top if full is None else min(top, full)) + 1):
+        checks += counts[w]
+        if cap is not None and checks > cap:
+            raise CapacityError(
+                f"rank search through weight {w} needs {checks} candidate supports, above cap {cap}"
+            )
+        for support in supports(w):
+            if w == full and len(support) <= m:
+                continue  # a larger support of this weight is dependent anyway
+            dep = row_dependency([rows[j][i] for j, i in support], b)
+            if dep is not None:
+                k = [0] * s
+                for (j, i), c in zip(support, dep):
+                    k[j] += c * b**i
+                return w, tuple(k)
+    return None
 
 
 def compute_t_value(gm: GeneratingMatrixSet) -> int:
     """Exact net quality parameter per the row-independence criterion.
 
     Smallest t such that for every composition d_1 + ... + d_s = m - t the
-    pooled first d_j rows of the C_j are linearly independent over F_b.
-    Exhaustive over compositions; meant for desk-scale m and s.
+    pooled first d_j rows of the C_j are linearly independent over F_b,
+    i.e. t = m + 1 - (the smallest d_1 + ... + d_s with dependent rows),
+    the dual identity t = m + 1 - min mu_1; t = 0 when every row is
+    independent.  Exhaustive over row prefixes; meant for desk-scale m and s.
     """
-    m = gm.cols
-    for t in range(m + 1):
-        if all(_rows_independent(gm, d) for d in _compositions(m - t, gm.s)):
-            return t
-    raise AssertionError("unreachable: t = m always satisfies the criterion")
+    found = min_dependent_support(gm, "nrt")
+    return 0 if found is None else gm.cols + 1 - found[0]
 
 
 def is_tms_net(gm: GeneratingMatrixSet, t: int) -> bool:
@@ -341,13 +509,20 @@ def geometric_net_check(ps: PointSet, t: int) -> bool:
     if digits.shape[2] < m:
         pad = np.zeros((count, ps.s, m - digits.shape[2]), dtype=np.uint8)
         digits = np.concatenate([digits, pad], axis=2)
+    k = m - t
+    # prefixes[j][d]: the first d digits of coordinate j read as one base-b integer
+    prefixes = []
+    for j in range(ps.s):
+        vals = [np.zeros(count, dtype=np.int64)]
+        for d in range(k):
+            vals.append(vals[-1] * b + digits[:, j, d])
+        prefixes.append(vals)
     want = b**t
-    for d in _compositions(m - t, ps.s):
-        keys: dict[tuple, int] = {}
-        for n in range(count):
-            key = tuple(digits[n, j, : d[j]].tobytes() for j in range(ps.s))
-            keys[key] = keys.get(key, 0) + 1
-        if any(c != want for c in keys.values()):
+    for d in _compositions(k, ps.s):
+        box = np.zeros(count, dtype=np.int64)
+        for j in range(ps.s):
+            box = box * b ** d[j] + prefixes[j][d[j]]
+        if np.any(np.bincount(box, minlength=b**k) != want):
             return False
     return True
 
@@ -384,6 +559,13 @@ class DualSpace:
         )
         self._digits: np.ndarray | None = None
 
+    def _span(self, start: int, stop: int) -> np.ndarray:
+        """Dual elements start..stop-1 in enumeration order, as (n, s * p) digits."""
+        b = self.gm.base
+        idx = np.arange(start, stop, dtype=np.int64)
+        coeffs = (idx[:, None] // b ** np.arange(self.kernel_dim, dtype=np.int64)[None, :]) % b
+        return ((coeffs @ self.basis) % b).astype(np.uint8)
+
     def element_digits(self) -> np.ndarray:
         """All dual elements as a (size, s, p) uint8 digit array, zero first.
 
@@ -391,29 +573,31 @@ class DualSpace:
         stay small even for million-element duals.
         """
         if self._digits is None:
-            b, s, p = self.gm.base, self.gm.s, self.gm.rows
-            d = self.kernel_dim
+            s, p = self.gm.s, self.gm.rows
             arr = np.zeros((self.size, s * p), dtype=np.uint8)
-            if d:
-                radix = b ** np.arange(d, dtype=np.int64)[None, :]
-                chunk = 1 << 16
-                for start in range(0, self.size, chunk):
-                    idx = np.arange(start, min(start + chunk, self.size), dtype=np.int64)
-                    coeffs = (idx[:, None] // radix) % b
-                    arr[start : start + len(idx)] = (coeffs @ self.basis) % b
+            chunk = 1 << 16
+            for start in range(0, self.size, chunk):
+                stop = min(start + chunk, self.size)
+                arr[start:stop] = self._span(start, stop)
             arr = arr.reshape(self.size, s, p)
             arr.setflags(write=False)
             self._digits = arr
         return self._digits
 
-    def elements(self) -> list[tuple[int, ...]]:
-        """Dual elements as integer vectors (k_1, ..., k_s)."""
-        b, p = self.gm.base, self.gm.rows
-        powers = [b**i for i in range(p)]
-        out = []
-        for row in self.element_digits():
-            out.append(tuple(int(sum(int(row[j, i]) * powers[i] for i in range(p))) for j in range(self.gm.s)))
-        return out
+    def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
+        """Dual elements as integer vectors (k_1, ..., k_s), in enumeration order.
+
+        With `limit`, only the first `limit` elements are computed.
+        """
+        b, s, p = self.gm.base, self.gm.s, self.gm.rows
+        if limit is None:
+            digits = self.element_digits()
+        else:
+            n = min(max(limit, 0), self.size)
+            digits = self._span(0, n).reshape(n, s, p)
+        dtype = np.int64 if b**p < 2**62 else object
+        powers = np.array([b**i for i in range(p)], dtype=dtype)
+        return [tuple(row) for row in (digits.astype(dtype) @ powers).tolist()]
 
     def contains(self, kvec: Sequence[int]) -> bool:
         """Membership by direct substitution into the stacked system."""

@@ -4,8 +4,9 @@ Three weights drive the structural analysis of digital nets: the position
 of the most significant base-b digit ("nrt"), the count of nonzero digits
 ("hamming"), and the sum of the alpha highest nonzero digit positions
 ("mu").  What a construction guarantees is always a floor on one of these
-weights over the nonzero dual space; this module computes those minima
-exhaustively, with a witness.
+weights over the nonzero dual space; this module computes those minima,
+with a witness, either by rank over row supports (`min_weight_by_rank`)
+or by enumerating the dual (`min_dual_weight`, the oracle).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .field import is_prime
-from .nets import DualSpace, GeneratingMatrixSet, dual_space
+from .field import FieldMatrix, is_prime, matrix_rank
+from .nets import DualSpace, GeneratingMatrixSet, min_dependent_support
 
 __all__ = [
     "nrt_weight",
@@ -27,7 +28,9 @@ __all__ = [
     "vector_weight",
     "WeightProfile",
     "min_dual_weight",
+    "min_weight_by_rank",
     "t_alpha",
+    "order_alpha_profile",
     "verify_order_alpha",
 ]
 
@@ -157,11 +160,55 @@ def min_dual_weight(
     return WeightProfile(kind, alpha, int(weights[best]), witness, dual.size, range_limit)
 
 
+def min_weight_by_rank(
+    gm: GeneratingMatrixSet,
+    kind: str,
+    alpha: int | None = None,
+    floor: int | None = None,
+    cap: int = 1 << 21,
+) -> WeightProfile:
+    """Exact minimum of a weight over the nonzero dual, without enumerating it.
+
+    The minimum is the smallest weight of a row support with linearly
+    dependent rows (`nets.min_dependent_support`); the witness is that
+    dependency, a dual element attaining the minimum.  With `floor`, the
+    search stops below weight `floor`: minimum None then means the minimum
+    is at least `floor` (or infinite).  `cap` bounds the candidate supports
+    counted through the weight reached; above it CapacityError is raised.
+    """
+    if kind not in KINDS:
+        raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+    if kind == "mu" and (alpha is None or alpha < 1):
+        raise ParameterError("kind 'mu' needs alpha >= 1")
+    found = min_dependent_support(gm, kind, alpha, floor, cap)
+    rank = matrix_rank(FieldMatrix(np.hstack([mat.array.T for mat in gm.matrices]), gm.base))
+    dual_size = gm.base ** (gm.s * gm.rows - rank)
+    minimum, witness = (None, None) if found is None else found
+    return WeightProfile(kind, alpha, minimum, witness, dual_size, None)
+
+
 def t_alpha(alpha: int, t: int, s: int) -> int:
     """Quality parameter after interlacing: alpha*t + s*C(alpha, 2)."""
     if alpha < 1 or t < 0 or s < 1:
         raise ParameterError("need alpha >= 1, t >= 0, s >= 1")
     return alpha * t + s * math.comb(alpha, 2)
+
+
+def order_alpha_profile(
+    gm_interlaced: GeneratingMatrixSet,
+    alpha: int,
+    t_base: int,
+    cap: int = 1 << 21,
+) -> WeightProfile:
+    """The mu_alpha search for the higher-order dual condition, stopped at its floor.
+
+    The condition min mu_alpha >= alpha*m - t_alpha holds iff the returned
+    minimum is None; otherwise the witness is a dual element below it.
+    gm_interlaced is the interlaced matrix set (alpha*p rows, m columns);
+    t_base is the quality parameter of the underlying sequence or net.
+    """
+    floor = alpha * gm_interlaced.cols - t_alpha(alpha, t_base, gm_interlaced.s)
+    return min_weight_by_rank(gm_interlaced, "mu", alpha=alpha, floor=floor, cap=cap)
 
 
 def verify_order_alpha(
@@ -170,15 +217,5 @@ def verify_order_alpha(
     t_base: int,
     cap: int = 1 << 21,
 ) -> bool:
-    """Check the higher-order dual condition min mu_alpha >= alpha*m - t_alpha.
-
-    gm_interlaced is the interlaced matrix set (alpha*p rows, m columns);
-    t_base is the quality parameter of the underlying sequence or net.
-    """
-    m, s = gm_interlaced.cols, gm_interlaced.s
-    threshold = alpha * m - t_alpha(alpha, t_base, s)
-    dual = dual_space(gm_interlaced, cap)
-    profile = min_dual_weight(dual, "mu", alpha=alpha)
-    if profile.minimum is None:
-        return True
-    return profile.minimum >= threshold
+    """Check the higher-order dual condition min mu_alpha >= alpha*m - t_alpha."""
+    return order_alpha_profile(gm_interlaced, alpha, t_base, cap).minimum is None

@@ -100,6 +100,46 @@ def test_verify_capacity_exit_two(capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_verify_failure_prints_witness(capsys):
+    assert run("verify", "hamming", "--family", "faure", "--b", "2", "--m", "2",
+               "--s", "2", "--alpha", "2") == 3
+    captured = capsys.readouterr()
+    assert "hamming witness: dual element (2, 2) of weight 2" in captured.err
+    assert "support C1 rows [1]; C2 rows [1]" in captured.err
+    assert "witness" not in captured.out
+
+
+@pytest.mark.parametrize("argv, row", [
+    (("mu1", "--family", "faure", "--b", "11", "--m", "3", "--s", "5"),
+     "mu1,faure,b=11;m=3;s=5;alpha=,4,4,true"),
+    (("order", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "8"),
+     "order,dp-net,b=2;m=8;s=2;alpha=3,true,true,true"),
+    (("order", "--family", "dp-net", "--alpha", "2", "--s", "3", "--m", "10"),
+     "order,dp-net,b=2;m=10;s=3;alpha=2,true,true,true"),
+    (("hamming", "--family", "faure", "--b", "2", "--m", "11", "--s", "2"),
+     "hamming,faure,b=2;m=11;s=2;alpha=,2,>=2,true"),
+    (("all", "--family", "faure", "--b", "2", "--m", "11", "--s", "2"),
+     "hamming,faure,b=2;m=11;s=2;alpha=,2,>=2,true"),
+])
+def test_verify_within_default_cap(argv, row, capsys):
+    """Duals of 11^12, 2^40 and 2^50 elements, far above the default cap;
+    and a 2^11 dual whose Hamming supports of weight <= m number 2.4M,
+    where the cap counts only the weights searched (the minimum is 2)."""
+    assert run("verify", *argv) == 0
+    assert row in capsys.readouterr().out.splitlines()
+
+
+def test_construct_builds_matrices_once(tmp_path, monkeypatch):
+    from lowdisc import cli
+
+    calls = []
+    original = cli.build_matrices
+    monkeypatch.setattr(cli, "build_matrices", lambda cfg: calls.append(cfg) or original(cfg))
+    assert run("construct", "--family", "faure", "--b", "3", "--m", "2", "--s", "2",
+               "--out", str(tmp_path / "f.txt")) == 0
+    assert len(calls) == 1
+
+
 def test_verify_geometric_from_point_file(tmp_path, capsys):
     out = tmp_path / "v.txt"
     run("construct", "--family", "van-der-corput", "--b", "2", "--m", "3",

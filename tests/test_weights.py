@@ -7,14 +7,17 @@ from lowdisc.constructions import (
     faure_matrices,
     niederreiter_t_bound,
 )
-from lowdisc.errors import ParameterError
+from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.field import FieldMatrix
 from lowdisc.nets import GeneratingMatrixSet, compute_t_value, dual_space
+from lowdisc.selftest import _random_full_rank_net
 from lowdisc.weights import (
     hamming_weight,
     min_dual_weight,
+    min_weight_by_rank,
     mu_alpha,
     nrt_weight,
+    order_alpha_profile,
     t_alpha,
     vector_weight,
     verify_order_alpha,
@@ -153,6 +156,89 @@ def test_min_dual_weight_range_limit():
 
 
 # ---------------------------------------------------------
+# Minima by rank over supports
+# ---------------------------------------------------------
+
+# the nets of acceptance criteria 02 and 03
+CRITERION_NETS = [
+    cs_matrices(5, 2, 1, 2),
+    cs_matrices(5, 2, 2, 2),
+    cs_matrices(11, 2, 1, 2),
+    cs_matrices(11, 2, 1, 3),
+    faure_matrices(5, 2, 2),
+    faure_matrices(3, 2, 2),
+    faure_matrices(7, 1, 3),
+    dp_net_matrices(2, 2, 1),
+    dp_net_matrices(2, 3, 1),
+    dp_net_matrices(3, 2, 2),
+    dp_net_matrices(2, 3, 2),
+    _random_full_rank_net(2, 4, 2, seed=11),
+    _random_full_rank_net(5, 2, 2, seed=12),
+    _random_full_rank_net(3, 3, 2, seed=13),
+]
+
+
+@pytest.mark.parametrize("gm", CRITERION_NETS)
+def test_rank_engine_matches_enumeration_on_criterion_nets(gm):
+    dual = dual_space(gm, 1 << 22)
+    for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2), ("mu", 3)):
+        fast = min_weight_by_rank(gm, kind, alpha)
+        assert fast.minimum == min_dual_weight(dual, kind, alpha=alpha).minimum
+        assert dual.contains(fast.witness)
+        assert vector_weight(fast.witness, gm.base, kind, alpha) == fast.minimum
+
+
+# the interlaced nets of acceptance criterion 04
+@pytest.mark.parametrize("alpha, s, m", [(a, s, m) for a in (2, 3) for s in (1, 2) for m in (1, 2, 3, 4)])
+def test_order_alpha_profile_matches_enumeration_on_criterion_nets(alpha, s, m):
+    gm = dp_net_matrices(alpha, m, s)
+    t_base = niederreiter_t_bound(alpha * s)
+    floor = alpha * m - t_alpha(alpha, t_base, s)
+    exact = min_dual_weight(dual_space(gm, 1 << 21), "mu", alpha=alpha).minimum
+    assert min_weight_by_rank(gm, "mu", alpha).minimum == exact
+    assert verify_order_alpha(gm, alpha, t_base) == (exact is None or exact >= floor)
+
+
+def test_rank_engine_infinite_profile():
+    gm = GeneratingMatrixSet.from_matrices([FieldMatrix.identity(3, 2)])
+    for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2)):
+        prof = min_weight_by_rank(gm, kind, alpha)
+        assert prof.minimum is None and prof.witness is None and prof.dual_size == 1
+
+
+def test_rank_engine_beyond_enumeration():
+    """An 11^12-element dual: mu1 = m - t + 1 with a witness in the dual."""
+    gm = faure_matrices(11, 3, 5)
+    prof = min_weight_by_rank(gm, "nrt")
+    assert prof.dual_size == 11**12
+    assert prof.minimum == gm.cols - compute_t_value(gm) + 1 == 4
+    assert vector_weight(prof.witness, 11, "nrt") == 4
+    stacked = np.hstack([mat.array.T for mat in gm.matrices])
+    digits = [(k // 11**i) % 11 for k in prof.witness for i in range(gm.rows)]
+    assert not np.any((stacked @ np.array(digits)) % 11)
+
+
+def test_rank_engine_cap_counts_candidate_supports():
+    gm = cs_matrices(5, 2, 2, 2)
+    # nrt: compositions of weight 1..4 into two prefixes of at most 4 rows
+    with pytest.raises(CapacityError, match="14 candidate supports"):
+        min_weight_by_rank(gm, "nrt", cap=13)
+    assert min_weight_by_rank(gm, "nrt", cap=14).minimum == 5
+    with pytest.raises(CapacityError):
+        min_weight_by_rank(gm, "hamming", cap=10)
+
+
+def test_rank_engine_rejects_bad_kind():
+    gm = cs_matrices(5, 2, 1, 2)
+    with pytest.raises(ParameterError):
+        min_weight_by_rank(gm, "mu")
+    with pytest.raises(ParameterError):
+        min_weight_by_rank(gm, "mu", alpha=0)
+    with pytest.raises(ParameterError):
+        min_weight_by_rank(gm, "nope")
+
+
+# ---------------------------------------------------------
 # Higher-order condition
 # ---------------------------------------------------------
 
@@ -174,3 +260,15 @@ def test_verify_order_alpha_detects_row_scrambling():
     reversed_rows = FieldMatrix(gm.matrices[0].array[::-1], gm.base)
     scrambled = GeneratingMatrixSet(gm.base, gm.s, gm.rows, gm.cols, (reversed_rows,))
     assert not verify_order_alpha(scrambled, 2, niederreiter_t_bound(2))
+
+
+def test_order_alpha_profile_witness_is_below_the_floor():
+    gm = dp_net_matrices(2, 3, 1)
+    reversed_rows = FieldMatrix(gm.matrices[0].array[::-1], gm.base)
+    scrambled = GeneratingMatrixSet(gm.base, gm.s, gm.rows, gm.cols, (reversed_rows,))
+    floor = 2 * gm.cols - t_alpha(2, niederreiter_t_bound(2), 1)
+    prof = order_alpha_profile(scrambled, 2, niederreiter_t_bound(2))
+    assert prof.minimum is not None and prof.minimum < floor
+    assert dual_space(scrambled, 1 << 10).contains(prof.witness)
+    assert vector_weight(prof.witness, 2, "mu", 2) == prof.minimum
+    assert order_alpha_profile(gm, 2, niederreiter_t_bound(2)).minimum is None
