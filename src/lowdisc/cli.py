@@ -27,7 +27,7 @@ from .constructions import (
     niederreiter_net_matrices,
     niederreiter_t_bound,
 )
-from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, sum_of_digits
+from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, roth_sequence_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .field import FieldMatrix
 from .nets import (
@@ -278,12 +278,12 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
 
     selected = CHECKS[:-1] if check == "all" else (check,)
     t_val = compute_t_value(gm)
+    ps = generate_net_points(gm) if {"geometric", "char"} & set(selected) else None
     for sel in selected:
         if sel == "t-value":
             bound = _family_t_bound(cfg, gm)
             add("t-value", t_val, f"<={bound}", t_val <= bound)
         elif sel == "geometric":
-            ps = generate_net_points(gm)
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
         elif sel == "mu1":
             prof = min_weight_by_rank(gm, "nrt", cap=cfg.cap)
@@ -307,7 +307,6 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
             ok = prof.minimum is None
             add("order", str(ok).lower(), "true", ok, prof)
         elif sel == "char":
-            ps = generate_net_points(gm)
             dual = dual_space(gm, cfg.cap)
             worst = 0.0
             for k in dual.elements(limit=64):
@@ -345,7 +344,7 @@ def _scaling_ratio(family: str, n: int, s: int, value: float, m: int | None) -> 
     if family == "davenport":
         return n * value / math.sqrt(math.log(n))
     if family == "dp-sequence":
-        return n * value / (math.log(n) ** ((s - 1) / 2.0) * math.sqrt(sum_of_digits(n)))
+        return roth_sequence_ratio(n, s, value)
     if family == "dp-finite":
         return n * value / math.log(n) ** ((s - 1) / 2.0)
     return n * value / float(m) ** ((s - 1) / 2.0)

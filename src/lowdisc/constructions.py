@@ -30,6 +30,8 @@ from .nets import (
     DigitVector,
     GeneratingMatrixSet,
     PointSet,
+    check_capacity,
+    fraction_digits,
     generate_net_points,
     generate_sequence_points,
 )
@@ -167,14 +169,6 @@ class NiederreiterSource:
                 arr[k - 1, ell - 1] = (quotient >> (cols - ell)) & 1
         return arr
 
-    def entry(self, j: int, k: int, ell: int) -> int:
-        """Single matrix entry c_{j,k,ell}."""
-        if k < 1 or ell < 1:
-            raise ParameterError("matrix indices are 1-based")
-        if k > ell:
-            return 0
-        return int(self.matrix(j, k, ell)[k - 1, ell - 1])
-
 
 def niederreiter_t_bound(s: int) -> int:
     return NiederreiterSource(s).t_bound()
@@ -212,19 +206,16 @@ def interlace_point(xs: Sequence[DigitVector]) -> DigitVector:
 
 
 def interlace_pointset(ps: PointSet, alpha: int) -> PointSet:
-    """Apply digit interlacing to blocks of alpha coordinates of every point."""
+    """Apply digit interlacing to blocks of alpha coordinates of every point:
+    the transpose of each (alpha, p) digit block, as in `interlace_point`."""
     if ps.s % alpha != 0:
         raise ParameterError(f"dimension {ps.s} not divisible by alpha={alpha}")
-    s_out = ps.s // alpha
-    pts = []
-    for pt in ps.points:
-        pts.append(
-            tuple(interlace_point(pt[j * alpha : (j + 1) * alpha]) for j in range(s_out))
-        )
-    prov = dict(ps.provenance) if ps.provenance else None
-    return PointSet(
-        pts, base=2, s=s_out, precision=alpha * ps.precision, provenance=prov
-    )
+    if ps.base != 2:
+        raise ParameterError("digit interlacing is defined for base 2")
+    n, s_out, p = len(ps), ps.s // alpha, ps.precision
+    blocks = ps.digit_array().reshape(n, s_out, alpha, p)
+    digits = blocks.transpose(0, 1, 3, 2).reshape(n, s_out, p * alpha)
+    return PointSet.from_digits(digits, 2, ps.provenance)
 
 
 def interlace_matrices(gm: GeneratingMatrixSet, alpha: int) -> GeneratingMatrixSet:
@@ -268,12 +259,6 @@ def dp_net(alpha: int, m: int, s: int) -> PointSet:
     return ps
 
 
-def _index_fraction_digits(n: int, m: int) -> DigitVector:
-    """n * 2^-m as an m-digit dyadic coordinate."""
-    bits = tuple((n >> (m - 1 - i)) & 1 for i in range(m))
-    return DigitVector(2, bits)
-
-
 def dp_finite_base(m: int, s: int) -> PointSet:
     """The 2^m-point interlaced set that dp_finite_pointset trims.
 
@@ -287,12 +272,14 @@ def dp_finite_base(m: int, s: int) -> PointSet:
     count = 1 << m
     source = NiederreiterSource(3 * s - 1)
     seq = generate_sequence_points(source, 3 * s - 1, 2, 0, count, precision=m)
-    pts = []
-    for n in range(count):
-        pts.append((_index_fraction_digits(n, m),) + seq.points[n])
-    wide = PointSet(pts, base=2, s=3 * s, precision=m)
-    interlaced = interlace_pointset(wide, 3)
-    _check_first_coordinate_stratified(interlaced, m)
+    index = fraction_digits(np.arange(count), count, 2, m)[:, None]  # the m bits of n * 2^-m
+    digits = np.concatenate([index, seq.digit_array()], axis=1)
+    interlaced = interlace_pointset(PointSet.from_digits(digits, 2), 3)
+    if _stratified_prefixes(interlaced, m) is None:
+        raise ConsistencyError(
+            "projection onto the first coordinate is not a maximally stratified "
+            "one-dimensional net; upstream construction is broken"
+        )
     return interlaced
 
 
@@ -308,33 +295,18 @@ def dp_finite_pointset(N: int, s: int, precision: int | None = None) -> PointSet
         raise ParameterError("need s >= 1")
     m = (N - 1).bit_length()
     trimmed = arbitrary_n_trim(dp_finite_base(m, s), N, precision=precision)
-    return PointSet(
-        trimmed.points,
-        base=2,
-        s=s,
-        precision=trimmed.precision,
-        provenance={"family": "dp-finite", "N": N, "s": s},
+    return PointSet.from_digits(
+        trimmed.digit_array(), 2, provenance={"family": "dp-finite", "N": N, "s": s}
     )
 
 
-def _check_first_coordinate_stratified(ps: PointSet, m: int) -> None:
-    """Every count |{x_1 < r*2^-m}| must equal r; equivalently the sorted
-    m-digit prefixes of the first coordinates are exactly 0..2^m-1."""
-    prefixes = np.sort(_first_coordinate_prefixes(ps, m))
-    if not np.array_equal(prefixes, np.arange(len(ps), dtype=np.int64)):
-        raise ConsistencyError(
-            "projection onto the first coordinate is not a maximally stratified "
-            "one-dimensional net; upstream construction is broken"
-        )
-
-
-def _first_coordinate_prefixes(ps: PointSet, m: int) -> np.ndarray:
-    digits = ps.digit_array()[:, 0, :]
-    if digits.shape[1] < m:
-        pad = np.zeros((digits.shape[0], m - digits.shape[1]), dtype=np.uint8)
-        digits = np.concatenate([digits, pad], axis=1)
-    powers = ps.base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return digits[:, :m].astype(np.int64) @ powers
+def _stratified_prefixes(ps: PointSet, m: int) -> np.ndarray | None:
+    """The m-digit prefixes of the first coordinates as integers, or None unless
+    they are 0..b^m-1 in some order, i.e. every count |{x_1 < r*b^-m}| is r."""
+    k = min(m, ps.precision)
+    powers = ps.base ** np.arange(m - 1, m - 1 - k, -1, dtype=np.int64)
+    prefixes = ps.digit_array()[:, 0, :k].astype(np.int64) @ powers
+    return prefixes if np.array_equal(np.sort(prefixes), np.arange(len(ps))) else None
 
 
 def dp_sequence(s: int, n_max: int) -> PointSet:
@@ -347,12 +319,8 @@ def dp_sequence(s: int, n_max: int) -> PointSet:
     source = NiederreiterSource(5 * s)
     seq = generate_sequence_points(source, 5 * s, 2, 0, n_max, precision=mm)
     out = interlace_pointset(seq, 5)
-    return PointSet(
-        out.points,
-        base=2,
-        s=s,
-        precision=out.precision,
-        provenance={"family": "dp-sequence", "s": s, "n_max": n_max},
+    return PointSet.from_digits(
+        out.digit_array(), 2, provenance={"family": "dp-sequence", "s": s, "n_max": n_max}
     )
 
 
@@ -381,8 +349,8 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
             raise ParameterError(f"a single-point set can only be trimmed to N=1, got N={N}")
     elif not b ** (m - 1) < N <= b**m:
         raise ParameterError(f"need {b}^{m - 1} < N <= {b}^{m}, got N={N}")
-    prefixes = _first_coordinate_prefixes(ps, m)
-    if not np.array_equal(np.sort(prefixes), np.arange(count, dtype=np.int64)):
+    prefixes = _stratified_prefixes(ps, m)
+    if prefixes is None:
         raise ParameterError(
             "first coordinate does not hit every prefix exactly once; "
             "the trim construction requires a maximally stratified projection"
@@ -390,21 +358,13 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
     prov = dict(ps.provenance) if ps.provenance else {}
     prov.update({"trimmed_to": N})
     if N == count:
-        return PointSet(
-            ps.points, base=b, s=ps.s, precision=ps.precision, provenance=prov
-        )
+        return PointSet.from_digits(ps.digit_array(), b, prov)
     out_precision = max(ps.precision, 48 if precision is None else precision)
-    scale = Fraction(b**m, N)
-    pts = []
-    for n in range(count):
-        if prefixes[n] >= N:
-            continue
-        first = ps.points[n][0].to_fraction() * scale
-        new_first = DigitVector.from_fraction(first, b, out_precision)
-        pts.append((new_first,) + ps.points[n][1:])
-    if len(pts) != N:
-        raise ConsistencyError("trim kept a wrong number of points")
-    return PointSet(pts, base=b, s=ps.s, precision=out_precision, provenance=prov)
+    keep = prefixes < N
+    digits = np.pad(ps.digit_array()[keep], ((0, 0), (0, 0), (0, out_precision - ps.precision)))
+    # x * b^m / N: the m-digit prefix over N, then the digits after it brought down
+    digits[:, 0] = fraction_digits(prefixes[keep], N, b, out_precision, tail=digits[:, 0, m:])
+    return PointSet.from_digits(digits, b, prov)
 
 
 GOLDEN_CF = "golden"
@@ -422,8 +382,9 @@ def davenport_symmetrized(
     parts are exact rationals before digit truncation.  The n = M second
     coordinate would be 1 and wraps to 0 to stay inside [0,1).
     """
-    if M < 1:
-        raise ParameterError("need M >= 1")
+    if M < 1 or precision < 1:
+        raise ParameterError("need M >= 1 and precision >= 1")
+    check_capacity(2 * M, 2, precision)
     p_prev, q_prev = 1, 0
     p_cur, q_cur = (alpha_cf[0] if alpha_cf else 1), 1
     k = 1
@@ -438,30 +399,19 @@ def davenport_symmetrized(
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         k += 1
     alpha = Fraction(p_cur, q_cur)
-    pts = []
-    for n in range(1, M + 1):
-        y = Fraction(n % M, M)
-        x_pos = Fraction((n * alpha.numerator) % alpha.denominator, alpha.denominator)
-        x_neg = Fraction((-n * alpha.numerator) % alpha.denominator, alpha.denominator)
-        pts.append(
-            (
-                DigitVector.from_fraction(x_pos, 2, precision),
-                DigitVector.from_fraction(y, 2, precision),
-            )
-        )
-        pts.append(
-            (
-                DigitVector.from_fraction(x_neg, 2, precision),
-                DigitVector.from_fraction(y, 2, precision),
-            )
-        )
+    num, den = alpha.numerator % alpha.denominator, alpha.denominator
+    n = np.repeat(np.arange(1, M + 1, dtype=np.int64 if M * den < 2**63 else object), 2)
+    x = (np.tile([1, -1], M) * n * num) % den  # {n alpha}, {-n alpha}, ... times den
+    digits = np.stack(
+        [fraction_digits(x, den, 2, precision), fraction_digits(n % M, M, 2, precision)], axis=1
+    )
     prov = {
         "family": "davenport",
         "M": M,
         "alpha_cf": list(alpha_cf) if alpha_cf is not None else GOLDEN_CF,
         "precision": precision,
     }
-    return PointSet(pts, base=2, s=2, precision=precision, provenance=prov)
+    return PointSet.from_digits(digits, 2, prov)
 
 
 def van_der_corput(b: int, m: int) -> PointSet:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constructions import arbitrary_n_trim
 from .errors import CapacityError, ParameterError
-from .nets import DigitVector, PointSet
+from .nets import PointSet, fraction_digits
 
 __all__ = [
     "DiscrepancyReport",
@@ -36,6 +36,7 @@ __all__ = [
     "roth_lower_bound",
     "RothBound",
     "sum_of_digits",
+    "roth_sequence_ratio",
     "SequenceProfile",
     "ProfileRow",
     "sequence_profile",
@@ -251,6 +252,11 @@ def sum_of_digits(N: int) -> int:
     return bin(N).count("1")
 
 
+def roth_sequence_ratio(N: int, s: int, value: float) -> float:
+    """N * value / ((log N)^((s-1)/2) * sqrt(S(N))), the sequence normaliser."""
+    return N * value / (math.log(N) ** ((s - 1) / 2.0) * math.sqrt(sum_of_digits(N)))
+
+
 # ----------------------------------------------------------------------
 # Sequence profiles and the trim inequality
 # ----------------------------------------------------------------------
@@ -325,11 +331,9 @@ def sequence_profile(
             rep = l2_exact(ps, threads=threads)
         else:
             rep = lq_estimate(ps, q, samples, seed)
-        s_n = sum_of_digits(n)
-        denom_roth = math.log(n) ** ((s - 1) / 2.0) * math.sqrt(s_n)
-        ratio_roth = n * rep.value / denom_roth
+        ratio_roth = roth_sequence_ratio(n, s, rep.value)
         ratio_part = n * rep.value / _partition_normalizer(n, s, q)
-        rows.append(ProfileRow(n, rep.value, s_n, ratio_roth, ratio_part))
+        rows.append(ProfileRow(n, rep.value, sum_of_digits(n), ratio_roth, ratio_part))
     return SequenceProfile(s, q, tuple(rows))
 
 
@@ -352,21 +356,13 @@ def append_index_coordinate(ps: PointSet, N: int, precision: int | None = None) 
     if N < 1:
         raise ParameterError("need N >= 1")
     b = ps.base
-    exact_digits = 0
-    size = 1
-    while size < N:
-        size *= b
-        exact_digits += 1
-    if size == N:
-        out_precision = max(ps.precision, max(exact_digits, 1))
+    exact_digits = next(e for e in range(N.bit_length() + 1) if b**e >= N)
+    if b**exact_digits == N:
+        out_precision = max(ps.precision, exact_digits, 1)
     else:
         out_precision = max(ps.precision, 48 if precision is None else precision)
-    pts = []
-    for k in range(N):
-        last = DigitVector.from_fraction(Fraction(k, N), b, out_precision)
-        pts.append(ps.points[k] + (last,))
+    digits = np.pad(ps.digit_array()[:N], ((0, 0), (0, 1), (0, out_precision - ps.precision)))
+    digits[:, ps.s] = fraction_digits(np.arange(N), N, b, out_precision)
     prov = dict(ps.provenance) if ps.provenance else {}
     prov["appended_index_coordinate"] = N
-    return PointSet(
-        pts, base=b, s=ps.s + 1, precision=out_precision, provenance=prov
-    )
+    return PointSet.from_digits(digits, b, prov)

@@ -1,7 +1,9 @@
 """Digital nets over F_b: point generation, structure checks, dual space.
 
-Points are kept digit-exact: each coordinate is a :class:`DigitVector`
-holding base-b fractional digits (index 0 = most significant digit).
+A point set is stored as one read-only (N, s, precision) uint8 array of
+base-b fractional digits, most significant digit first, so points stay
+digit-exact.  :class:`DigitVector` is the per-coordinate view built on
+demand at the API edges (``ps[n]``, ``ps.points``, ``ps.fractions``).
 Floating point enters only when discrepancy numerics ask for it.
 
 A digital net is defined by s generating matrices C_1, ..., C_s of shape
@@ -77,9 +79,6 @@ class DigitVector:
             num = num * self.base + d
         return Fraction(num, self.base ** len(self.digits)) if self.digits else Fraction(0)
 
-    def to_float(self) -> float:
-        return float(self.to_fraction())
-
     def padded(self, precision: int) -> "DigitVector":
         """Right-pad with zero digits to exactly `precision` digits."""
         if len(self.digits) > precision:
@@ -92,12 +91,25 @@ class DigitVector:
         return DigitVector(self.base, self.digits + (0,) * (precision - len(self.digits)))
 
 
+# Largest digit array, in bytes (one byte per digit), that point generation
+# allocates; larger requests raise CapacityError before any allocation.
+MAX_DIGIT_BYTES = 1 << 28
+
+
+def check_capacity(count: int, s: int, precision: int) -> None:
+    """Refuse a (count, s, precision) digit array larger than MAX_DIGIT_BYTES."""
+    if count * s * precision > MAX_DIGIT_BYTES:
+        raise CapacityError(f"{count} points x {s} coordinates x {precision} digits "
+                            f"exceed the {MAX_DIGIT_BYTES}-byte digit limit")
+
+
 class PointSet:
     """An ordered list of s-dimensional points with exact digit coordinates.
 
-    All coordinate digit arrays are normalised to exactly `precision`
-    digits so that file serialisation round-trips bit-exactly.  Instances
-    are immutable by convention; numpy views are created lazily.
+    The only storage is a read-only (N, s, precision) uint8 digit array;
+    `from_digits` wraps one.  The constructor takes DigitVector tuples and
+    pads or shortens every coordinate to exactly `precision` digits, so
+    that file serialisation round-trips bit-exactly.
     """
 
     def __init__(
@@ -109,76 +121,110 @@ class PointSet:
         precision: int,
         provenance: dict | None = None,
     ):
-        if not is_prime(base):
-            raise ParameterError(f"base {base} is not prime")
         if s < 1 or precision < 1:
             raise ParameterError("dimension and precision must be positive")
-        normalised = []
+        rows = []
         for pt in points:
             if len(pt) != s:
                 raise ParameterError(f"point has {len(pt)} coordinates, expected {s}")
-            coords = []
             for dv in pt:
                 if dv.base != base:
                     raise ParameterError("coordinate base differs from point set base")
-                coords.append(dv.padded(precision))
-            normalised.append(tuple(coords))
+                rows.append(dv.padded(precision).digits)
+        digits = np.array(rows, dtype=np.int64).reshape(len(rows) // s, s, precision)
+        self._set(digits.astype(np.uint8), base, provenance)  # wraps only where _set refuses
+
+    @classmethod
+    def from_digits(cls, digits: np.ndarray, base: int, provenance: dict | None = None) -> "PointSet":
+        """Wrap an (N, s, precision) uint8 digit array, which becomes read-only."""
+        ps = cls.__new__(cls)
+        ps._set(digits, base, provenance)
+        return ps
+
+    def _set(self, digits: np.ndarray, base: int, provenance: dict | None) -> None:
+        if not is_prime(base):
+            raise ParameterError(f"base {base} is not prime")
+        if base > 256:
+            raise ParameterError(f"base {base} does not fit the uint8 digit array")
+        if not isinstance(digits, np.ndarray) or digits.dtype != np.uint8:
+            raise ParameterError("digits must be a uint8 array")
+        if digits.ndim != 3 or digits.shape[1] < 1 or digits.shape[2] < 1:
+            raise ParameterError(f"digit array of shape {digits.shape} is not (N, s, precision)")
+        if digits.size and digits.max() >= base:
+            raise ParameterError("digit out of range for base")
+        digits.setflags(write=False)
+        self._digits = digits
         self.base = base
-        self.s = s
-        self.precision = precision
-        self.points = tuple(normalised)
+        self.s = digits.shape[1]
+        self.precision = digits.shape[2]
         self.provenance = dict(provenance) if provenance else None
-        self._digit_cache: np.ndarray | None = None
+        self._points: tuple | None = None
         self._float_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._digits)
 
     def __getitem__(self, n: int) -> tuple[DigitVector, ...]:
-        return self.points[n]
+        return tuple(DigitVector(self.base, tuple(row)) for row in self._digits[n].tolist())
+
+    @property
+    def points(self) -> tuple[tuple[DigitVector, ...], ...]:
+        """Every point as a tuple of DigitVectors, built on first use."""
+        if self._points is None:
+            self._points = tuple(self[n] for n in range(len(self)))
+        return self._points
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointSet)
             and self.base == other.base
-            and self.s == other.s
-            and self.precision == other.precision
-            and self.points == other.points
+            and np.array_equal(self._digits, other._digits)
             and self.provenance == other.provenance
         )
 
     def digit_array(self) -> np.ndarray:
         """All digits as a (N, s, precision) uint8 array (read-only)."""
-        if self._digit_cache is None:
-            arr = np.zeros((len(self.points), self.s, self.precision), dtype=np.uint8)
-            for n, pt in enumerate(self.points):
-                for j, dv in enumerate(pt):
-                    arr[n, j, :] = dv.digits
-            arr.setflags(write=False)
-            self._digit_cache = arr
-        return self._digit_cache
+        return self._digits
 
     def float_array(self) -> np.ndarray:
         """Coordinates as (N, s) float64; the only lossy view of a point set."""
         if self._float_cache is None:
             weights = self.base ** -(np.arange(1, self.precision + 1, dtype=np.float64))
-            arr = self.digit_array().astype(np.float64) @ weights
+            arr = self._digits.astype(np.float64) @ weights
             arr.setflags(write=False)
             self._float_cache = arr
         return self._float_cache
 
     def fractions(self, n: int) -> tuple[Fraction, ...]:
         """Exact coordinates of point n."""
-        return tuple(dv.to_fraction() for dv in self.points[n])
+        return tuple(dv.to_fraction() for dv in self[n])
 
     def prefix(self, n: int) -> "PointSet":
-        if n > len(self.points):
-            raise ParameterError(f"prefix of {n} points requested, only {len(self.points)} present")
+        if n > len(self):
+            raise ParameterError(f"prefix of {n} points requested, only {len(self)} present")
         prov = dict(self.provenance) if self.provenance else {}
         prov["prefix"] = n
-        return PointSet(
-            self.points[:n], base=self.base, s=self.s, precision=self.precision, provenance=prov
-        )
+        return PointSet.from_digits(self._digits[:n], self.base, prov)
+
+
+def fraction_digits(
+    num: np.ndarray, den: int, base: int, precision: int, tail: np.ndarray | None = None
+) -> np.ndarray:
+    """The first `precision` base-b digits of (num + 0.tail)/den per point.
+
+    Long division of integers 0 <= num < den, most significant digit first:
+    floor(value * b^precision), as DigitVector.from_fraction truncates.  The
+    `tail` digits are brought down before zeros; Python ints past int64.
+    """
+    rem = np.asarray(num).astype(np.int64 if den * base < 2**63 else object)
+    out = np.empty((len(rem), precision), dtype=np.uint8)
+    for k in range(precision):
+        rem = rem * base
+        if tail is not None and k < tail.shape[1]:
+            rem = rem + tail[:, k]
+        out[:, k] = rem // den
+        rem = rem % den
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,25 +270,25 @@ def _index_digit_matrix(n_from: int, n_to: int, b: int, m: int) -> np.ndarray:
     return (n[:, None] // b ** np.arange(m, dtype=np.int64)[None, :]) % b
 
 
-def _points_from_digit_blocks(blocks: list[np.ndarray], base, precision, provenance) -> PointSet:
-    """Assemble a PointSet from per-dimension (N, p) digit arrays."""
-    s = len(blocks)
-    count = blocks[0].shape[0]
-    pts = []
-    for n in range(count):
-        pts.append(
-            tuple(DigitVector(base, tuple(int(d) for d in blocks[j][n])) for j in range(s))
-        )
-    return PointSet(pts, base=base, s=s, precision=precision, provenance=provenance)
+def _net_digits(n_from: int, n_to: int, b: int, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """(n_to - n_from, s, rows) uint8 digits of points n_from..n_to-1, C_j times
+    the digit vector of n mod b, in blocks of indices that keep int64 products small."""
+    rows, cols = matrices[0].shape
+    out = np.empty((n_to - n_from, len(matrices), rows), dtype=np.uint8)
+    block = 1 << 16
+    for start in range(n_from, n_to, block):
+        stop = min(start + block, n_to)
+        D = _index_digit_matrix(start, stop, b, cols)
+        for j, mat in enumerate(matrices):
+            out[start - n_from : stop - n_from, j] = (D @ mat.T) % b
+    return out
 
 
 def generate_net_points(gm: GeneratingMatrixSet, provenance: dict | None = None) -> PointSet:
     """All b^m points of the digital net with the given matrices, in index order."""
-    b, m, p = gm.base, gm.cols, gm.rows
-    count = b**m
-    D = _index_digit_matrix(0, count, b, m)
-    blocks = [(D @ mat.array.T) % b for mat in gm.matrices]
-    return _points_from_digit_blocks(blocks, b, p, provenance)
+    check_capacity(gm.base**gm.cols, gm.s, gm.rows)
+    digits = _net_digits(0, gm.base**gm.cols, gm.base, [mat.array for mat in gm.matrices])
+    return PointSet.from_digits(digits, gm.base, provenance)
 
 
 def generate_sequence_points(
@@ -262,6 +308,7 @@ def generate_sequence_points(
     """
     if n_from > n_to or n_from < 0:
         raise ParameterError("need 0 <= n_from <= n_to")
+    check_capacity(n_to - n_from, s, precision)
     if n_from == n_to:
         return PointSet([], base=b, s=s, precision=precision)
     cols = _digit_count(n_to - 1, b)
@@ -270,12 +317,8 @@ def generate_sequence_points(
         raise PrecisionError(
             f"column depth {deepest} exceeds precision {precision}: nonzero digits would be lost"
         )
-    D = _index_digit_matrix(n_from, n_to, b, cols)
-    blocks = []
-    for j in range(1, s + 1):
-        mat = source.matrix(j, precision, cols)
-        blocks.append((D @ mat.T) % b)
-    return _points_from_digit_blocks(blocks, b, precision, None)
+    matrices = [source.matrix(j, precision, cols) for j in range(1, s + 1)]
+    return PointSet.from_digits(_net_digits(n_from, n_to, b, matrices), b)
 
 
 def _digit_count(n: int, b: int) -> int:
@@ -505,10 +548,7 @@ def geometric_net_check(ps: PointSet, t: int) -> bool:
         raise ParameterError(f"point count {count} is not a power of base {b}")
     if not 0 <= t <= m:
         raise ParameterError(f"t must be in [0, {m}]")
-    digits = ps.digit_array()
-    if digits.shape[2] < m:
-        pad = np.zeros((count, ps.s, m - digits.shape[2]), dtype=np.uint8)
-        digits = np.concatenate([digits, pad], axis=2)
+    digits = np.pad(ps.digit_array(), ((0, 0), (0, 0), (0, max(m - ps.precision, 0))))
     k = m - t
     # prefixes[j][d]: the first d digits of coordinate j read as one base-b integer
     prefixes = []

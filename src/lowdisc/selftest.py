@@ -303,7 +303,7 @@ def criterion_12_interlacing_paths_agree() -> tuple[bool, str]:
                 base = niederreiter_net_matrices(alpha * s, m)
                 via_matrices = generate_net_points(interlace_matrices(base, alpha))
                 via_points = interlace_pointset(generate_net_points(base), alpha)
-                if via_matrices.points != via_points.points:
+                if not np.array_equal(via_matrices.digit_array(), via_points.digit_array()):
                     return False, f"paths differ at alpha={alpha}, s={s}, m={m}"
                 checked += 1
     return True, f"{checked} (alpha, s, m) combinations bit-identical"

@@ -140,6 +140,31 @@ def test_construct_builds_matrices_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_construct_oversized_exits_two_before_allocating(monkeypatch, capsys):
+    from lowdisc import nets
+
+    def allocation(*args):
+        raise AssertionError("the preflight must refuse before any allocation")
+
+    monkeypatch.setattr(nets, "_net_digits", allocation)
+    assert run("construct", "--family", "van-der-corput", "--b", "2", "--m", "40") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: 1099511627776 points x 1 coordinates x 40 digits exceed")
+    assert "Traceback" not in err
+
+
+def test_verify_all_builds_the_net_once(monkeypatch, capsys):
+    from lowdisc import cli
+
+    calls = []
+    original = cli.generate_net_points
+    monkeypatch.setattr(cli, "generate_net_points", lambda gm: calls.append(gm) or original(gm))
+    assert run("verify", "all", "--family", "faure", "--b", "3", "--m", "2", "--s", "2") == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "geometric,faure" in out and "char,faure" in out
+
+
 def test_verify_geometric_from_point_file(tmp_path, capsys):
     out = tmp_path / "v.txt"
     run("construct", "--family", "van-der-corput", "--b", "2", "--m", "3",

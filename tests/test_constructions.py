@@ -20,7 +20,7 @@ from lowdisc.constructions import (
     niederreiter_t_bound,
     van_der_corput,
 )
-from lowdisc.errors import ParameterError
+from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.field import binomial_mod_p
 from lowdisc.nets import (
     DigitVector,
@@ -108,7 +108,6 @@ def test_niederreiter_upper_triangular():
             assert mat[k - 1, k - 1] == 1
             for ell in range(1, k):
                 assert mat[k - 1, ell - 1] == 0
-        assert src.entry(j, 5, 3) == 0  # k > ell
 
 
 def test_niederreiter_t_bound_values():
@@ -282,3 +281,13 @@ def test_davenport_explicit_cf_prefix():
     # sqrt(2) = [1; 2, 2, 2, ...]
     ps = davenport_symmetrized(4, alpha_cf=[1, 2, 2, 2, 2, 2, 2])
     assert len(ps) == 8
+
+
+def test_davenport_refuses_oversized_request_up_front():
+    with pytest.raises(CapacityError, match="digit limit"):
+        davenport_symmetrized(1 << 40)
+
+
+def test_interlace_pointset_needs_base_two():
+    with pytest.raises(ParameterError):
+        interlace_pointset(van_der_corput(3, 2), 1)

@@ -14,6 +14,7 @@ from lowdisc.nets import (
     compute_t_value,
     digit_vector_of_index,
     dual_space,
+    fraction_digits,
     generate_net_points,
     generate_sequence_points,
     geometric_net_check,
@@ -289,3 +290,47 @@ def test_pointset_prefix():
     assert pre.points == ps.points[:3]
     with pytest.raises(ParameterError):
         ps.prefix(9)
+
+
+def test_pointset_from_digits_validates_and_freezes():
+    digits = np.array([[[1, 0]], [[2, 1]]], dtype=np.uint8)
+    ps = PointSet.from_digits(digits, 3, {"family": "manual"})
+    assert ps.digit_array() is digits and not digits.flags.writeable
+    assert (len(ps), ps.s, ps.precision) == (2, 1, 2)
+    assert ps[1] == (DigitVector(3, (2, 1)),)
+    assert ps.fractions(1) == (Fraction(7, 9),)
+    assert ps == PointSet(ps.points, base=3, s=1, precision=2, provenance={"family": "manual"})
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(digits, 2)  # digit 2 out of range
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(digits.astype(np.int64), 3)
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(np.zeros((2, 2), dtype=np.uint8), 3)
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(np.zeros((2, 1, 0), dtype=np.uint8), 3)
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(digits, 4)  # not prime
+    with pytest.raises(ParameterError):
+        PointSet.from_digits(np.zeros((1, 1, 1), dtype=np.uint8), 257)  # digits do not fit uint8
+
+
+def test_fraction_digits_truncate_like_from_fraction():
+    for num, den, b, p in [(1, 3, 2, 10), (2, 7, 3, 6), (5, 11, 5, 4), (0, 4, 2, 3), (3, 4, 2, 1)]:
+        got = fraction_digits(np.array([num]), den, b, p)
+        assert tuple(got[0]) == DigitVector.from_fraction(Fraction(num, den), b, p).digits
+    # a denominator beyond int64 takes the Python-int path
+    den = 3**45
+    nums = [1, den // 2, den - 1]
+    got = fraction_digits(np.array(nums, dtype=object), den, 2, 80)
+    for row, num in zip(got, nums):
+        assert tuple(row) == DigitVector.from_fraction(Fraction(num, den), 2, 80).digits
+    # tail digits are brought down: (1 + 0.101_2) / 3 = 13/24
+    got = fraction_digits(np.array([1]), 3, 2, 8, tail=np.array([[1, 0, 1]], dtype=np.uint8))
+    assert tuple(got[0]) == DigitVector.from_fraction(Fraction(13, 24), 2, 8).digits
+
+
+def test_generation_refuses_oversized_requests_up_front():
+    with pytest.raises(CapacityError, match="digit limit"):
+        generate_net_points(identity_net(2, 40, 1))
+    with pytest.raises(CapacityError, match="digit limit"):
+        generate_sequence_points(None, 2, 2, 0, 1 << 40, precision=48)

@@ -1,25 +1,37 @@
-"""Property tests over random generating matrices.
+"""Property tests over random generating matrices and digit arrays.
 
 Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
-and the vectorised box count with a per-point loop.
+the vectorised box count with a per-point loop, point-level interlacing
+with matrix-level interlacing, and the array trim with a Fraction loop.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from lowdisc.constructions import (  # noqa: E402
+    arbitrary_n_trim,
+    interlace_matrices,
+    interlace_pointset,
+)
 from lowdisc.field import FieldMatrix, _rref  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
+    DigitVector,
     GeneratingMatrixSet,
+    PointSet,
     _compositions,
     compute_t_value,
     dual_space,
     generate_net_points,
     geometric_net_check,
 )
+from lowdisc.pointfile import dumps_point_file, loads_point_file  # noqa: E402
 from lowdisc.weights import min_dual_weight, min_weight_by_rank, vector_weight  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
@@ -122,3 +134,91 @@ def test_geometric_check_matches_loop_and_algebraic_t(gm):
 def test_dual_elements_limit_is_a_prefix(gm, k):
     dual = dual_space(gm, 1 << 14)
     assert dual.elements(limit=k) == dual.elements()[:k]
+
+
+@st.composite
+def digit_sets(draw, bases=(2, 3, 5, 11, 13)):
+    """A PointSet over a random (N, s, precision) digit array."""
+    b = draw(st.sampled_from(bases))
+    shape = (draw(st.integers(0, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    digits = draw(arrays(np.uint8, shape, elements=st.integers(0, b - 1)))
+    return PointSet.from_digits(digits, b, draw(st.none() | st.just({"family": "random"})))
+
+
+@st.composite
+def interlacing_nets(draw):
+    """Random base-2 generating matrices in alpha * s_out dimensions, and alpha."""
+    alpha, s_out = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = draw(st.integers(1, 5))
+    p = draw(st.integers(m, 6))
+    s = alpha * s_out
+    entries = draw(st.lists(st.integers(0, 1), min_size=s * p * m, max_size=s * p * m))
+    arr = np.array(entries, dtype=np.int64).reshape(s, p, m)
+    return GeneratingMatrixSet(2, s, p, m, tuple(FieldMatrix(a, 2) for a in arr)), alpha
+
+
+@given(interlacing_nets())
+def test_interlacing_points_match_matrices(net):
+    gm, alpha = net
+    via_matrices = generate_net_points(interlace_matrices(gm, alpha))
+    via_points = interlace_pointset(generate_net_points(gm), alpha)
+    assert np.array_equal(via_matrices.digit_array(), via_points.digit_array())
+
+
+@given(digit_sets())
+def test_point_file_round_trip_is_bit_exact(ps):
+    text = dumps_point_file(ps)
+    back = loads_point_file(text)
+    assert back == ps
+    assert dumps_point_file(back) == text
+
+
+@given(digit_sets())
+def test_edge_constructor_matches_from_digits(ps):
+    # coordinates with trailing zeros cut off, so that the constructor pads them back
+    points = [
+        tuple(DigitVector(ps.base, tuple(np.trim_zeros(row, "b").tolist())) for row in pt)
+        for pt in ps.digit_array()
+    ]
+    edge = PointSet(points, base=ps.base, s=ps.s, precision=ps.precision, provenance=ps.provenance)
+    assert edge == ps
+    assert edge.points == ps.points
+
+
+@st.composite
+def stratified_sets(draw):
+    """b^m points whose first coordinate hits every m-digit prefix exactly once."""
+    b, m = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (5, 2), (11, 1)]))
+    count, s = b**m, draw(st.integers(1, 3))
+    precision = m + draw(st.integers(0, 3))
+    digits = draw(arrays(np.uint8, (count, s, precision), elements=st.integers(0, b - 1)))
+    order = draw(st.permutations(range(count)))
+    powers = b ** np.arange(m - 1, -1, -1)
+    digits[:, 0, :m] = (np.array(order)[:, None] // powers) % b
+    N = draw(st.integers(b ** (m - 1) + 1, count))
+    return PointSet.from_digits(digits, b), N, draw(st.none() | st.integers(1, 60))
+
+
+def trim_oracle(ps, N, precision):
+    """The trim as a loop over exact rationals: x_1 * b^m / N truncated by from_fraction."""
+    b, m = ps.base, round(np.log(len(ps)) / np.log(ps.base))
+    out_precision = max(ps.precision, 48 if precision is None else precision)
+    points = []
+    for n in range(len(ps)):
+        first, *rest = ps[n]
+        if first.to_fraction() < Fraction(N, b**m):
+            scaled = DigitVector.from_fraction(first.to_fraction() * Fraction(b**m, N), b, out_precision)
+            points.append((scaled, *rest))
+    return PointSet(points, base=b, s=ps.s, precision=out_precision)
+
+
+@given(stratified_sets())
+def test_trim_keeps_n_points_inside_the_cube(case):
+    ps, N, precision = case
+    trimmed = arbitrary_n_trim(ps, N, precision=precision)
+    assert len(trimmed) == N
+    assert all(0 <= trimmed.fractions(n)[0] < 1 for n in range(N))
+    oracle = trim_oracle(ps, N, precision)
+    if N == len(ps):
+        oracle = ps  # nothing is cut, so nothing is rescaled
+    assert np.array_equal(trimmed.digit_array(), oracle.digit_array())
