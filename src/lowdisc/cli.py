@@ -33,7 +33,6 @@ from .field import FieldMatrix
 from .nets import (
     GeneratingMatrixSet,
     char_property_sum,
-    compute_t_value,
     dual_space,
     generate_net_points,
     geometric_net_check,
@@ -59,7 +58,6 @@ class RunConfig:
     q: float = 2.0
     samples: int = 4096
     seed: int = 0
-    threads: int = 1
     cap: int = 1 << 21
     out: str | None = None
 
@@ -277,7 +275,9 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
     selected = CHECKS[:-1] if check == "all" else (check,)
-    t_val = compute_t_value(gm)
+    # one nrt search gives both the t-value and the mu1 row; --cap bounds it only for mu1
+    nrt = min_weight_by_rank(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
+    t_val = 0 if nrt.minimum is None else gm.cols + 1 - nrt.minimum
     ps = generate_net_points(gm) if {"geometric", "char"} & set(selected) else None
     for sel in selected:
         if sel == "t-value":
@@ -286,10 +286,9 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
         elif sel == "geometric":
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
         elif sel == "mu1":
-            prof = min_weight_by_rank(gm, "nrt", cap=cfg.cap)
             want = gm.cols - t_val + 1
-            value = "inf" if prof.minimum is None else prof.minimum
-            add("mu1", value, want, prof.minimum is None or prof.minimum == want, prof)
+            value = "inf" if nrt.minimum is None else nrt.minimum
+            add("mu1", value, want, nrt.minimum is None or nrt.minimum == want, nrt)
         elif sel == "hamming":
             if check == "all" and cfg.family not in ("chen-skriganov", "faure"):
                 continue  # the dual Hamming floor is this family's guarantee
@@ -333,7 +332,7 @@ def cmd_discrepancy(path: str, cfg: RunConfig) -> int:
     family = str(prov.get("family", ""))
     params = ";".join(f"{k}={v}" for k, v in sorted(prov.items()) if k != "family")
     rows = [CSV_HEADER]
-    rows.append(l2_exact(ps, threads=cfg.threads).csv_row(family, params))
+    rows.append(l2_exact(ps).csv_row(family, params))
     if cfg.q != 2.0:
         rows.append(lq_estimate(ps, cfg.q, cfg.samples, cfg.seed).csv_row(family, params))
     _emit("\n".join(rows) + "\n", cfg.out)
@@ -373,7 +372,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
                 ps = full_sequence.prefix(v)
             else:
                 ps = build_points(sub)
-            rep = l2_exact(ps, threads=cfg.threads)
+            rep = l2_exact(ps)
             n, s = len(ps), ps.s
             m = v if axis == "m" else None
             ratio = _scaling_ratio(family, n, s, rep.value, m)
@@ -411,7 +410,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, help="discrepancy norm exponent (default 2)")
     p.add_argument("--samples", type=int, help="Monte Carlo samples (default 4096)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--threads", type=int, help="worker threads for pair sums (default 1)")
     p.add_argument(
         "--cap",
         type=int,

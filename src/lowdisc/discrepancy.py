@@ -1,21 +1,29 @@
 """Local discrepancy, exact L2 discrepancy, and Lq estimation.
 
-The squared L2 discrepancy of an N-point set has the closed pairwise form
+The squared L2 discrepancy of an N-point set has Warnock's closed
+pairwise form
 
     (1/N^2) sum_{n,n'} prod_j (1 - max(x_jn, x_jn'))
-    - (2/N) sum_n prod_j (1 - x_jn^2)/2  +  3^-s,
+    - (2/N) sum_n prod_j (1 - x_jn^2)/2  +  3^-s.
 
-evaluated here in float64 with exact (fsum) reduction of block sums, and
-independently in exact rational arithmetic as a brute-force oracle for
-small inputs.  General Lq norms have no closed form and are estimated by
-stratified Monte Carlo.  Lower-bound comparators use the explicit Roth
-constant c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
+Points are digit-exact, x_jn = X_jn / P with P = b^precision, so
+`l2_exact` evaluates it exactly in integers: the pair term
+sum prod_j min(P - X_jn, P - X_jn') takes O(N log N) for s <= 2 (a sort,
+then halving on rank with sorted sweeps) and Heinrich's divide and
+conquer on the coordinates for s >= 3 (S. Heinrich, Math. Comp. 65
+(1996) 1621-1633).  Integer sums are carried modulo coprime moduli below
+2^32 and recovered by the Chinese remainder theorem; the squared value
+is kept as a Fraction on the report.  `l2_exact_rational` is the same formula with
+Fraction coordinates, a brute-force oracle for small inputs.  General Lq
+norms have no closed form and are estimated by stratified Monte Carlo.
+Lower-bound comparators use the explicit Roth constant
+c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -57,6 +65,7 @@ class DiscrepancyReport:
     method: str  # exact-pairwise | exact-rational | estimated
     stderr: float | None = None
     roth_ratio: float | None = None
+    exact: Fraction | None = None  # the squared value, when computed exactly
 
     def csv_row(self, family: str = "", params: str = "") -> str:
         se = "" if self.stderr is None else repr(self.stderr)
@@ -83,32 +92,255 @@ def local_discrepancy(ps: PointSet, t: Sequence[float]) -> float:
     return float(np.count_nonzero(inside)) / len(ps) - volume
 
 
-def _pair_block_sum(x: np.ndarray, i0: int, i1: int) -> float:
-    block = 1.0 - np.maximum(x[i0:i1, None, :], x[None, :, :])
-    return float(block.prod(axis=2).sum())
+# Groups of at most this many (A, B) pairs are summed pair by pair.
+_DIRECT_PAIRS = 64
+# Items per recursive call and pairs per direct batch: this bounds the
+# (items, moduli) temporaries to a few MB.
+_BATCH_ITEMS = 1 << 14
 
 
-def l2_exact(ps: PointSet, threads: int = 1) -> DiscrepancyReport:
-    """Exact-formula L2 discrepancy in float64, O(N^2 s).
+@functools.cache
+def _moduli(count: int) -> tuple[int, ...]:
+    """The first `count` integers below 2^32, counting down, coprime to those before.
 
-    Pair sums are reduced blockwise with math.fsum, so results are
-    bit-reproducible for any thread count.
+    Each is above 2^31, and residue products stay below 2^64, so uint64
+    arrays carry them exactly.
+    """
+    moduli, q = [], 2**32
+    while len(moduli) < count:
+        q -= 1
+        if all(math.gcd(q, m) == 1 for m in moduli):
+            moduli.append(q)
+    return tuple(moduli)
+
+
+def _moduli_above(bound: int) -> np.ndarray:
+    """Enough moduli that their product exceeds `bound`."""
+    return np.array(_moduli(bound.bit_length() // 31 + 1), dtype=np.uint64)
+
+
+def _crt(residues: np.ndarray, moduli: np.ndarray) -> int:
+    """The integer in [0, prod(moduli)) with the given residues."""
+    total = math.prod(moduli.tolist())
+    value = 0
+    for r, q in zip(residues.tolist(), moduli.tolist()):
+        rest = total // q
+        value += r * rest * pow(rest, -1, q)
+    return value % total
+
+
+class _Coordinates(NamedTuple):
+    rank: np.ndarray  # (s, N) int64: order of u_j = P - X_j, ties broken arbitrarily
+    res: np.ndarray  # (s, r, N) uint64: u_j modulo each modulus
+    q: np.ndarray  # (r, 1) uint64: the moduli, shaped to broadcast over items
+
+
+def _integer_coordinates(ps: PointSet, moduli: np.ndarray) -> _Coordinates:
+    """Ranks and residues of u_jn = P - X_jn, where x_jn = X_jn / P and P = b^precision.
+
+    X is read by Horner's rule over chunks of digits whose value fits in
+    int64; the chunks order X lexicographically and give its residues.
+    """
+    b, p, n = ps.base, ps.precision, len(ps)
+    q = moduli[:, None]
+    digits = ps.digit_array().transpose(1, 0, 2)  # (s, N, precision)
+    width = 1
+    while b ** (width + 1) < 2**63:
+        width += 1
+    chunks = []
+    x_res = np.zeros((ps.s, len(moduli), n), dtype=np.uint64)
+    for lo in range(0, p, width):
+        hi = min(lo + width, p)
+        powers = b ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+        chunk = np.einsum("jnk,k->jn", digits[:, :, lo:hi], powers)  # no int64 copy of the digits
+        chunks.append(chunk)
+        part = chunk.astype(np.uint64)[:, None, :] % q
+        part *= np.array([pow(b, p - hi, int(m)) for m in moduli], dtype=np.uint64)[:, None]
+        part %= q
+        x_res += part
+        x_res %= q
+    big_p = np.array([pow(b, p, int(m)) for m in moduli], dtype=np.uint64)[:, None]
+    u_res = np.subtract(big_p + q, x_res, out=x_res)  # P - X, reduced below
+    u_res %= q
+    rank = np.empty((ps.s, n), dtype=np.int64)
+    for j in range(ps.s):
+        descending_x = np.lexsort([c[j] for c in reversed(chunks)])[::-1]
+        rank[j, descending_x] = np.arange(n)
+    return _Coordinates(rank, u_res, q)
+
+
+def _run_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) of each item's run of equal sorted keys."""
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [len(keys)]))
+    return np.repeat(starts, ends - starts), np.repeat(ends, ends - starts)
+
+
+def _pair_term(co: _Coordinates) -> np.ndarray:
+    """T = sum_{a,b} prod_j min(u_ja, u_jb), modulo each modulus.
+
+    The diagonal plus twice the pairs a < b in rank order of the first
+    coordinate, whose minimum there is u_1a: a closed form for s = 1, and
+    halving on that rank (Heinrich's recursion) for s >= 2.
+    """
+    q = co.q
+    s, n = co.rank.shape
+    diag = np.ones((len(q), n), dtype=np.uint64)
+    for j in range(s):
+        diag = diag * co.res[j] % q
+    if s == 1:
+        off = (co.res[0] * (n - 1 - co.rank[0]).astype(np.uint64) % q).sum(axis=1)
+    else:
+        ones = np.ones((len(q), n), dtype=np.uint64)
+        off = _halve(np.zeros(n, dtype=np.int64), None, np.argsort(co.rank[0]), ones, tuple(range(s)), co)
+    return (diag.sum(axis=1) % q[:, 0] + 2 * (off % q[:, 0])) % q[:, 0]
+
+
+def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
+    """Sum over groups g of sum_{a in A_g, b in B_g} w_a w_b prod_{j in dims} min(u_ja, u_jb).
+
+    Items are (group id, colour: True for A, point index) and a column of
+    weight residues each; the result is taken modulo each modulus.  Groups
+    without both colours hold no pairs; groups of few pairs are summed
+    pair by pair; the rest are sorted by rank in dims[0] and swept if it
+    is the last dimension, halved otherwise.
+    """
+    q = co.q
+    size = int(group.max()) + 1
+    pairs = (np.bincount(group[colour], minlength=size) * np.bincount(group[~colour], minlength=size))[group]
+    total = np.zeros(len(q), dtype=np.uint64)
+    leaf = (pairs > 0) & (pairs <= _DIRECT_PAIRS)
+    if leaf.any():
+        total = _direct_sum(group[leaf], colour[leaf], point[leaf], weight[:, leaf], dims, co)
+    keep = np.flatnonzero(pairs > _DIRECT_PAIRS)
+    if not len(keep):
+        return total
+    order = keep[np.argsort(group[keep] * co.rank.shape[1] + co.rank[dims[0], point[keep]])]
+    group, colour, point, weight = group[order], colour[order], point[order], weight[:, order]
+    if len(dims) > 1:
+        return total + _halve(group, colour, point, weight, dims, co)
+    # one dimension left: each pair is counted at its lower-ranked item, whose u_j is the minimum
+    _, end = _run_bounds(group)
+    cum = np.zeros((len(q), len(group) + 1), dtype=np.uint64)
+    np.cumsum(np.where(colour, 0, weight), axis=1, out=cum[:, 1:])
+    other = cum[:, end] - cum[:, 1:]  # B weight after each item
+    np.cumsum(np.where(colour, weight, 0), axis=1, out=cum[:, 1:])
+    np.subtract(cum[:, end], cum[:, 1:], out=other, where=~colour)  # A weight after B items
+    other %= q
+    lifted = weight * co.res[dims[0]][:, point]
+    lifted %= q
+    lifted *= other
+    lifted %= q
+    return total + lifted.sum(axis=1) % q[:, 0]
+
+
+def _halve(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
+    """The pairs of `_cross_sum` found by halving each group on rank in dims[0].
+
+    At each level, every block of 2^(level+1) consecutive ranks splits in
+    a lower and an upper half.  A pair across the halves has its minimum
+    u_j at the lower item, which takes u_j into its weight; the pair goes
+    on with dims[1:] in a group of its own, one per block and pairing of
+    halves.  Items come sorted by (group, rank); `colour` None pairs each
+    lower half with its upper half within one set of points.
+    """
+    q = co.q
+    start, end = _run_bounds(group)
+    pos = np.arange(len(group)) - start
+    length = end - start
+    lifted = weight * co.res[dims[0]][:, point] % q
+    total = np.zeros(len(q), dtype=np.uint64)
+    levels = int(length.max() - 1).bit_length()
+    step = max(1, _BATCH_ITEMS // len(group))  # levels per recursive call
+    for first in range(0, levels, step):
+        level = np.arange(first, min(first + step, levels))[:, None]
+        lower = (pos >> level) & 1 == 0
+        block_key = pos >> (level + 1)
+        fresh = np.ones(lower.shape, dtype=bool)
+        fresh[:, 1:] = (group[1:] != group[:-1]) | (block_key[:, 1:] != block_key[:, :-1])
+        block = np.cumsum(fresh) - 1  # numbered across all levels of the call
+        c = lower if colour is None else np.broadcast_to(colour, lower.shape)
+        live = (length > (1 << level)).ravel()  # groups larger than a half-block
+        total += _cross_sum(
+            (2 * block + (c != lower).ravel())[live],
+            c.ravel()[live],
+            np.tile(point, len(level))[live],
+            np.where(lower, lifted[:, None], weight[:, None]).reshape(len(q), -1)[:, live],
+            dims[1:],
+            co,
+        )
+    return total % q[:, 0]
+
+
+def _direct_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
+    """The sum of `_cross_sum`, pair by pair, for groups of few pairs."""
+    q = co.q
+    total = np.zeros(len(q), dtype=np.uint64)
+    a_items = np.flatnonzero(colour)
+    a_items = a_items[np.argsort(group[a_items], kind="stable")]
+    b_items = np.flatnonzero(~colour)
+    b_items = b_items[np.argsort(group[b_items], kind="stable")]
+    n_b = np.bincount(group[b_items], minlength=int(group.max()) + 1)
+    b_start = np.cumsum(n_b) - n_b
+    partners = np.cumsum(n_b[group[a_items]])
+    for a in np.split(a_items, np.searchsorted(partners, np.arange(_BATCH_ITEMS, partners[-1], _BATCH_ITEMS))):
+        reps = n_b[group[a]]
+        pa = np.repeat(a, reps)
+        pb = b_items[np.repeat(b_start[group[a]] - (np.cumsum(reps) - reps), reps) + np.arange(len(pa))]
+        prod = weight[:, pa] * weight[:, pb] % q
+        xa, xb = point[pa], point[pb]
+        for j in dims:
+            prod *= co.res[j][:, np.where(co.rank[j, xa] < co.rank[j, xb], xa, xb)]  # u_j of the lower
+            prod %= q
+        total = (total + prod.sum(axis=1)) % q[:, 0]
+    return total
+
+
+def _l2_squared(ps: PointSet) -> Fraction:
+    """Warnock's formula in integers: T/(N^2 P^s) - 2C/(N 2^s P^2s) + 3^-s.
+
+    T = sum_{a,b} prod_j min(u_ja, u_jb) is the pair term and
+    C = sum_n prod_j (P^2 - X_jn^2) the cross term.  Both are computed
+    modulo coprime moduli below 2^32 in uint64 arrays and recovered exactly
+    by the Chinese remainder theorem.
+    """
+    n, s = len(ps), ps.s
+    big_p = ps.base**ps.precision
+    pair_bound, cross_bound = n * n * big_p**s, n * big_p ** (2 * s)
+    moduli = _moduli_above(max(pair_bound, cross_bound))
+    co = _integer_coordinates(ps, moduli)
+    q = co.q
+    two_p = np.array([2 * big_p % int(m) for m in moduli], dtype=np.uint64)[:, None]
+    cross = np.ones((len(moduli), n), dtype=np.uint64)
+    for j in range(s):
+        cross *= co.res[j]
+        cross %= q
+        cross *= (two_p + q - co.res[j]) % q
+        cross %= q
+    cross_term = _crt(cross.sum(axis=1) % moduli, moduli)
+    r = len(_moduli_above(pair_bound))
+    co = _Coordinates(co.rank, np.ascontiguousarray(co.res[:, :r]), q[:r])
+    pair_term = _crt(_pair_term(co), moduli[:r])
+    return (
+        Fraction(pair_term, n * n * big_p**s)
+        - Fraction(2 * cross_term, n * 2**s * big_p ** (2 * s))
+        + Fraction(1, 3**s)
+    )
+
+
+def l2_exact(ps: PointSet) -> DiscrepancyReport:
+    """Exact L2 discrepancy from the digit array, in integer arithmetic.
+
+    The squared value is kept on the report as the Fraction `exact`; the
+    float `value` is its square root.  About N (log N)^max(1, s-1) items
+    are swept (each sorted once), against N^2 s terms for the pairwise sum.
     """
     n = len(ps)
     if n == 0:
         raise ParameterError("empty point set")
-    x = ps.float_array()
-    block = 256
-    ranges = [(i, min(i + block, n)) for i in range(0, n, block)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(lambda r: _pair_block_sum(x, *r), ranges))
-    else:
-        sums = [_pair_block_sum(x, *r) for r in ranges]
-    term_pairs = math.fsum(sums) / n**2
-    term_cross = 2.0 * math.fsum(((1.0 - x**2) / 2.0).prod(axis=1)) / n
-    sq = term_pairs - term_cross + 3.0**-ps.s
-    value = math.sqrt(max(sq, 0.0))
+    sq = _l2_squared(ps)
+    value = math.sqrt(float(sq))
     return DiscrepancyReport(
         N=n,
         s=ps.s,
@@ -116,6 +348,7 @@ def l2_exact(ps: PointSet, threads: int = 1) -> DiscrepancyReport:
         value=value,
         method="exact-pairwise",
         roth_ratio=_roth_ratio(n, ps.s, value),
+        exact=sq,
     )
 
 
@@ -147,6 +380,10 @@ def l2_exact_rational(ps: PointSet) -> Fraction:
     return term_pairs / n**2 - 2 * term_cross / n + Fraction(1, 3**ps.s)
 
 
+# Largest float64 draw array (samples x s x 8 bytes) lq_estimate allocates.
+MAX_DRAW_BYTES = 1 << 27
+
+
 def lq_estimate(
     ps: PointSet,
     q: float,
@@ -158,7 +395,8 @@ def lq_estimate(
     The cube is split into 2^(s*L) dyadic cells (the largest such grid not
     exceeding the sample budget) with an equal number of uniform draws per
     cell.  The reported standard error treats the draws as a simple random
-    sample, which upper-bounds the stratified error.
+    sample, which upper-bounds the stratified error.  A draw array above
+    MAX_DRAW_BYTES is refused with CapacityError before anything is drawn.
     """
     if not 1 <= q < math.inf:
         raise ParameterError("need 1 <= q < infinity")
@@ -168,6 +406,11 @@ def lq_estimate(
     if n == 0:
         raise ParameterError("empty point set")
     s = ps.s
+    if samples * s * 8 > MAX_DRAW_BYTES:
+        raise CapacityError(
+            f"{samples} samples x {s} coordinates of float64 draws exceed "
+            f"the {MAX_DRAW_BYTES}-byte draw limit"
+        )
     level = 0
     while 2 ** (s * (level + 1)) <= samples:
         level += 1
@@ -311,7 +554,6 @@ def sequence_profile(
     q: float = 2.0,
     samples: int = 4096,
     seed: int = 0,
-    threads: int = 1,
 ) -> SequenceProfile:
     """Discrepancy of the first N points of a sequence across a grid of N.
 
@@ -328,7 +570,7 @@ def sequence_profile(
     for n in profile_grid(n_max):
         ps = full.prefix(n)
         if q == 2.0:
-            rep = l2_exact(ps, threads=threads)
+            rep = l2_exact(ps)
         else:
             rep = lq_estimate(ps, q, samples, seed)
         ratio_roth = roth_sequence_ratio(n, s, rep.value)

@@ -157,7 +157,7 @@ def _oracle_pointsets() -> list[PointSet]:
 
 
 def criterion_05_oracle_equivalence() -> tuple[bool, str]:
-    """Float pairwise L2 matches the exact rational oracle to 1e-12."""
+    """Exact L2 matches the rational oracle to 1e-12."""
     from fractions import Fraction
 
     sets = _oracle_pointsets()
@@ -170,7 +170,7 @@ def criterion_05_oracle_equivalence() -> tuple[bool, str]:
         dev = abs(l2_exact(ps).value - math.sqrt(exact_sq))
         worst = max(worst, dev)
         if dev > 1e-12:
-            return False, f"set #{i} (N={len(ps)}, s={ps.s}): |float - rational| = {dev:.2e}"
+            return False, f"set #{i} (N={len(ps)}, s={ps.s}): |exact - rational| = {dev:.2e}"
     return True, f"{len(sets)} point sets, worst deviation {worst:.2e}"
 
 

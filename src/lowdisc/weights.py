@@ -165,7 +165,7 @@ def min_weight_by_rank(
     kind: str,
     alpha: int | None = None,
     floor: int | None = None,
-    cap: int = 1 << 21,
+    cap: int | None = 1 << 21,
 ) -> WeightProfile:
     """Exact minimum of a weight over the nonzero dual, without enumerating it.
 
@@ -174,7 +174,8 @@ def min_weight_by_rank(
     dependency, a dual element attaining the minimum.  With `floor`, the
     search stops below weight `floor`: minimum None then means the minimum
     is at least `floor` (or infinite).  `cap` bounds the candidate supports
-    counted through the weight reached; above it CapacityError is raised.
+    counted through the weight reached; above it CapacityError is raised
+    (None: no bound).
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lowdisc.cli import RunConfig, main
@@ -165,6 +166,24 @@ def test_verify_all_builds_the_net_once(monkeypatch, capsys):
     assert "geometric,faure" in out and "char,faure" in out
 
 
+def test_verify_all_runs_one_nrt_search(monkeypatch, capsys):
+    from lowdisc import nets, weights
+
+    kinds = []
+    original = nets.min_dependent_support
+
+    def counted(gm, kind="nrt", *args, **kwargs):
+        kinds.append(kind)
+        return original(gm, kind, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "min_dependent_support", counted)
+    monkeypatch.setattr(weights, "min_dependent_support", counted)
+    assert run("verify", "all", "--family", "dp-net", "--alpha", "2", "--s", "2", "--m", "4") == 0
+    assert kinds.count("nrt") == 1
+    out = capsys.readouterr().out
+    assert "t-value,dp-net" in out and "mu1,dp-net" in out
+
+
 def test_verify_geometric_from_point_file(tmp_path, capsys):
     out = tmp_path / "v.txt"
     run("construct", "--family", "van-der-corput", "--b", "2", "--m", "3",
@@ -213,6 +232,31 @@ def test_discrepancy_q_adds_estimate_row(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert "exact-pairwise" in lines[1] and "estimated" in lines[2]
+
+
+def test_discrepancy_oversized_lq_exits_two_before_drawing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "vdc.txt"
+    run("construct", "--family", "van-der-corput", "--b", "2", "--m", "3", "--out", str(out))
+    capsys.readouterr()
+
+    def draws(*args, **kwargs):
+        raise AssertionError("the preflight must refuse before any draw")
+
+    # Generator.random cannot be patched (immutable type); lq_estimate's only
+    # draws come from the generator made here, right before them
+    monkeypatch.setattr(np.random, "default_rng", draws)
+    assert run("discrepancy", str(out), "--q", "3", "--samples", str(10**12)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: 1000000000000 samples x 1 coordinates")
+    assert "Traceback" not in err
+
+
+def test_config_threads_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"threads": 2}')
+    assert run("scaling", "--config", str(cfg), "--family", "van-der-corput", "--b", "2",
+               "--m", "3") == 1
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from lowdisc.constructions import (
     arbitrary_n_trim,
     davenport_symmetrized,
+    dp_finite_pointset,
     dp_net,
     dp_sequence,
     faure_matrices,
@@ -27,6 +28,9 @@ from lowdisc.discrepancy import (
 )
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import DigitVector, PointSet, generate_net_points
+from lowdisc.selftest import _oracle_pointsets
+
+from l2_reference import l2_float_reference
 
 
 def single_point(*fracs, precision=8):
@@ -149,9 +153,30 @@ def test_l2_symmetry_under_permutations():
 
 def test_l2_deterministic_and_thread_invariant():
     ps = dp_net(2, 6, 2)
-    serial = l2_exact(ps, threads=1).value
-    assert l2_exact(ps, threads=1).value == serial
-    assert l2_exact(ps, threads=4).value == serial
+    first = l2_exact(ps)
+    assert l2_exact(ps) == first
+    order = np.random.default_rng(5).permutation(len(ps))
+    permuted = l2_exact(PointSet.from_digits(ps.digit_array()[order], ps.base))
+    assert permuted.exact == first.exact and permuted.value == first.value
+
+
+def test_l2_exact_equals_rational_oracle_on_criterion_05_sets():
+    for ps in _oracle_pointsets():
+        rep = l2_exact(ps)
+        assert rep.exact == l2_exact_rational(ps)
+        assert rep.value == math.sqrt(float(rep.exact))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: dp_net(3, 12, 2), lambda: davenport_symmetrized(1500), lambda: dp_finite_pointset(2000, 3)],
+    ids=["dp_net-3-12-2", "davenport-1500", "dp_finite-s3-2000"],
+)
+def test_l2_exact_matches_float_reference_at_large_n(make):
+    ps = make()
+    rep = l2_exact(ps)
+    assert rep.value == math.sqrt(float(rep.exact))
+    assert math.isclose(rep.value, l2_float_reference(ps), rel_tol=1e-8)
 
 
 def test_report_fields():

@@ -3,9 +3,12 @@
 Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
 the vectorised box count with a per-point loop, point-level interlacing
-with matrix-level interlacing, and the array trim with a Fraction loop.
+with matrix-level interlacing, the array trim with a Fraction loop, and
+the exact L2 discrepancy with the rational oracle (with the float
+pairwise sum where the oracle is capped).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,7 @@ from lowdisc.constructions import (  # noqa: E402
     interlace_matrices,
     interlace_pointset,
 )
+from lowdisc.discrepancy import l2_exact, l2_exact_rational  # noqa: E402
 from lowdisc.field import FieldMatrix, _rref  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
     DigitVector,
@@ -33,6 +37,8 @@ from lowdisc.nets import (  # noqa: E402
 )
 from lowdisc.pointfile import dumps_point_file, loads_point_file  # noqa: E402
 from lowdisc.weights import min_dual_weight, min_weight_by_rank, vector_weight  # noqa: E402
+
+from l2_reference import l2_float_reference  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -222,3 +228,35 @@ def test_trim_keeps_n_points_inside_the_cube(case):
     if N == len(ps):
         oracle = ps  # nothing is cut, so nothing is rescaled
     assert np.array_equal(trimmed.digit_array(), oracle.digit_array())
+
+
+@st.composite
+def l2_sets(draw, dims=(1, 2, 3), max_n=64):
+    """Points over b in {2, 3, 5, 13} with duplicates, ties in one coordinate
+    and an all-zero coordinate, each present or not; some precisions need
+    more than one int64 chunk per coordinate."""
+    b = draw(st.sampled_from([2, 3, 5, 13]))
+    n, s = draw(st.integers(1, max_n)), draw(st.sampled_from(dims))
+    p = draw(st.integers(1, 5) | st.sampled_from([20, 70]))  # 20 and 70 digits pass int64 for b >= 13 and b >= 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
+    copies = draw(st.integers(0, n // 2))
+    digits[n - copies :] = digits[:copies]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, s - 1))
+        digits[:, j] = digits[np.arange(n) % draw(st.integers(1, 3)), j]
+    if draw(st.booleans()):
+        digits[:, draw(st.integers(0, s - 1))] = 0
+    return PointSet.from_digits(digits, b)
+
+
+@given(l2_sets())
+def test_exact_l2_equals_rational_oracle(ps):
+    rep = l2_exact(ps)
+    assert rep.exact == l2_exact_rational(ps)
+    assert rep.value == math.sqrt(float(rep.exact))
+
+
+@given(l2_sets(dims=(4, 5), max_n=300))
+def test_exact_l2_matches_float_reference_in_dimensions_4_and_5(ps):
+    assert math.isclose(l2_exact(ps).value, l2_float_reference(ps), rel_tol=1e-12)
