@@ -36,6 +36,7 @@ from .nets import (
     dual_space,
     generate_net_points,
     geometric_net_check,
+    index_digits,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
 from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile
@@ -235,8 +236,8 @@ def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> 
     if prof.witness is None:
         return
     support = []
-    for j, k in enumerate(prof.witness, start=1):
-        rows = [i for i in range(gm.rows) if (k // gm.base**i) % gm.base]
+    for j, digits in enumerate(index_digits(prof.witness, gm.base, gm.rows), start=1):
+        rows = np.flatnonzero(digits).tolist()
         if rows:
             support.append(f"C{j} rows {rows}")
     print(

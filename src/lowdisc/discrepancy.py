@@ -15,7 +15,10 @@ conquer on the coordinates for s >= 3 (S. Heinrich, Math. Comp. 65
 2^32 and recovered by the Chinese remainder theorem; the squared value
 is kept as a Fraction on the report.  `l2_exact_rational` is the same formula with
 Fraction coordinates, a brute-force oracle for small inputs.  General Lq
-norms have no closed form and are estimated by stratified Monte Carlo.
+norms have no closed form and are estimated by stratified Monte Carlo;
+the points below each draw are counted with prefix bitsets (sort each
+coordinate once, look up one bitset per coordinate, AND them, popcount),
+about samples * N * s / 64 word operations plus N log N per coordinate.
 Lower-bound comparators use the explicit Roth constant
 c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
 """
@@ -86,10 +89,9 @@ def local_discrepancy(ps: PointSet, t: Sequence[float]) -> float:
         raise ParameterError(f"anchor has {len(t)} coordinates, expected {ps.s}")
     if len(ps) == 0:
         raise ParameterError("empty point set")
-    x = ps.float_array()
-    inside = np.all(x < np.asarray(t, dtype=np.float64)[None, :], axis=1)
-    volume = float(np.prod(np.asarray(t, dtype=np.float64)))
-    return float(np.count_nonzero(inside)) / len(ps) - volume
+    anchor = np.asarray(t, dtype=np.float64)
+    inside = _count_below(ps.float_array(), anchor[None, :])[0]
+    return float(inside) / len(ps) - float(np.prod(anchor))
 
 
 # Groups of at most this many (A, B) pairs are summed pair by pair.
@@ -382,6 +384,44 @@ def l2_exact_rational(ps: PointSet) -> Fraction:
 
 # Largest float64 draw array (samples x s x 8 bytes) lq_estimate allocates.
 MAX_DRAW_BYTES = 1 << 27
+# Points per block of _count_below: a block's prefix table is (B + 1) x B/64
+# uint64 words, 2 MB per coordinate.
+_LQ_BLOCK = 4096
+# uint64 words per gathered anchor chunk of _count_below (1 MB).
+_LQ_GATHER_WORDS = 1 << 17
+
+
+def _count_below(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each anchor row of t, the number of rows of x strictly below it in every coordinate.
+
+    Points go in blocks of at most _LQ_BLOCK.  Per block and coordinate j
+    the block's x_j is sorted once and row k of a prefix table holds the
+    bitset of the k smallest points, so searchsorted(sorted x_j, t_j) picks
+    the row of the points with x_j < t_j.  An anchor's count is the popcount
+    of the AND of its s rows: about len(t) N s / 64 word operations, plus
+    N log N per coordinate for the sorts.
+    """
+    n, s = x.shape
+    counts = np.zeros(len(t), dtype=np.int64)
+    for lo in range(0, n, _LQ_BLOCK):
+        block = x[lo : lo + _LQ_BLOCK]
+        size = len(block)
+        words = (size + 63) // 64
+        tables, keys = [], []
+        for j in range(s):
+            order = np.argsort(block[:, j], kind="stable")
+            table = np.zeros((size + 1, words), dtype=np.uint64)
+            table[np.arange(1, size + 1), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+            tables.append(np.bitwise_or.accumulate(table, axis=0, out=table))
+            keys.append(block[order, j])
+        chunk = max(1, _LQ_GATHER_WORDS // words)
+        for a in range(0, len(t), chunk):
+            anchors = t[a : a + chunk]
+            inside = tables[0][np.searchsorted(keys[0], anchors[:, 0], side="left")]
+            for j in range(1, s):
+                inside &= tables[j][np.searchsorted(keys[j], anchors[:, j], side="left")]
+            counts[a : a + chunk] += np.bitwise_count(inside).sum(axis=1, dtype=np.int64)
+    return counts
 
 
 def lq_estimate(
@@ -395,8 +435,13 @@ def lq_estimate(
     The cube is split into 2^(s*L) dyadic cells (the largest such grid not
     exceeding the sample budget) with an equal number of uniform draws per
     cell.  The reported standard error treats the draws as a simple random
-    sample, which upper-bounds the stratified error.  A draw array above
-    MAX_DRAW_BYTES is refused with CapacityError before anything is drawn.
+    sample, which upper-bounds the stratified error.  The points in each
+    draw's box [0, t) are counted by `_count_below`: the points are sorted
+    once per coordinate into prefix bitsets, and a draw's count is the
+    popcount of the AND of one bitset per coordinate, about
+    samples * N * s / 64 word operations plus N log N per coordinate.  A
+    draw array above MAX_DRAW_BYTES is refused with CapacityError before
+    anything is drawn.
     """
     if not 1 <= q < math.inf:
         raise ParameterError("need 1 <= q < infinity")
@@ -426,12 +471,7 @@ def lq_estimate(
     t = (corners[:, None, :] + draws) / cells_per_axis
     t = t.reshape(cells * per_cell, s)
     used = t.shape[0]
-    vals = np.empty(used)
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for i0 in range(0, used, chunk):
-        tt = t[i0 : i0 + chunk]
-        inside = np.all(x[None, :, :] < tt[:, None, :], axis=2)
-        vals[i0 : i0 + chunk] = inside.sum(axis=1) / n - tt.prod(axis=1)
+    vals = _count_below(x, t) / n - t.prod(axis=1)
     powered = np.abs(vals) ** q
     mean = float(powered.mean())
     var = float(powered.var(ddof=1)) if used > 1 else 0.0
@@ -580,11 +620,13 @@ def sequence_profile(
 
 
 def trim_inequality_check(ps_full: PointSet, N: int, rel_tol: float = 1e-9) -> bool:
-    """Verify N * L2(trimmed) <= sqrt(b) * b^m * L2(full) numerically."""
-    trimmed = arbitrary_n_trim(ps_full, N)
-    lhs = N * l2_exact(trimmed).value
-    rhs = math.sqrt(ps_full.base) * len(ps_full) * l2_exact(ps_full).value
-    return lhs <= rhs * (1.0 + rel_tol)
+    """Verify N * L2(trimmed) <= sqrt(b) * b^m * L2(full), up to a factor 1 + rel_tol.
+
+    Compared exactly on the squares: N^2 L2(trimmed)^2 <= b (b^m)^2 L2(full)^2 (1 + rel_tol)^2.
+    """
+    trimmed = l2_exact(arbitrary_n_trim(ps_full, N)).exact
+    full = l2_exact(ps_full).exact
+    return N * N * trimmed <= ps_full.base * len(ps_full) ** 2 * full * (1 + Fraction(rel_tol)) ** 2
 
 
 def append_index_coordinate(ps: PointSet, N: int, precision: int | None = None) -> PointSet:

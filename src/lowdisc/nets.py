@@ -32,6 +32,7 @@ __all__ = [
     "PointSet",
     "DualSpace",
     "digit_vector_of_index",
+    "index_digits",
     "generate_net_points",
     "generate_sequence_points",
     "compute_t_value",
@@ -67,11 +68,7 @@ class DigitVector:
         if not 0 <= value < 1:
             raise ParameterError("value must lie in [0, 1)")
         num = (value.numerator * base**precision) // value.denominator
-        digits = []
-        for _ in range(precision):
-            num, d = divmod(num, base)
-            digits.append(int(d))
-        return cls(base, tuple(reversed(digits)))
+        return cls(base, tuple(index_digits([num], base, precision)[0, ::-1].tolist()))
 
     def to_fraction(self) -> Fraction:
         num = 0
@@ -254,14 +251,24 @@ class GeneratingMatrixSet:
         return cls(first.base, len(matrices), first.rows, first.cols, tuple(matrices))
 
 
+def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarray:
+    """The lowest `precision` base-b digits of each index k >= 0, least significant first.
+
+    A (len(indices), precision) int64 array; the indices are Python ints of any size.
+    """
+    digits = []
+    for k in indices:
+        for _ in range(precision):
+            k, d = divmod(k, base)
+            digits.append(d)
+    return np.array(digits, dtype=np.int64).reshape(len(indices), precision)
+
+
 def digit_vector_of_index(n: int, b: int, m: int) -> np.ndarray:
     """Base-b digits of index n, least significant first, length m."""
     if not 0 <= n < b**m:
         raise ParameterError(f"index {n} outside [0, {b}^{m})")
-    digits = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        n, digits[i] = divmod(n, b)
-    return digits
+    return index_digits([n], b, m)[0]
 
 
 def _index_digit_matrix(n_from: int, n_to: int, b: int, m: int) -> np.ndarray:
@@ -644,16 +651,11 @@ class DualSpace:
         b, p = self.gm.base, self.gm.rows
         if len(kvec) != self.gm.s:
             raise ParameterError("dual membership needs one component per dimension")
-        flat = np.zeros(self.gm.s * p, dtype=np.int64)
-        for j, k in enumerate(kvec):
-            if k < 0:
-                raise ParameterError("dual components are nonnegative integers")
-            if k >= b**p:
-                return False
-            for i in range(p):
-                k, d = divmod(k, b)
-                flat[j * p + i] = d
-        return not np.any((self.stacked.array @ flat) % b)
+        if min(kvec) < 0:
+            raise ParameterError("dual components are nonnegative integers")
+        if max(kvec) >= b**p:
+            return False
+        return not np.any((self.stacked.array @ index_digits(kvec, b, p).ravel()) % b)
 
 
 def dual_space(gm: GeneratingMatrixSet, cap: int = 1 << 21) -> DualSpace:
@@ -697,13 +699,9 @@ def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
     if len(kvec) != ps.s:
         raise ParameterError("need one Walsh index per coordinate")
     b, p = ps.base, ps.precision
-    kdig = np.zeros((ps.s, p), dtype=np.int64)
-    for j, k in enumerate(kvec):
-        if k < 0:
-            raise ParameterError("Walsh index must be nonnegative")
-        for i in range(p):
-            k, d = divmod(k, b)
-            kdig[j, i] = d
+    if min(kvec) < 0:
+        raise ParameterError("Walsh index must be nonnegative")
+    kdig = index_digits(kvec, b, p)
     digits = ps.digit_array().astype(np.int64)
     exponents = np.einsum("njk,jk->n", digits, kdig) % b
     n = len(ps)

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from lowdisc import discrepancy
 from lowdisc.cli import RunConfig, main
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.errors import ParameterError
 from lowdisc.nets import generate_net_points
 from lowdisc.pointfile import read_point_file
+
+from count_reference import count_below_reference
 
 
 def run(*argv):
@@ -232,6 +235,18 @@ def test_discrepancy_q_adds_estimate_row(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert "exact-pairwise" in lines[1] and "estimated" in lines[2]
+
+
+def test_discrepancy_lq_csv_equals_reference_count_csv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "dp.txt"
+    run("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "10", "--out", str(out))
+    capsys.readouterr()
+    args = ("discrepancy", str(out), "--q", "4", "--samples", "16384", "--seed", "1")
+    assert run(*args) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(discrepancy, "_count_below", count_below_reference)
+    assert run(*args) == 0
+    assert capsys.readouterr().out == fast
 
 
 def test_discrepancy_oversized_lq_exits_two_before_drawing(tmp_path, monkeypatch, capsys):

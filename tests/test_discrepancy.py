@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lowdisc import discrepancy
 from lowdisc.constructions import (
     arbitrary_n_trim,
     davenport_symmetrized,
@@ -30,6 +31,7 @@ from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import DigitVector, PointSet, generate_net_points
 from lowdisc.selftest import _oracle_pointsets
 
+from count_reference import count_below_reference
 from l2_reference import l2_float_reference
 
 
@@ -217,6 +219,13 @@ def test_lq_deterministic_for_fixed_seed():
     a = lq_estimate(TWO_1D, 3.0, 1000, seed=5)
     b = lq_estimate(TWO_1D, 3.0, 1000, seed=5)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_lq_report_equals_report_from_reference_count(monkeypatch):
+    ps = dp_net(3, 10, 2)
+    fast = lq_estimate(ps, 4.0, 16384, seed=1)
+    monkeypatch.setattr(discrepancy, "_count_below", count_below_reference)
+    assert lq_estimate(ps, 4.0, 16384, seed=1) == fast
 
 
 # ---------------------------------------------------------

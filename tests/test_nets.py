@@ -18,6 +18,7 @@ from lowdisc.nets import (
     generate_net_points,
     generate_sequence_points,
     geometric_net_check,
+    index_digits,
     is_tms_net,
     walsh_eval,
 )
@@ -39,6 +40,13 @@ def test_digit_vector_of_index():
         digit_vector_of_index(8, 2, 3)
     with pytest.raises(ParameterError):
         digit_vector_of_index(-1, 2, 3)
+
+
+def test_index_digits_keep_the_lowest_digits():
+    digits = index_digits([6, 7, 2**70 + 5], 2, 3)  # truncated, also beyond int64
+    assert digits.dtype == np.int64 and digits.tolist() == [[0, 1, 1], [1, 1, 1], [1, 0, 1]]
+    assert index_digits([7], 5, 4).tolist() == [[2, 1, 0, 0]]
+    assert index_digits([3, 4], 3, 0).shape == (2, 0)
 
 
 def test_digit_vector_values():
@@ -217,6 +225,11 @@ def test_dual_cs_size_and_membership():
     for k in elements[:50]:
         assert dual.contains(k)
     assert not dual.contains((1, 0))
+    assert not dual.contains((0, 5**2))  # beyond the precision
+    with pytest.raises(ParameterError, match="nonnegative"):
+        dual.contains((0, -1))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        char_property_sum(generate_net_points(gm), (-1, 0))
 
 
 def test_dual_elements_resubstitute_to_zero():

@@ -23,7 +23,7 @@ from lowdisc.constructions import (  # noqa: E402
     interlace_matrices,
     interlace_pointset,
 )
-from lowdisc.discrepancy import l2_exact, l2_exact_rational  # noqa: E402
+from lowdisc.discrepancy import _LQ_BLOCK, _count_below, l2_exact, l2_exact_rational  # noqa: E402
 from lowdisc.field import FieldMatrix, _rref  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
     DigitVector,
@@ -38,6 +38,7 @@ from lowdisc.nets import (  # noqa: E402
 from lowdisc.pointfile import dumps_point_file, loads_point_file  # noqa: E402
 from lowdisc.weights import min_dual_weight, min_weight_by_rank, vector_weight  # noqa: E402
 
+from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
@@ -260,3 +261,35 @@ def test_exact_l2_equals_rational_oracle(ps):
 @given(l2_sets(dims=(4, 5), max_n=300))
 def test_exact_l2_matches_float_reference_in_dimensions_4_and_5(ps):
     assert math.isclose(l2_exact(ps).value, l2_float_reference(ps), rel_tol=1e-12)
+
+
+@st.composite
+def count_inputs(draw):
+    """Points and anchors for `_count_below`: N at the word and block edges or
+    random, coordinates on a coarse grid (ties), duplicated points, an all-zero
+    coordinate, anchors on point coordinates and anchors at 0 and 1."""
+    s = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 63, 64, 65, _LQ_BLOCK, _LQ_BLOCK + 1]) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 16, 2**30]))
+    x = rng.integers(0, levels, size=(n, s)) / levels
+    copies = draw(st.integers(0, n // 2))
+    x[n - copies :] = x[:copies]
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, s - 1))] = 0.0
+    on_points = x[rng.integers(0, n, size=16)]
+    anchors = (
+        rng.random((draw(st.integers(0, 32)), s)),
+        on_points,
+        np.where(rng.random((16, s)) < 0.5, on_points, rng.random((16, s))),
+        rng.integers(0, 2, size=(8, s)).astype(np.float64),
+        np.zeros((1, s)),
+        np.ones((1, s)),
+    )
+    return x, np.concatenate(anchors)
+
+
+@given(count_inputs())
+def test_count_below_equals_broadcast_reference(inputs):
+    x, t = inputs
+    assert np.array_equal(_count_below(x, t), count_below_reference(x, t))
