@@ -20,7 +20,6 @@ from .constructions import (
     dp_sequence,
     faure_matrices,
     interlace_matrices,
-    interlace_point,
     interlace_pointset,
     niederreiter_net_matrices,
     niederreiter_t_bound,
@@ -56,19 +55,16 @@ from .field import (
     matrix_rank,
 )
 from .nets import (
-    DigitVector,
     DualSpace,
     GeneratingMatrixSet,
     PointSet,
     char_property_sum,
     compute_t_value,
-    digit_vector_of_index,
     dual_space,
     generate_net_points,
     generate_sequence_points,
     geometric_net_check,
     is_tms_net,
-    walsh_eval,
 )
 from .pointfile import read_point_file, write_point_file
 from .weights import (

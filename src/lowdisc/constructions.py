@@ -27,7 +27,6 @@ from .field import (
     poly_mul,
 )
 from .nets import (
-    DigitVector,
     GeneratingMatrixSet,
     PointSet,
     check_capacity,
@@ -42,7 +41,6 @@ __all__ = [
     "NiederreiterSource",
     "niederreiter_t_bound",
     "niederreiter_net_matrices",
-    "interlace_point",
     "interlace_pointset",
     "interlace_matrices",
     "dp_net_matrices",
@@ -186,28 +184,12 @@ def niederreiter_net_matrices(s: int, m: int, rows: int | None = None) -> Genera
 # Digit interlacing
 # ----------------------------------------------------------------------
 
-def interlace_point(xs: Sequence[DigitVector]) -> DigitVector:
-    """Interleave the dyadic digits of alpha coordinates into one.
-
-    Output digit at position r + (a-1)*alpha is digit a of input r, so the
-    result has alpha times the (common, padded) input precision.
-    """
-    alpha = len(xs)
-    if alpha < 1:
-        raise ParameterError("need at least one coordinate")
-    if any(x.base != 2 for x in xs):
-        raise ParameterError("digit interlacing is defined for base 2")
-    depth = max((len(x.digits) for x in xs), default=0)
-    out = [0] * (alpha * depth)
-    for r, x in enumerate(xs, start=1):
-        for a, digit in enumerate(x.digits, start=1):
-            out[r + (a - 1) * alpha - 1] = digit
-    return DigitVector(2, tuple(out))
-
-
 def interlace_pointset(ps: PointSet, alpha: int) -> PointSet:
-    """Apply digit interlacing to blocks of alpha coordinates of every point:
-    the transpose of each (alpha, p) digit block, as in `interlace_point`."""
+    """Apply digit interlacing to blocks of alpha coordinates of every point.
+
+    Output digit r + (a-1)*alpha of a block is digit a of its input
+    coordinate r: the transpose of each (alpha, p) digit block.
+    """
     if ps.s % alpha != 0:
         raise ParameterError(f"dimension {ps.s} not divisible by alpha={alpha}")
     if ps.base != 2:

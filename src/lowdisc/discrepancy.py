@@ -90,7 +90,7 @@ def local_discrepancy(ps: PointSet, t: Sequence[float]) -> float:
     if len(ps) == 0:
         raise ParameterError("empty point set")
     anchor = np.asarray(t, dtype=np.float64)
-    inside = _count_below(ps.float_array(), anchor[None, :])[0]
+    inside = np.count_nonzero(np.all(ps.float_array() < anchor, axis=1))
     return float(inside) / len(ps) - float(np.prod(anchor))
 
 
@@ -439,9 +439,10 @@ def lq_estimate(
     draw's box [0, t) are counted by `_count_below`: the points are sorted
     once per coordinate into prefix bitsets, and a draw's count is the
     popcount of the AND of one bitset per coordinate, about
-    samples * N * s / 64 word operations plus N log N per coordinate.  A
-    draw array above MAX_DRAW_BYTES is refused with CapacityError before
-    anything is drawn.
+    samples * N * s / 64 word operations plus N log N per coordinate.  The
+    anchors are shifted into their cells inside the draw array, so the peak
+    allocation stays near three draw arrays.  A draw array above
+    MAX_DRAW_BYTES is refused with CapacityError before anything is drawn.
     """
     if not 1 <= q < math.inf:
         raise ParameterError("need 1 <= q < infinity")
@@ -467,8 +468,9 @@ def lq_estimate(
     corners = np.stack(
         np.meshgrid(*[np.arange(cells_per_axis)] * s, indexing="ij"), axis=-1
     ).reshape(cells, s)
-    draws = rng.random((cells, per_cell, s))
-    t = (corners[:, None, :] + draws) / cells_per_axis
+    t = rng.random((cells, per_cell, s))
+    t += corners[:, None, :]
+    t /= cells_per_axis
     t = t.reshape(cells * per_cell, s)
     used = t.shape[0]
     vals = _count_below(x, t) / n - t.prod(axis=1)

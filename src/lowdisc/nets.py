@@ -2,9 +2,9 @@
 
 A point set is stored as one read-only (N, s, precision) uint8 array of
 base-b fractional digits, most significant digit first, so points stay
-digit-exact.  :class:`DigitVector` is the per-coordinate view built on
-demand at the API edges (``ps[n]``, ``ps.points``, ``ps.fractions``).
-Floating point enters only when discrepancy numerics ask for it.
+digit-exact.  `PointSet.from_digits` wraps such an array, `digit_array`
+reads it, and `fractions(n)` gives point n as exact rationals.  Floating
+point enters only when discrepancy numerics ask for it.
 
 A digital net is defined by s generating matrices C_1, ..., C_s of shape
 p x m over F_b.  Point n has coordinate j with digit k equal to row k of
@@ -13,13 +13,12 @@ C_j times the base-b digit vector of n (least significant digit first).
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,11 +26,9 @@ from .errors import CapacityError, ParameterError, PrecisionError
 from .field import FieldMatrix, _rref, is_prime, kernel_basis
 
 __all__ = [
-    "DigitVector",
     "GeneratingMatrixSet",
     "PointSet",
     "DualSpace",
-    "digit_vector_of_index",
     "index_digits",
     "generate_net_points",
     "generate_sequence_points",
@@ -39,53 +36,8 @@ __all__ = [
     "is_tms_net",
     "geometric_net_check",
     "dual_space",
-    "walsh_eval",
     "char_property_sum",
 ]
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Exact base-b expansion of one coordinate in [0, 1).
-
-    digits[0] is the most significant fractional digit: the represented
-    value is sum(digits[i] * base**-(i+1)).
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.base):
-            raise ParameterError(f"base {self.base} is not prime")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ParameterError("digit out of range for base")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction, base: int, precision: int) -> "DigitVector":
-        """Truncate a rational in [0, 1) to `precision` base-b digits."""
-        value = Fraction(value)
-        if not 0 <= value < 1:
-            raise ParameterError("value must lie in [0, 1)")
-        num = (value.numerator * base**precision) // value.denominator
-        return cls(base, tuple(index_digits([num], base, precision)[0, ::-1].tolist()))
-
-    def to_fraction(self) -> Fraction:
-        num = 0
-        for d in self.digits:
-            num = num * self.base + d
-        return Fraction(num, self.base ** len(self.digits)) if self.digits else Fraction(0)
-
-    def padded(self, precision: int) -> "DigitVector":
-        """Right-pad with zero digits to exactly `precision` digits."""
-        if len(self.digits) > precision:
-            if any(self.digits[precision:]):
-                raise PrecisionError(
-                    f"cannot shorten {len(self.digits)} digits to {precision}: "
-                    "nonzero digit would be lost"
-                )
-            return DigitVector(self.base, self.digits[:precision])
-        return DigitVector(self.base, self.digits + (0,) * (precision - len(self.digits)))
 
 
 # Largest digit array, in bytes (one byte per digit), that point generation
@@ -104,41 +56,13 @@ class PointSet:
     """An ordered list of s-dimensional points with exact digit coordinates.
 
     The only storage is a read-only (N, s, precision) uint8 digit array;
-    `from_digits` wraps one.  The constructor takes DigitVector tuples and
-    pads or shortens every coordinate to exactly `precision` digits, so
-    that file serialisation round-trips bit-exactly.
+    `from_digits` is the one way to build a point set and `digit_array`
+    the one way to read it.
     """
-
-    def __init__(
-        self,
-        points: Iterable[Sequence[DigitVector]],
-        *,
-        base: int,
-        s: int,
-        precision: int,
-        provenance: dict | None = None,
-    ):
-        if s < 1 or precision < 1:
-            raise ParameterError("dimension and precision must be positive")
-        rows = []
-        for pt in points:
-            if len(pt) != s:
-                raise ParameterError(f"point has {len(pt)} coordinates, expected {s}")
-            for dv in pt:
-                if dv.base != base:
-                    raise ParameterError("coordinate base differs from point set base")
-                rows.append(dv.padded(precision).digits)
-        digits = np.array(rows, dtype=np.int64).reshape(len(rows) // s, s, precision)
-        self._set(digits.astype(np.uint8), base, provenance)  # wraps only where _set refuses
 
     @classmethod
     def from_digits(cls, digits: np.ndarray, base: int, provenance: dict | None = None) -> "PointSet":
         """Wrap an (N, s, precision) uint8 digit array, which becomes read-only."""
-        ps = cls.__new__(cls)
-        ps._set(digits, base, provenance)
-        return ps
-
-    def _set(self, digits: np.ndarray, base: int, provenance: dict | None) -> None:
         if not is_prime(base):
             raise ParameterError(f"base {base} is not prime")
         if base > 256:
@@ -150,26 +74,17 @@ class PointSet:
         if digits.size and digits.max() >= base:
             raise ParameterError("digit out of range for base")
         digits.setflags(write=False)
-        self._digits = digits
-        self.base = base
-        self.s = digits.shape[1]
-        self.precision = digits.shape[2]
-        self.provenance = dict(provenance) if provenance else None
-        self._points: tuple | None = None
-        self._float_cache: np.ndarray | None = None
+        ps = cls.__new__(cls)
+        ps._digits = digits
+        ps.base = base
+        ps.s = digits.shape[1]
+        ps.precision = digits.shape[2]
+        ps.provenance = dict(provenance) if provenance else None
+        ps._float_cache = None
+        return ps
 
     def __len__(self) -> int:
         return len(self._digits)
-
-    def __getitem__(self, n: int) -> tuple[DigitVector, ...]:
-        return tuple(DigitVector(self.base, tuple(row)) for row in self._digits[n].tolist())
-
-    @property
-    def points(self) -> tuple[tuple[DigitVector, ...], ...]:
-        """Every point as a tuple of DigitVectors, built on first use."""
-        if self._points is None:
-            self._points = tuple(self[n] for n in range(len(self)))
-        return self._points
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,8 +108,15 @@ class PointSet:
         return self._float_cache
 
     def fractions(self, n: int) -> tuple[Fraction, ...]:
-        """Exact coordinates of point n."""
-        return tuple(dv.to_fraction() for dv in self[n])
+        """Exact coordinates of point n, each a Fraction over base**precision."""
+        den = self.base**self.precision
+        coords = []
+        for row in self._digits[n].tolist():
+            num = 0
+            for d in row:
+                num = num * self.base + d
+            coords.append(Fraction(num, den))
+        return tuple(coords)
 
     def prefix(self, n: int) -> "PointSet":
         if n > len(self):
@@ -210,8 +132,8 @@ def fraction_digits(
     """The first `precision` base-b digits of (num + 0.tail)/den per point.
 
     Long division of integers 0 <= num < den, most significant digit first:
-    floor(value * b^precision), as DigitVector.from_fraction truncates.  The
-    `tail` digits are brought down before zeros; Python ints past int64.
+    the digits of floor(x·b^p) for x = (num + 0.tail)/den and p = `precision`.
+    The `tail` digits are brought down before zeros; Python ints past int64.
     """
     rem = np.asarray(num).astype(np.int64 if den * base < 2**63 else object)
     out = np.empty((len(rem), precision), dtype=np.uint8)
@@ -264,13 +186,6 @@ def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarra
     return np.array(digits, dtype=np.int64).reshape(len(indices), precision)
 
 
-def digit_vector_of_index(n: int, b: int, m: int) -> np.ndarray:
-    """Base-b digits of index n, least significant first, length m."""
-    if not 0 <= n < b**m:
-        raise ParameterError(f"index {n} outside [0, {b}^{m})")
-    return index_digits([n], b, m)[0]
-
-
 def _index_digit_matrix(n_from: int, n_to: int, b: int, m: int) -> np.ndarray:
     """Digit vectors of n_from..n_to-1 stacked as an (n_to - n_from, m) array."""
     n = np.arange(n_from, n_to, dtype=np.int64)
@@ -315,9 +230,11 @@ def generate_sequence_points(
     """
     if n_from > n_to or n_from < 0:
         raise ParameterError("need 0 <= n_from <= n_to")
+    if s < 1 or precision < 1:
+        raise ParameterError("dimension and precision must be positive")
     check_capacity(n_to - n_from, s, precision)
     if n_from == n_to:
-        return PointSet([], base=b, s=s, precision=precision)
+        return PointSet.from_digits(np.empty((0, s, precision), np.uint8), b)
     cols = _digit_count(n_to - 1, b)
     deepest = max(source.max_row(ell) for ell in range(1, cols + 1))
     if deepest > precision:
@@ -665,29 +582,6 @@ def dual_space(gm: GeneratingMatrixSet, cap: int = 1 << 21) -> DualSpace:
 # ----------------------------------------------------------------------
 # Walsh functions and the character property
 # ----------------------------------------------------------------------
-
-def walsh_eval(k: int, x: DigitVector) -> complex:
-    """Value of the k-th base-b Walsh function at x.
-
-    wal_0 is identically 1; otherwise the value is omega_b raised to the
-    inner product of the digits of k with the fractional digits of x.
-    Base 2 stays in exact +-1 arithmetic.
-    """
-    if k < 0:
-        raise ParameterError("Walsh index must be nonnegative")
-    b = x.base
-    e = 0
-    kk = k
-    for xd in x.digits:
-        if kk == 0:
-            break
-        kk, kd = divmod(kk, b)
-        e += kd * xd
-    e %= b
-    if b == 2:
-        return complex(1.0 if e == 0 else -1.0)
-    return cmath.exp(2j * cmath.pi * e / b)
-
 
 def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
     """(1/N) sum over the net of the product Walsh function at index kvec.

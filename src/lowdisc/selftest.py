@@ -37,7 +37,6 @@ from .discrepancy import (
 )
 from .field import FieldMatrix, matrix_rank
 from .nets import (
-    DigitVector,
     GeneratingMatrixSet,
     PointSet,
     char_property_sum,
@@ -126,8 +125,8 @@ def criterion_04_order_alpha() -> tuple[bool, str]:
 
 def _oracle_pointsets() -> list[PointSet]:
     sets = [
-        PointSet([(DigitVector(2, (0,)),)], base=2, s=1, precision=1),
-        PointSet([(DigitVector(2, (0,)),), (DigitVector(2, (1,)),)], base=2, s=1, precision=1),
+        PointSet.from_digits(np.array([[[0]]], np.uint8), 2),
+        PointSet.from_digits(np.array([[[0]], [[1]]], np.uint8), 2),
     ]
     for m in range(1, 7):
         sets.append(van_der_corput(2, m))
@@ -145,14 +144,7 @@ def _oracle_pointsets() -> list[PointSet]:
     while len(sets) < 50:
         n = int(rng.integers(1, 65))
         s = int(rng.integers(1, 4))
-        pts = [
-            tuple(
-                DigitVector(2, tuple(int(d) for d in rng.integers(0, 2, size=10)))
-                for _ in range(s)
-            )
-            for _ in range(n)
-        ]
-        sets.append(PointSet(pts, base=2, s=s, precision=10))
+        sets.append(PointSet.from_digits(rng.integers(0, 2, size=(n, s, 10)).astype(np.uint8), 2))
     return sets
 
 

@@ -14,7 +14,6 @@ from lowdisc.constructions import (
     dp_sequence,
     faure_matrices,
     interlace_matrices,
-    interlace_point,
     interlace_pointset,
     niederreiter_net_matrices,
     niederreiter_t_bound,
@@ -22,12 +21,7 @@ from lowdisc.constructions import (
 )
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.field import binomial_mod_p
-from lowdisc.nets import (
-    DigitVector,
-    PointSet,
-    compute_t_value,
-    generate_net_points,
-)
+from lowdisc.nets import PointSet, compute_t_value, generate_net_points
 
 # ---------------------------------------------------------
 # Chen-Skriganov / Faure matrices
@@ -128,15 +122,17 @@ def test_niederreiter_truncations_meet_t_bound():
 # Interlacing
 # ---------------------------------------------------------
 
-def test_interlace_point_examples():
-    half = DigitVector(2, (1,))
-    quarter = DigitVector(2, (0, 1))
-    assert interlace_point((half, quarter)).to_fraction() == Fraction(9, 16)
-    zero = DigitVector(2, (0, 0))
-    assert interlace_point((zero, zero)).to_fraction() == 0
-    assert interlace_point((quarter,)).to_fraction() == Fraction(1, 4)  # alpha = 1
+def test_interlace_pointset_examples():
+    # one point per row: (1/2, 1/4) and the origin, two digits per coordinate
+    ps = PointSet.from_digits(np.array([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], dtype=np.uint8), 2)
+    pair = interlace_pointset(ps, 2)
+    assert pair.digit_array().tolist() == [[[1, 0, 0, 1]], [[0, 0, 0, 0]]]
+    assert [pair.fractions(n) for n in range(2)] == [(Fraction(9, 16),), (Fraction(0),)]
+    single = interlace_pointset(ps, 1)  # alpha = 1 changes nothing
+    assert single.fractions(0) == (Fraction(1, 2), Fraction(1, 4))
+    base3 = PointSet.from_digits(np.ones((1, 2, 1), dtype=np.uint8), 3)
     with pytest.raises(ParameterError):
-        interlace_point((DigitVector(3, (1,)), DigitVector(3, (1,))))
+        interlace_pointset(base3, 2)
 
 
 def test_interlace_matrices_examples():
@@ -156,7 +152,7 @@ def test_interlacing_paths_agree_small():
     base = niederreiter_net_matrices(4, 3)
     via_matrices = generate_net_points(interlace_matrices(base, 2))
     via_points = interlace_pointset(generate_net_points(base), 2)
-    assert via_matrices.points == via_points.points
+    assert np.array_equal(via_matrices.digit_array(), via_points.digit_array())
 
 
 # ---------------------------------------------------------
@@ -164,7 +160,7 @@ def test_interlacing_paths_agree_small():
 # ---------------------------------------------------------
 
 def test_dp_net_alpha1_is_van_der_corput():
-    assert dp_net(1, 2, 1).points == van_der_corput(2, 2).prefix(4).points
+    assert np.array_equal(dp_net(1, 2, 1).digit_array(), van_der_corput(2, 2).digit_array())
 
 
 def test_dp_net_two_points():
@@ -253,8 +249,7 @@ def test_trim_size_and_range_checks():
 
 
 def test_trim_requires_stratified_first_coordinate():
-    pts = [(DigitVector(2, (0, 0)),)] * 4  # every point at the origin
-    ps = PointSet(pts, base=2, s=1, precision=2)
+    ps = PointSet.from_digits(np.zeros((4, 1, 2), dtype=np.uint8), 2)  # every point at the origin
     with pytest.raises(ParameterError):
         arbitrary_n_trim(ps, 3)
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,7 @@ from lowdisc.discrepancy import (
     sum_of_digits,
 )
 from lowdisc.errors import CapacityError, ParameterError
-from lowdisc.nets import DigitVector, PointSet, generate_net_points
+from lowdisc.nets import PointSet, fraction_digits, generate_net_points
 from lowdisc.selftest import _oracle_pointsets
 
 from count_reference import count_below_reference
@@ -40,11 +42,10 @@ def single_point(*fracs, precision=8):
 
 
 def pointset(rows, precision=8):
-    pts = [
-        tuple(DigitVector.from_fraction(Fraction(f), 2, precision) for f in row)
-        for row in rows
-    ]
-    return PointSet(pts, base=2, s=len(rows[0]), precision=precision)
+    """Base-2 points from rational coordinates in [0, 1), truncated to `precision` digits."""
+    fracs = [[Fraction(f) for f in row] for row in rows]
+    digits = [[fraction_digits([f.numerator], f.denominator, 2, precision)[0] for f in row] for row in fracs]
+    return PointSet.from_digits(np.array(digits, dtype=np.uint8), 2)
 
 
 ORIGIN_1D = pointset([[0]], precision=1)
@@ -143,12 +144,8 @@ def test_l2_symmetry_under_permutations():
     value = l2_exact(ps).value
     rng = np.random.default_rng(4)
     order = rng.permutation(len(ps))
-    shuffled = PointSet(
-        [ps.points[i] for i in order], base=ps.base, s=ps.s, precision=ps.precision
-    )
-    swapped = PointSet(
-        [(pt[1], pt[0]) for pt in ps.points], base=ps.base, s=ps.s, precision=ps.precision
-    )
+    shuffled = PointSet.from_digits(ps.digit_array()[order], ps.base)
+    swapped = PointSet.from_digits(ps.digit_array()[:, ::-1], ps.base)
     assert abs(l2_exact(shuffled).value - value) <= 1e-12
     assert abs(l2_exact(swapped).value - value) <= 1e-12
 
@@ -160,6 +157,17 @@ def test_l2_deterministic_and_thread_invariant():
     order = np.random.default_rng(5).permutation(len(ps))
     permuted = l2_exact(PointSet.from_digits(ps.digit_array()[order], ps.base))
     assert permuted.exact == first.exact and permuted.value == first.value
+
+
+def test_criterion_05_sets_are_pinned():
+    """Base, shape and digits of every criterion-05 set, hashed: the data the
+    criterion checks must not change when the code that builds the sets does."""
+    digest = hashlib.sha256()
+    for ps in _oracle_pointsets():
+        digits = ps.digit_array()
+        digest.update(f"{ps.base} {digits.shape}".encode())
+        digest.update(digits.tobytes())
+    assert digest.hexdigest() == "f44608bb628243dfae92f393538e7805689491a256197ff6525e91f837eba1d1"
 
 
 def test_l2_exact_equals_rational_oracle_on_criterion_05_sets():
@@ -226,6 +234,18 @@ def test_lq_report_equals_report_from_reference_count(monkeypatch):
     fast = lq_estimate(ps, 4.0, 16384, seed=1)
     monkeypatch.setattr(discrepancy, "_count_below", count_below_reference)
     assert lq_estimate(ps, 4.0, 16384, seed=1) == fast
+
+
+def test_lq_peak_allocation_stays_below_three_and_a_half_draw_arrays():
+    ps = dp_net(2, 4, 2)
+    samples = 1 << 21
+    tracemalloc.start()
+    try:
+        lq_estimate(ps, 3.0, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * samples * ps.s * 8
 
 
 # ---------------------------------------------------------

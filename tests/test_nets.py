@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,10 @@ from lowdisc.constructions import cs_matrices, faure_matrices, van_der_corput
 from lowdisc.errors import CapacityError, ParameterError, PrecisionError
 from lowdisc.field import FieldMatrix
 from lowdisc.nets import (
-    DigitVector,
     GeneratingMatrixSet,
     PointSet,
     char_property_sum,
     compute_t_value,
-    digit_vector_of_index,
     dual_space,
     fraction_digits,
     generate_net_points,
@@ -20,7 +19,6 @@ from lowdisc.nets import (
     geometric_net_check,
     index_digits,
     is_tms_net,
-    walsh_eval,
 )
 
 
@@ -29,39 +27,17 @@ def identity_net(b, m, s):
 
 
 # ---------------------------------------------------------
-# Digit vectors and index digits
+# Index digits
 # ---------------------------------------------------------
-
-def test_digit_vector_of_index():
-    assert list(digit_vector_of_index(0, 2, 3)) == [0, 0, 0]
-    assert list(digit_vector_of_index(6, 2, 3)) == [0, 1, 1]  # 6 = 0 + 1*2 + 1*4
-    assert list(digit_vector_of_index(7, 5, 2)) == [2, 1]  # 7 = 2 + 1*5
-    with pytest.raises(ParameterError):
-        digit_vector_of_index(8, 2, 3)
-    with pytest.raises(ParameterError):
-        digit_vector_of_index(-1, 2, 3)
-
 
 def test_index_digits_keep_the_lowest_digits():
     digits = index_digits([6, 7, 2**70 + 5], 2, 3)  # truncated, also beyond int64
     assert digits.dtype == np.int64 and digits.tolist() == [[0, 1, 1], [1, 1, 1], [1, 0, 1]]
     assert index_digits([7], 5, 4).tolist() == [[2, 1, 0, 0]]
     assert index_digits([3, 4], 3, 0).shape == (2, 0)
-
-
-def test_digit_vector_values():
-    dv = DigitVector(2, (1, 0, 1))
-    assert dv.to_fraction() == Fraction(5, 8)
-    assert dv.padded(5).digits == (1, 0, 1, 0, 0)
-    with pytest.raises(PrecisionError):
-        dv.padded(2)
-    assert DigitVector.from_fraction(Fraction(5, 8), 2, 3) == dv
-    # truncation drops digits beyond precision
-    assert DigitVector.from_fraction(Fraction(2, 3), 2, 4).digits == (1, 0, 1, 0)
-    with pytest.raises(ParameterError):
-        DigitVector(2, (2,))
-    with pytest.raises(ParameterError):
-        DigitVector(4, (1,))
+    assert index_digits([0], 2, 3).tolist() == [[0, 0, 0]]
+    assert index_digits([6], 2, 3).tolist() == [[0, 1, 1]]  # 6 = 0 + 1*2 + 1*4
+    assert index_digits([7], 5, 2).tolist() == [[2, 1]]  # 7 = 2 + 1*5
 
 
 # ---------------------------------------------------------
@@ -134,6 +110,9 @@ def test_sequence_points_basics():
     ]
     empty = generate_sequence_points(src, 1, 2, 3, 3, precision=2)
     assert len(empty) == 0
+    for s, n_to, precision in ((0, 4, 2), (-1, 0, 2), (1, 0, 0)):
+        with pytest.raises(ParameterError, match="positive"):
+            generate_sequence_points(src, s, 2, 0, n_to, precision=precision)
     assert generate_sequence_points(src, 2, 2, 0, 1, precision=1).fractions(0) == (
         Fraction(0),
         Fraction(0),
@@ -180,7 +159,7 @@ def test_geometric_check_examples():
     dup = generate_net_points(identity_net(2, 2, 2))
     assert not geometric_net_check(dup, 0)
     assert geometric_net_check(dup, 2)  # t = m: one interval holds everything
-    bad = PointSet([(DigitVector(2, (0,)),)] * 3, base=2, s=1, precision=1)
+    bad = PointSet.from_digits(np.zeros((3, 1, 1), dtype=np.uint8), 2)
     with pytest.raises(ParameterError):
         geometric_net_check(bad, 0)
 
@@ -247,17 +226,8 @@ def test_dual_cap_is_enforced():
 
 
 # ---------------------------------------------------------
-# Walsh functions and character sums
+# Character sums
 # ---------------------------------------------------------
-
-def test_walsh_values():
-    x = DigitVector(2, (1,))
-    assert walsh_eval(0, x) == 1
-    assert walsh_eval(1, x) == -1  # omega_2^(1*1)
-    assert walsh_eval(1, DigitVector(5, (0, 0))) == 1
-    v = walsh_eval(3, DigitVector(5, (2, 4)))
-    assert abs(abs(v) - 1) < 1e-12
-
 
 def test_char_sum_zero_index_is_one():
     ps = van_der_corput(2, 3)
@@ -289,18 +259,11 @@ def test_char_sum_indicator_small_nets():
 # Point sets
 # ---------------------------------------------------------
 
-def test_pointset_normalises_precision():
-    ps = PointSet([(DigitVector(2, (1,)),)], base=2, s=1, precision=4)
-    assert ps.points[0][0].digits == (1, 0, 0, 0)
-    with pytest.raises(ParameterError):
-        PointSet([(DigitVector(3, (1,)),)], base=2, s=1, precision=2)
-
-
 def test_pointset_prefix():
     ps = van_der_corput(2, 3)
     pre = ps.prefix(3)
     assert len(pre) == 3
-    assert pre.points == ps.points[:3]
+    assert np.array_equal(pre.digit_array(), ps.digit_array()[:3])
     with pytest.raises(ParameterError):
         ps.prefix(9)
 
@@ -310,9 +273,9 @@ def test_pointset_from_digits_validates_and_freezes():
     ps = PointSet.from_digits(digits, 3, {"family": "manual"})
     assert ps.digit_array() is digits and not digits.flags.writeable
     assert (len(ps), ps.s, ps.precision) == (2, 1, 2)
-    assert ps[1] == (DigitVector(3, (2, 1)),)
     assert ps.fractions(1) == (Fraction(7, 9),)
-    assert ps == PointSet(ps.points, base=3, s=1, precision=2, provenance={"family": "manual"})
+    assert ps == PointSet.from_digits(digits.copy(), 3, {"family": "manual"})
+    assert ps != PointSet.from_digits(digits.copy(), 3)
     with pytest.raises(ParameterError):
         PointSet.from_digits(digits, 2)  # digit 2 out of range
     with pytest.raises(ParameterError):
@@ -327,19 +290,26 @@ def test_pointset_from_digits_validates_and_freezes():
         PointSet.from_digits(np.zeros((1, 1, 1), dtype=np.uint8), 257)  # digits do not fit uint8
 
 
+def truncated_digits(x, b, p):
+    """The p base-b digits of floor(x * b^p), most significant first."""
+    return tuple(index_digits([math.floor(x * b**p)], b, p)[0, ::-1].tolist())
+
+
 def test_fraction_digits_truncate_like_from_fraction():
+    assert truncated_digits(Fraction(5, 8), 2, 3) == (1, 0, 1)
+    assert truncated_digits(Fraction(2, 3), 2, 4) == (1, 0, 1, 0)  # digits beyond p dropped
     for num, den, b, p in [(1, 3, 2, 10), (2, 7, 3, 6), (5, 11, 5, 4), (0, 4, 2, 3), (3, 4, 2, 1)]:
         got = fraction_digits(np.array([num]), den, b, p)
-        assert tuple(got[0]) == DigitVector.from_fraction(Fraction(num, den), b, p).digits
+        assert tuple(got[0]) == truncated_digits(Fraction(num, den), b, p)
     # a denominator beyond int64 takes the Python-int path
     den = 3**45
     nums = [1, den // 2, den - 1]
     got = fraction_digits(np.array(nums, dtype=object), den, 2, 80)
     for row, num in zip(got, nums):
-        assert tuple(row) == DigitVector.from_fraction(Fraction(num, den), 2, 80).digits
+        assert tuple(row) == truncated_digits(Fraction(num, den), 2, 80)
     # tail digits are brought down: (1 + 0.101_2) / 3 = 13/24
     got = fraction_digits(np.array([1]), 3, 2, 8, tail=np.array([[1, 0, 1]], dtype=np.uint8))
-    assert tuple(got[0]) == DigitVector.from_fraction(Fraction(13, 24), 2, 8).digits
+    assert tuple(got[0]) == truncated_digits(Fraction(13, 24), 2, 8)
 
 
 def test_generation_refuses_oversized_requests_up_front():

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from lowdisc.constructions import davenport_symmetrized, dp_finite_pointset, van_der_corput
 from lowdisc.errors import ParameterError
-from lowdisc.nets import DigitVector, PointSet
+from lowdisc.nets import PointSet
 from lowdisc.pointfile import (
     dumps_point_file,
     loads_point_file,
@@ -19,11 +20,8 @@ def test_round_trip_base2(tmp_path):
 
 
 def test_round_trip_large_base_uses_commas(tmp_path):
-    pts = [
-        (DigitVector(11, (10, 0)), DigitVector(11, (3, 7))),
-        (DigitVector(11, (0, 1)), DigitVector(11, (0, 0))),
-    ]
-    ps = PointSet(pts, base=11, s=2, precision=2, provenance={"family": "manual"})
+    digits = np.array([[[10, 0], [3, 7]], [[0, 1], [0, 0]]], dtype=np.uint8)
+    ps = PointSet.from_digits(digits, 11, provenance={"family": "manual"})
     text = dumps_point_file(ps)
     assert "10,0 3,7" in text
     assert loads_point_file(text) == ps

@@ -3,9 +3,10 @@
 Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
 the vectorised box count with a per-point loop, point-level interlacing
-with matrix-level interlacing, the array trim with a Fraction loop, and
-the exact L2 discrepancy with the rational oracle (with the float
-pairwise sum where the oracle is capped).
+with matrix-level interlacing, the array trim with a Fraction loop, the
+exact L2 discrepancy with the rational oracle (with the float pairwise
+sum where the oracle is capped), and the bitset and single-anchor point
+counts with a broadcast comparison.
 """
 
 import math
@@ -23,15 +24,21 @@ from lowdisc.constructions import (  # noqa: E402
     interlace_matrices,
     interlace_pointset,
 )
-from lowdisc.discrepancy import _LQ_BLOCK, _count_below, l2_exact, l2_exact_rational  # noqa: E402
+from lowdisc.discrepancy import (  # noqa: E402
+    _LQ_BLOCK,
+    _count_below,
+    l2_exact,
+    l2_exact_rational,
+    local_discrepancy,
+)
 from lowdisc.field import FieldMatrix, _rref  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
-    DigitVector,
     GeneratingMatrixSet,
     PointSet,
     _compositions,
     compute_t_value,
     dual_space,
+    fraction_digits,
     generate_net_points,
     geometric_net_check,
 )
@@ -180,18 +187,6 @@ def test_point_file_round_trip_is_bit_exact(ps):
     assert dumps_point_file(back) == text
 
 
-@given(digit_sets())
-def test_edge_constructor_matches_from_digits(ps):
-    # coordinates with trailing zeros cut off, so that the constructor pads them back
-    points = [
-        tuple(DigitVector(ps.base, tuple(np.trim_zeros(row, "b").tolist())) for row in pt)
-        for pt in ps.digit_array()
-    ]
-    edge = PointSet(points, base=ps.base, s=ps.s, precision=ps.precision, provenance=ps.provenance)
-    assert edge == ps
-    assert edge.points == ps.points
-
-
 @st.composite
 def stratified_sets(draw):
     """b^m points whose first coordinate hits every m-digit prefix exactly once."""
@@ -207,16 +202,18 @@ def stratified_sets(draw):
 
 
 def trim_oracle(ps, N, precision):
-    """The trim as a loop over exact rationals: x_1 * b^m / N truncated by from_fraction."""
+    """The trim as a loop over exact rationals: x_1 * b^m / N truncated to the output precision."""
     b, m = ps.base, round(np.log(len(ps)) / np.log(ps.base))
     out_precision = max(ps.precision, 48 if precision is None else precision)
-    points = []
+    rows = []
     for n in range(len(ps)):
-        first, *rest = ps[n]
-        if first.to_fraction() < Fraction(N, b**m):
-            scaled = DigitVector.from_fraction(first.to_fraction() * Fraction(b**m, N), b, out_precision)
-            points.append((scaled, *rest))
-    return PointSet(points, base=b, s=ps.s, precision=out_precision)
+        first = ps.fractions(n)[0]
+        if first < Fraction(N, b**m):
+            scaled = first * Fraction(b**m, N)
+            head = fraction_digits([scaled.numerator], scaled.denominator, b, out_precision)
+            rest = np.pad(ps.digit_array()[n, 1:], ((0, 0), (0, out_precision - ps.precision)))
+            rows.append(np.concatenate([head, rest]))
+    return PointSet.from_digits(np.array(rows, dtype=np.uint8), b)
 
 
 @given(stratified_sets())
@@ -265,18 +262,21 @@ def test_exact_l2_matches_float_reference_in_dimensions_4_and_5(ps):
 
 @st.composite
 def count_inputs(draw):
-    """Points and anchors for `_count_below`: N at the word and block edges or
-    random, coordinates on a coarse grid (ties), duplicated points, an all-zero
-    coordinate, anchors on point coordinates and anchors at 0 and 1."""
+    """Base-2 points and anchors for `_count_below` and `local_discrepancy`: N at
+    the word and block edges or random, coordinates on a coarse grid (ties),
+    duplicated points, an all-zero coordinate, anchors on point coordinates and
+    anchors at 0 and 1."""
     s = draw(st.integers(1, 5))
     n = draw(st.sampled_from([1, 63, 64, 65, _LQ_BLOCK, _LQ_BLOCK + 1]) | st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.sampled_from([2, 16, 2**30]))
-    x = rng.integers(0, levels, size=(n, s)) / levels
+    bits = draw(st.sampled_from([1, 4, 30]))  # grids of 2, 16 or 2^30 levels
+    v = rng.integers(0, 2**bits, size=(n, s))
     copies = draw(st.integers(0, n // 2))
-    x[n - copies :] = x[:copies]
+    v[n - copies :] = v[:copies]
     if draw(st.booleans()):
-        x[:, draw(st.integers(0, s - 1))] = 0.0
+        v[:, draw(st.integers(0, s - 1))] = 0
+    ps = PointSet.from_digits(((v[:, :, None] >> np.arange(bits - 1, -1, -1)) & 1).astype(np.uint8), 2)
+    x = ps.float_array()  # v / 2^bits, exactly
     on_points = x[rng.integers(0, n, size=16)]
     anchors = (
         rng.random((draw(st.integers(0, 32)), s)),
@@ -286,10 +286,14 @@ def count_inputs(draw):
         np.zeros((1, s)),
         np.ones((1, s)),
     )
-    return x, np.concatenate(anchors)
+    return ps, np.concatenate(anchors)
 
 
 @given(count_inputs())
 def test_count_below_equals_broadcast_reference(inputs):
-    x, t = inputs
-    assert np.array_equal(_count_below(x, t), count_below_reference(x, t))
+    ps, t = inputs
+    x = ps.float_array()
+    counts = count_below_reference(x, t)
+    assert np.array_equal(_count_below(x, t), counts)
+    for anchor, count in zip(t, counts):
+        assert local_discrepancy(ps, anchor) == count / len(ps) - float(np.prod(anchor))
