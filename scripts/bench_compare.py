@@ -1,0 +1,139 @@
+"""Compare two checkouts of lowdisc and write a BENCH_*.json record.
+
+    python3 scripts/bench_compare.py --parent DIR --change DIR --out BENCH.json
+
+DIR is the root of a checkout (for example `git archive <commit> | tar -x
+-C DIR`).  Two kinds of numbers are recorded, each run in a fresh
+subprocess, one at a time:
+
+- end to end: for each workload that the change's BENCHMARK.json lists,
+  ten pairs of seed-1 `perfbench/run.py` runs of its `run_seconds`, one
+  per checkout, the side that runs first alternating from pair to pair;
+  the raw result line of every run is kept;
+- layers: best of 5 in-process timings of `generate_net_points` and of a
+  `dumps_point_file` + `loads_point_file` round trip, for dp-net alpha 3,
+  s 2, m 16 (N = 2^16), and the tracemalloc peak of the generation.
+
+Each checkout is run with its own `src` on PYTHONPATH and its own
+`perfbench/`.  The summary gives the medians and the pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+SEED = 1
+METRICS = ("run_s", "setup_s", "peak_rss_mb")
+
+LAYERS = """
+import json, time, tracemalloc
+from lowdisc.constructions import dp_net_matrices
+from lowdisc.nets import generate_net_points
+from lowdisc.pointfile import dumps_point_file, loads_point_file
+
+def best(fn, repeat=5):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+gm = dp_net_matrices(3, 16, 2)
+tracemalloc.start()
+ps = generate_net_points(gm)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+assert loads_point_file(dumps_point_file(ps)) == ps
+print(json.dumps({
+    "generate_net_points_s": best(lambda: generate_net_points(gm)),
+    "generate_net_points_peak_bytes": peak,
+    "point_file_round_trip_s": best(lambda: loads_point_file(dumps_point_file(ps))),
+    "point_file_bytes": len(dumps_point_file(ps)),
+}))
+"""
+
+
+def _env(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    return env
+
+
+def perfbench(root: Path, workload: str, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def layers(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root, env=_env(root),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def metric(line: dict, name: str) -> float:
+    return line["metrics"][name]["value"]
+
+
+def summarise(pairs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        parent = [metric(p["parent"], name) for p in pairs]
+        change = [metric(p["change"], name) for p in pairs]
+        q = statistics.quantiles(parent, n=4)
+        out[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_iqr": q[2] - q[0],
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+    record = {
+        "machine": {"platform": platform.platform(), "python": platform.python_version(),
+                    "cpus": os.cpu_count()},
+        "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
+        "layers": {"repeat": 5, "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
+    }
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        pairs = []
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = perfbench(sides[side], workload, seconds)
+            pairs.append(pair)
+            print(workload, i, {s: metric(pair[s], "run_s") for s in order}, file=sys.stderr)
+        failed = {side: sum(p[side]["failed"] for p in pairs) for side in sides}
+        record["perfbench"]["workloads"][workload] = {
+            "summary": summarise(pairs), "failed_jobs": failed, "pairs": pairs,
+        }
+    for side, root in sides.items():
+        record["layers"][side] = layers(root)
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

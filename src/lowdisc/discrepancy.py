@@ -440,8 +440,10 @@ def lq_estimate(
     once per coordinate into prefix bitsets, and a draw's count is the
     popcount of the AND of one bitset per coordinate, about
     samples * N * s / 64 word operations plus N log N per coordinate.  The
-    anchors are shifted into their cells inside the draw array, so the peak
-    allocation stays near three draw arrays.  A draw array above
+    anchors are shifted into their cells inside the draw array, axis by
+    axis, and the counts are turned into |local discrepancy|^q in place, so
+    the peak allocation stays near the draw array plus two sample-length
+    float64 arrays (2x the draws for s = 2).  A draw array above
     MAX_DRAW_BYTES is refused with CapacityError before anything is drawn.
     """
     if not 1 <= q < math.inf:
@@ -465,16 +467,17 @@ def lq_estimate(
     per_cell = samples // cells
     rng = np.random.default_rng(seed)
     x = ps.float_array()
-    corners = np.stack(
-        np.meshgrid(*[np.arange(cells_per_axis)] * s, indexing="ij"), axis=-1
-    ).reshape(cells, s)
     t = rng.random((cells, per_cell, s))
-    t += corners[:, None, :]
+    shift = np.arange(cells_per_axis)[:, None]
+    for j in range(s):  # cells are i_1..i_s in C order: coordinate j moves by i_(j+1)
+        t.reshape(cells_per_axis**j, cells_per_axis, -1, s)[:, :, :, j] += shift
     t /= cells_per_axis
     t = t.reshape(cells * per_cell, s)
     used = t.shape[0]
-    vals = _count_below(x, t) / n - t.prod(axis=1)
-    powered = np.abs(vals) ** q
+    powered = _count_below(x, t) / n  # the int64 counts are freed here
+    powered -= t.prod(axis=1)
+    np.abs(powered, out=powered)
+    powered **= q
     mean = float(powered.mean())
     var = float(powered.var(ddof=1)) if used > 1 else 0.0
     se_mean = math.sqrt(var / used)

@@ -9,6 +9,11 @@ point enters only when discrepancy numerics ask for it.
 A digital net is defined by s generating matrices C_1, ..., C_s of shape
 p x m over F_b.  Point n has coordinate j with digit k equal to row k of
 C_j times the base-b digit vector of n (least significant digit first).
+Generation uses that linearity instead of the product: point n is the sum
+of d_i times column i of the C_j over the digits d_i of n, so a table of
+the points of the b^k lowest indices (b^k <= 4096) is built digit by digit
+and each block of b^k consecutive indices adds one high-digit vector to
+it, digitwise mod b (Bratley, Fox & Niederreiter, ACM TOMACS 2 (1992)).
 """
 
 from __future__ import annotations
@@ -186,23 +191,53 @@ def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarra
     return np.array(digits, dtype=np.int64).reshape(len(indices), precision)
 
 
-def _index_digit_matrix(n_from: int, n_to: int, b: int, m: int) -> np.ndarray:
-    """Digit vectors of n_from..n_to-1 stacked as an (n_to - n_from, m) array."""
-    n = np.arange(n_from, n_to, dtype=np.int64)
-    return (n[:, None] // b ** np.arange(m, dtype=np.int64)[None, :]) % b
+# Largest table of low-index digit vectors that _net_digits builds, in indices;
+# 4096 rows keep the table and each block's adds in cache.
+_TABLE_ROWS = 1 << 12
 
 
 def _net_digits(n_from: int, n_to: int, b: int, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """(n_to - n_from, s, rows) uint8 digits of points n_from..n_to-1, C_j times
-    the digit vector of n mod b, in blocks of indices that keep int64 products small."""
+    """(n_to - n_from, s, rows) uint8 digits of points n_from..n_to-1.
+
+    Point n is sum_i d_i c_i mod b, over the base-b digits d_i of n and the
+    columns c_i of the stacked C_j, so it is computed by a digit recurrence
+    instead of a matrix product.  Indices split as n = h b^k + l with b^k at
+    most _TABLE_ROWS and at most the range.  A table of the points of
+    l = 0..b^k-1 is built digit by digit: rows a b^i .. (a+1) b^i - 1 are
+    rows 0 .. b^i - 1 plus a c_i mod b.  Each block of b^k consecutive
+    indices adds its one high-digit vector (from h's digits) to the table
+    digitwise mod b, straight into the output: O(N s rows) byte work, with
+    temporaries bounded by the table.  Sums reach 2b - 2, so bases above
+    128 add in uint16.
+    """
     rows, cols = matrices[0].shape
-    out = np.empty((n_to - n_from, len(matrices), rows), dtype=np.uint8)
-    block = 1 << 16
-    for start in range(n_from, n_to, block):
-        stop = min(start + block, n_to)
-        D = _index_digit_matrix(start, stop, b, cols)
-        for j, mat in enumerate(matrices):
-            out[start - n_from : stop - n_from, j] = (D @ mat.T) % b
+    s = len(matrices)
+    columns = [np.stack([mat[:, i] for mat in matrices]).astype(np.int64) % b for i in range(cols)]
+    k = 0
+    while k < cols and b ** (k + 1) <= min(_TABLE_ROWS, n_to - n_from):
+        k += 1
+    size = b**k
+    wide = np.uint8 if b <= 128 else np.uint16
+    # x + y mod b for digits x, y < b is min(x + y, x + y - b): the unsigned difference wraps
+    table = np.zeros((size, s, rows), dtype=wide)
+    for i in range(k):
+        step = b**i
+        multiples = (np.arange(1, b)[:, None, None] * columns[i] % b).astype(wide)
+        grown = table[step : b * step].reshape(b - 1, step, s, rows)
+        np.add(table[:step], multiples[:, None], out=grown)
+        np.minimum(grown, grown - wide(b), out=grown)
+    out = np.empty((n_to - n_from, s, rows), dtype=np.uint8)
+    for h in range(n_from // size, (n_to - 1) // size + 1):
+        high = np.zeros((s, rows), dtype=np.int64)
+        rest = h
+        for i in range(k, cols):
+            rest, d = divmod(rest, b)
+            high += d * columns[i]
+        lo, hi = max(n_from, h * size), min(n_to, (h + 1) * size)
+        dest = out[lo - n_from : hi - n_from]
+        summed = np.add(table[lo - h * size : hi - h * size], (high % b).astype(wide),
+                        out=dest if wide is np.uint8 else None)
+        np.minimum(summed, summed - wide(b), out=dest, casting="unsafe")
     return out
 
 

@@ -157,6 +157,15 @@ def test_construct_oversized_exits_two_before_allocating(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_discrepancy_of_an_oversized_point_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 40 1 40 {1 << 40}\n", encoding="ascii")
+    assert run("discrepancy", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: 1099511627776 points x 1 coordinates x 40 digits exceed")
+    assert "Traceback" not in err
+
+
 def test_verify_all_builds_the_net_once(monkeypatch, capsys):
     from lowdisc import cli
 

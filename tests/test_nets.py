@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lowdisc.constructions import cs_matrices, faure_matrices, van_der_corput
+from lowdisc.constructions import cs_matrices, dp_net_matrices, faure_matrices, van_der_corput
 from lowdisc.errors import CapacityError, ParameterError, PrecisionError
 from lowdisc.field import FieldMatrix
 from lowdisc.nets import (
+    _TABLE_ROWS,
     GeneratingMatrixSet,
+    _net_digits,
     PointSet,
     char_property_sum,
     compute_t_value,
@@ -20,6 +23,8 @@ from lowdisc.nets import (
     index_digits,
     is_tms_net,
 )
+
+from net_reference import net_digits_reference
 
 
 def identity_net(b, m, s):
@@ -75,6 +80,38 @@ def test_point_zero_is_origin():
     ps = generate_net_points(gm)
     assert len(ps) == 625
     assert ps.fractions(0) == (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "b, cols, rows, n_from, n_to",
+    [
+        (2, 14, 16, 0, 1 << 14),  # four full tables
+        (2, 14, 15, 4090, 12300),  # partial first and last blocks around table edges
+        (3, 9, 9, 2180, 2200),  # a short range across one edge, small table
+        (251, 2, 3, 200, 1500),  # uint16 sums, blocks of 251
+        (131, 2, 2, 0, 131 * 131),
+        (5, 3, 4, 7, 7),  # empty
+    ],
+)
+def test_net_digits_recurrence_matches_matrix_product(b, cols, rows, n_from, n_to):
+    rng = np.random.default_rng(b * 1000 + n_from)
+    matrices = [rng.integers(0, b, (rows, cols)) for _ in range(3)]
+    assert np.array_equal(
+        _net_digits(n_from, n_to, b, matrices), net_digits_reference(n_from, n_to, b, matrices)
+    )
+
+
+def test_net_generation_temporaries_stay_within_the_table():
+    """No O(N) temporary: at most the (rows x s) table of _TABLE_ROWS low
+    indices and one block-sized difference beside the digit array."""
+    gm = dp_net_matrices(3, 16, 2)
+    tracemalloc.start()
+    try:
+        ps = generate_net_points(gm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ps.digit_array().nbytes + 3 * _TABLE_ROWS * gm.s * gm.rows
 
 
 # ---------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lowdisc.constructions import davenport_symmetrized, dp_finite_pointset, van_der_corput
-from lowdisc.errors import ParameterError
+from lowdisc import pointfile
+from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import PointSet
 from lowdisc.pointfile import (
     dumps_point_file,
@@ -69,3 +70,54 @@ def test_digit_out_of_range_rejected():
     text = "2 1 1 2 1\n21\n"
     with pytest.raises(ParameterError, match=r"line 2"):
         loads_point_file(text)
+
+
+def test_provenance_must_be_a_json_object():
+    with pytest.raises(ParameterError, match=r"line 2: provenance is not a json object"):
+        loads_point_file("2 1 1 2 1\n# provenance: 5\n01\n")
+
+
+def test_header_above_the_digit_limit_is_refused_before_the_body(monkeypatch):
+    def body_work(*args):
+        raise AssertionError("the preflight must refuse before reading the body")
+
+    monkeypatch.setattr(pointfile, "_canonical_body", body_work)
+    monkeypatch.setattr(pointfile, "_parse_lines", body_work)
+    with pytest.raises(CapacityError, match="digit limit"):
+        loads_point_file(f"2 40 1 40 {1 << 40}\n")
+
+
+def test_read_refuses_an_oversized_header_before_reading_the_body(tmp_path, monkeypatch):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 40 1 40 {1 << 40}\n0000\n", encoding="ascii")
+
+    def read_body(*args, **kwargs):
+        raise AssertionError("the header must be refused before the body is read")
+
+    monkeypatch.setattr(pointfile.Path, "read_text", read_body)
+    with pytest.raises(CapacityError, match="digit limit"):
+        read_point_file(path)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n",
+    "2 1 1 2 1\n01\n",
+    "2 1 1 2 1\r\n01\r\n",
+    "2 1 1 2 1\x1c01\n",
+    f"2 40 1 40 {1 << 40}\x1c0\n",
+    "2 1 1 2" + " " * 5000 + " 1\n01\n",
+    "2 1 1 2 x\n01\n",
+    "2 1\n",
+])
+def test_read_agrees_with_loads_on_the_first_line(tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        expected = loads_point_file(path.read_text(encoding="ascii"))
+    except (ParameterError, CapacityError) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_point_file(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_point_file(path) == expected

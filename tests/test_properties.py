@@ -5,8 +5,10 @@ with dual enumeration, the t-value with row reduction over compositions,
 the vectorised box count with a per-point loop, point-level interlacing
 with matrix-level interlacing, the array trim with a Fraction loop, the
 exact L2 discrepancy with the rational oracle (with the float pairwise
-sum where the oracle is capped), and the bitset and single-anchor point
-counts with a broadcast comparison.
+sum where the oracle is capped), the bitset and single-anchor point
+counts with a broadcast comparison, the digit-recurrence point generation
+with the matrix product, and the canonical point-file shortcut with the
+line parser.
 """
 
 import math
@@ -31,10 +33,13 @@ from lowdisc.discrepancy import (  # noqa: E402
     l2_exact_rational,
     local_discrepancy,
 )
+from lowdisc.errors import ParameterError  # noqa: E402
 from lowdisc.field import FieldMatrix, _rref  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
+    _TABLE_ROWS,
     GeneratingMatrixSet,
     PointSet,
+    _net_digits,
     _compositions,
     compute_t_value,
     dual_space,
@@ -42,11 +47,18 @@ from lowdisc.nets import (  # noqa: E402
     generate_net_points,
     geometric_net_check,
 )
-from lowdisc.pointfile import dumps_point_file, loads_point_file  # noqa: E402
+from lowdisc.pointfile import (  # noqa: E402
+    _canonical_body,
+    _header,
+    _parse_lines,
+    dumps_point_file,
+    loads_point_file,
+)
 from lowdisc.weights import min_dual_weight, min_weight_by_rank, vector_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference  # noqa: E402
+from net_reference import net_digits_reference  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -151,7 +163,28 @@ def test_dual_elements_limit_is_a_prefix(gm, k):
 
 
 @st.composite
-def digit_sets(draw, bases=(2, 3, 5, 11, 13)):
+def net_ranges(draw):
+    """Random matrices over F_b and an index range n_from <= n_to below b^cols,
+    up to a few tables long, so that most ranges cross a block edge."""
+    b = draw(st.sampled_from([2, 3, 5, 13, 251]))
+    cols = draw(st.integers(1, {2: 14, 3: 9, 5: 6, 13: 4, 251: 2}[b]))
+    rows, s = draw(st.integers(cols, cols + 3)), draw(st.integers(1, 3))
+    matrices = [draw(arrays(np.int64, (rows, cols), elements=st.integers(0, b - 1))) for _ in range(s)]
+    n_from = draw(st.integers(0, b**cols))
+    n_to = draw(st.integers(n_from, min(b**cols, n_from + 3 * _TABLE_ROWS)))
+    return b, matrices, n_from, n_to
+
+
+@given(net_ranges())
+def test_net_digit_recurrence_equals_matrix_product(case):
+    b, matrices, n_from, n_to = case
+    assert np.array_equal(
+        _net_digits(n_from, n_to, b, matrices), net_digits_reference(n_from, n_to, b, matrices)
+    )
+
+
+@st.composite
+def digit_sets(draw, bases=(2, 3, 5, 7, 11, 13)):
     """A PointSet over a random (N, s, precision) digit array."""
     b = draw(st.sampled_from(bases))
     shape = (draw(st.integers(0, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 6)))
@@ -185,6 +218,93 @@ def test_point_file_round_trip_is_bit_exact(ps):
     back = loads_point_file(text)
     assert back == ps
     assert dumps_point_file(back) == text
+
+
+def line_parser(text):
+    """The point-file line parser alone, without the canonical shortcut."""
+    lines = text.splitlines()
+    base, s, precision, count = _header(lines[0])
+    digits, provenance = _parse_lines(lines, base, s, precision, count)
+    return PointSet.from_digits(digits, base, provenance)
+
+
+def outcome(load, text):
+    try:
+        return load(text)
+    except ParameterError as exc:
+        return str(exc)
+
+
+@given(digit_sets(bases=(2, 3, 5, 7)))
+def test_canonical_shortcut_equals_line_parser(ps):
+    text = dumps_point_file(ps)
+    first = text.split("\n", 1)[0]
+    shortcut = _canonical_body(text, len(first), *_header(first))
+    assert shortcut is not None
+    assert PointSet.from_digits(shortcut[0], ps.base, shortcut[1]) == line_parser(text) == ps
+
+
+def _crlf(text, pos):
+    return text.replace("\n", "\r\n")
+
+
+def _double_space(text, pos):
+    spaces = [i for i, c in enumerate(text) if c == " "]
+    i = spaces[pos % len(spaces)]
+    return text[:i] + " " + text[i:]
+
+
+def _comment(text, pos):
+    ends = [i + 1 for i, c in enumerate(text) if c == "\n"]
+    i = ends[pos % len(ends)]
+    return text[:i] + "# a comment\n" + text[i:]
+
+
+def _digit_at_least_base(text, pos):
+    body = text.index("\n") + 1
+    if text.startswith("#", body):
+        body = text.index("\n", body) + 1
+    digits = [i for i in range(body, len(text)) if text[i].isdigit()]
+    if not digits:
+        return text
+    i = digits[pos % len(digits)]
+    return text[:i] + text.split(" ", 1)[0] + text[i + 1 :]  # the base itself as a digit
+
+
+def _joined_lines(text, pos):
+    ends = [i for i, c in enumerate(text) if c == "\n"][1:-1]  # keep the header and the last
+    if not ends:
+        return text
+    i = ends[pos % len(ends)]
+    return text[:i] + " " + text[i + 1 :]
+
+
+def _no_trailing_newline(text, pos):
+    return text[:-1]
+
+
+def _wrong_count(text, pos):
+    header, rest = text.split("\n", 1)
+    words = header.split(" ")
+    words[-1] = str(int(words[-1]) + (1 if pos % 2 else -1))
+    return " ".join(words) + "\n" + rest
+
+
+def _non_ascii(text, pos):
+    i = text.rindex("0") if "0" in text[text.index("\n") :] else len(text)
+    return text[:i] + "\uff10" + text[i + 1 :]  # a fullwidth zero
+
+
+PERTURBATIONS = [
+    _crlf, _double_space, _comment, _digit_at_least_base, _joined_lines, _no_trailing_newline,
+    _wrong_count, _non_ascii,
+]
+
+
+@given(digit_sets(), st.sampled_from(PERTURBATIONS), st.integers(0, 10**6))
+def test_perturbed_text_reads_like_the_line_parser(ps, perturb, pos):
+    text = perturb(dumps_point_file(ps), pos)
+    assert outcome(loads_point_file, text) == outcome(line_parser, text)
 
 
 @st.composite
