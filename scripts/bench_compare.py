@@ -12,7 +12,11 @@ subprocess, one at a time:
   the raw result line of every run is kept;
 - layers: best of 5 in-process timings of `generate_net_points` and of a
   `dumps_point_file` + `loads_point_file` round trip, for dp-net alpha 3,
-  s 2, m 16 (N = 2^16), and the tracemalloc peak of the generation.
+  s 2, m 16 (N = 2^16), and the tracemalloc peak of the generation; best
+  of 3 timings of `l2_exact` on that net (with its tracemalloc peak), on
+  dp-finite N = 8000, s = 3, and on random base-2 sets of N = 1024 points
+  with 32 digits for s = 3, 4 and 5 (seed 0); and the exact squared
+  values, so that the two sides can be checked equal.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  The summary gives the medians and the pairs the change won.
@@ -35,8 +39,10 @@ METRICS = ("run_s", "setup_s", "peak_rss_mb")
 
 LAYERS = """
 import json, time, tracemalloc
-from lowdisc.constructions import dp_net_matrices
-from lowdisc.nets import generate_net_points
+import numpy as np
+from lowdisc.constructions import dp_finite_pointset, dp_net_matrices
+from lowdisc.discrepancy import l2_exact
+from lowdisc.nets import PointSet, generate_net_points
 from lowdisc.pointfile import dumps_point_file, loads_point_file
 
 def best(fn, repeat=5):
@@ -53,12 +59,24 @@ ps = generate_net_points(gm)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 assert loads_point_file(dumps_point_file(ps)) == ps
-print(json.dumps({
+out = {
     "generate_net_points_s": best(lambda: generate_net_points(gm)),
     "generate_net_points_peak_bytes": peak,
     "point_file_round_trip_s": best(lambda: loads_point_file(dumps_point_file(ps))),
     "point_file_bytes": len(dumps_point_file(ps)),
-}))
+}
+tracemalloc.start()
+l2_exact(ps)
+out["l2_exact_dp_net_m16_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+rng = np.random.default_rng(0)
+sets = {"dp_net_m16": ps, "dp_finite_8000_s3": dp_finite_pointset(8000, 3)}
+for s in (3, 4, 5):
+    sets[f"random_b2_1024_s{s}"] = PointSet.from_digits(rng.integers(0, 2, (1024, s, 32), dtype=np.uint8), 2)
+for name, points in sets.items():
+    out[f"l2_exact_{name}_s"] = best(lambda: l2_exact(points), repeat=3)
+    out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
+print(json.dumps(out))
 """
 
 
@@ -114,7 +132,7 @@ def main() -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
-        "layers": {"repeat": 5, "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
+        "layers": {"repeat": 5, "l2_exact_repeat": 3, "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
         pairs = []

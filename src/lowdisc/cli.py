@@ -9,6 +9,7 @@ error, 2 capacity refusal, 3 verification or consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -420,7 +421,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="lowdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

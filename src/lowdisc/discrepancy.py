@@ -7,13 +7,18 @@ pairwise form
     - (2/N) sum_n prod_j (1 - x_jn^2)/2  +  3^-s.
 
 Points are digit-exact, x_jn = X_jn / P with P = b^precision, so
-`l2_exact` evaluates it exactly in integers: the pair term
-sum prod_j min(P - X_jn, P - X_jn') takes O(N log N) for s <= 2 (a sort,
-then halving on rank with sorted sweeps) and Heinrich's divide and
-conquer on the coordinates for s >= 3 (S. Heinrich, Math. Comp. 65
-(1996) 1621-1633).  Integer sums are carried modulo coprime moduli below
-2^32 and recovered by the Chinese remainder theorem; the squared value
-is kept as a Fraction on the report.  `l2_exact_rational` is the same formula with
+`l2_exact` evaluates it exactly in integers.  The pair term
+sum prod_j min(P - X_jn, P - X_jn') is a closed form for s = 1.  For
+s >= 2, Heinrich's divide and conquer (S. Heinrich, Math. Comp. 65
+(1996) 1621-1633; Bentley's multidimensional divide and conquer, CACM 23
+(1980)) halves on rank in the first s - 2 coordinates, and one plane
+kernel takes the last two: it halves on rank in the first of them, sorts
+each level's blocks by rank in the second, and keeps two uint64 sums per
+point across all levels, with one modular product per point at the end.
+That is O(N log^2 N) for s = 2 and O(N log^s N) for s >= 3.  Integer
+sums are carried modulo coprime moduli below 2^32 and recovered by the
+Chinese remainder theorem; the squared value is kept as a Fraction on the
+report.  `l2_exact_rational` is the same formula with
 Fraction coordinates, a brute-force oracle for small inputs.  General Lq
 norms have no closed form and are estimated by stratified Monte Carlo;
 the points below each draw are counted with prefix bitsets (sort each
@@ -183,8 +188,9 @@ def _pair_term(co: _Coordinates) -> np.ndarray:
     """T = sum_{a,b} prod_j min(u_ja, u_jb), modulo each modulus.
 
     The diagonal plus twice the pairs a < b in rank order of the first
-    coordinate, whose minimum there is u_1a: a closed form for s = 1, and
-    halving on that rank (Heinrich's recursion) for s >= 2.
+    coordinate, whose minimum there is u_1a: a closed form for s = 1, the
+    plane kernel for s = 2, and halving on that rank (Heinrich's recursion)
+    down to the plane kernel for s >= 3.
     """
     q = co.q
     s, n = co.rank.shape
@@ -193,6 +199,8 @@ def _pair_term(co: _Coordinates) -> np.ndarray:
         diag = diag * co.res[j] % q
     if s == 1:
         off = (co.res[0] * (n - 1 - co.rank[0]).astype(np.uint64) % q).sum(axis=1)
+    elif s == 2:
+        off = _plane_sum(np.zeros(n, dtype=np.int64), None, np.argsort(co.rank[0]), None, (0, 1), co)
     else:
         ones = np.ones((len(q), n), dtype=np.uint64)
         off = _halve(np.zeros(n, dtype=np.int64), None, np.argsort(co.rank[0]), ones, tuple(range(s)), co)
@@ -203,10 +211,10 @@ def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
     """Sum over groups g of sum_{a in A_g, b in B_g} w_a w_b prod_{j in dims} min(u_ja, u_jb).
 
     Items are (group id, colour: True for A, point index) and a column of
-    weight residues each; the result is taken modulo each modulus.  Groups
-    without both colours hold no pairs; groups of few pairs are summed
-    pair by pair; the rest are sorted by rank in dims[0] and swept if it
-    is the last dimension, halved otherwise.
+    weight residues each, with at least two dims; the result is taken modulo
+    each modulus.  Groups without both colours hold no pairs; the rest are
+    sorted by rank in dims[0] and go to the plane kernel when two dims are
+    left, and are halved otherwise.
     """
     q = co.q
     size = int(group.max()) + 1
@@ -220,21 +228,9 @@ def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
         return total
     order = keep[np.argsort(group[keep] * co.rank.shape[1] + co.rank[dims[0], point[keep]])]
     group, colour, point, weight = group[order], colour[order], point[order], weight[:, order]
-    if len(dims) > 1:
-        return total + _halve(group, colour, point, weight, dims, co)
-    # one dimension left: each pair is counted at its lower-ranked item, whose u_j is the minimum
-    _, end = _run_bounds(group)
-    cum = np.zeros((len(q), len(group) + 1), dtype=np.uint64)
-    np.cumsum(np.where(colour, 0, weight), axis=1, out=cum[:, 1:])
-    other = cum[:, end] - cum[:, 1:]  # B weight after each item
-    np.cumsum(np.where(colour, weight, 0), axis=1, out=cum[:, 1:])
-    np.subtract(cum[:, end], cum[:, 1:], out=other, where=~colour)  # A weight after B items
-    other %= q
-    lifted = weight * co.res[dims[0]][:, point]
-    lifted %= q
-    lifted *= other
-    lifted %= q
-    return total + lifted.sum(axis=1) % q[:, 0]
+    if len(dims) == 2:
+        return total + _plane_sum(group, colour, point, weight, dims, co)
+    return total + _halve(group, colour, point, weight, dims, co)
 
 
 def _halve(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
@@ -273,6 +269,73 @@ def _halve(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
             co,
         )
     return total % q[:, 0]
+
+
+def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
+    """The sum of `_cross_sum` over the last two dims (x, y), in one sort per halving level.
+
+    Each group is halved on rank in x as in `_halve`, and each block's
+    items are sorted by rank in y.  A pair across the halves of a block
+    has u_x of its lower item L, and u_y of whichever of L and its upper
+    item U ranks lower in y.  So every item keeps two sums: `below`, the
+    weight of its upper partners that rank above it in y, and `above`,
+    sum w u_x of its lower partners that rank above it in y.  The pair sum
+    is then sum over items of (w u_x u_y) below + (w u_y) above.  An item's
+    partners at different levels are different items, so both sums stay
+    below items * 2^32 and take no modulus until the end.  `weight` None
+    means unit weights, for which `below` is one row of counts.
+    """
+    q = co.q
+    x, y = dims
+    start, end = _run_bounds(group)
+    pos = np.arange(len(group)) - start
+    length = end - start
+    u_x, u_y = np.take(co.res[x], point, axis=1), np.take(co.res[y], point, axis=1)
+    lifted = u_x if weight is None else weight * u_x % q
+    below = np.zeros((1 if weight is None else len(q), len(group)), dtype=np.uint64)
+    above = np.zeros((len(q), len(group)), dtype=np.uint64)
+    rank_y = co.rank[y, point]
+    for level in range(int(length.max() - 1).bit_length()):
+        live = np.flatnonzero(length > (1 << level))  # groups larger than a half-block
+        lower = (pos[live] >> level) & 1 == 0
+        key = 2 * (start[live] + (pos[live] >> (level + 1)))  # one number per block
+        if colour is not None:
+            key += colour[live] != lower
+        order = np.argsort(key * co.rank.shape[1] + rank_y[live])
+        item, lower = live[order], lower[order]
+        _, stop = _run_bounds(key[order])  # end of each item's block
+        lo, hi = np.flatnonzero(lower), np.flatnonzero(~lower)
+        n_lo = np.zeros(len(item) + 1, dtype=np.int64)  # lower items before each position
+        np.cumsum(lower, out=n_lo[1:])
+        n_hi = np.arange(len(item) + 1) - n_lo
+        _add_columns(above, item[hi], _suffix_sums(lifted, item[lo], n_lo[hi], n_lo[stop[hi]]))
+        if weight is None:
+            below[0, item[lo]] += (n_hi[stop[lo]] - n_hi[lo]).astype(np.uint64)
+        else:
+            _add_columns(below, item[lo], _suffix_sums(weight, item[hi], n_hi[lo], n_hi[stop[lo]]))
+    if weight is not None:  # counts of unit weights are below N, so below every modulus
+        below %= q
+    above %= q
+    w_y = u_y if weight is None else weight * u_y % q
+    total = (w_y * above % q).sum(axis=1) % q[:, 0]
+    w_y *= u_x
+    w_y %= q
+    return (total + (w_y * below % q).sum(axis=1) % q[:, 0]) % q[:, 0]
+
+
+def _suffix_sums(values: np.ndarray, items: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per (first, stop), the sum of columns first..stop-1 of values[:, items], taken
+    without a modulus: exact while the sums stay below 2^64."""
+    cum = np.zeros((len(values), len(items) + 1), dtype=np.uint64)
+    np.cumsum(np.take(values, items, axis=1), axis=1, out=cum[:, 1:])
+    return np.take(cum, stop, axis=1) - np.take(cum, first, axis=1)
+
+
+def _add_columns(acc: np.ndarray, columns: np.ndarray, values: np.ndarray) -> None:
+    """acc[:, columns] += values for distinct columns, through flat indices
+    (about twice as fast as the two-axis fancy index)."""
+    flat = (np.arange(len(acc))[:, None] * acc.shape[1] + columns).ravel()
+    np.put(acc, flat, np.take(acc, flat) + values.ravel())
 
 
 def _direct_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
@@ -336,7 +399,9 @@ def l2_exact(ps: PointSet) -> DiscrepancyReport:
 
     The squared value is kept on the report as the Fraction `exact`; the
     float `value` is its square root.  About N (log N)^max(1, s-1) items
-    are swept (each sorted once), against N^2 s terms for the pairwise sum.
+    are sorted in all, each once per halving level of the plane kernel,
+    against N^2 s terms for the pairwise sum; each carries one uint64 sum
+    per modulus (4 to 6 of them at the usual sizes).
     """
     n = len(ps)
     if n == 0:
@@ -541,7 +606,12 @@ def sum_of_digits(N: int) -> int:
 
 
 def roth_sequence_ratio(N: int, s: int, value: float) -> float:
-    """N * value / ((log N)^((s-1)/2) * sqrt(S(N))), the sequence normaliser."""
+    """N * value / ((log N)^((s-1)/2) * sqrt(S(N))), the sequence normaliser.
+
+    For s >= 2 the normaliser vanishes at N = 1, so N < 2 is refused there.
+    """
+    if s >= 2 and N < 2:
+        raise ParameterError(f"the sequence ratio needs N >= 2 in dimension s = {s}")
     return N * value / (math.log(N) ** ((s - 1) / 2.0) * math.sqrt(sum_of_digits(N)))
 
 

@@ -15,7 +15,9 @@ vectorised check validates it and the digits are read from the reshaped
 bytes.  Anything else -- comments elsewhere, CRLF, extra whitespace, comma
 digits, non-ASCII text, every malformed file -- goes to the line parser,
 which is the fallback, the oracle the shortcut must agree with, and the
-only source of error messages.  The header is checked against the
+only source of error messages.  It splits the lines into coordinate
+fields in Python and reads all their digits, comma-separated numbers
+included, in one vectorised pass.  The header is checked against the
 digit-array capacity before any body work, and `read_point_file` checks it
 before reading the body from disk.
 """
@@ -114,17 +116,46 @@ def _canonical_body(text: str, start: int, base: int, s: int, precision: int, co
 
 
 def _digit_values(fields: list[str], base: int) -> tuple[np.ndarray, np.ndarray]:
-    """All digits of the fields in one flat array (-1 where not a decimal
-    number), and the digit count of each field."""
-    tokens = fields if base <= 10 else [f.split(",") for f in fields]
-    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(fields))
+    """All digits of the fields in one flat int64 array, and the digit count
+    of each field; a digit that is not a decimal number reads -1, and one at
+    least the base reads -2.
+
+    Bases up to 10 take one character per digit.  Larger bases take
+    comma-separated decimal numbers, read in one pass over the joined field
+    bytes: a number is at least the base when it has more significant
+    digits than the base, or as many and sorts at or above it.  Values below
+    the base are exact up to 10^18.
+    """
+    if not fields:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    text = " ".join(fields)
+    if base > 10 and not text.isascii():  # int() reads every Unicode decimal digit
+        text = text.translate({ord(c): str(int(c)) for c in set(text) if c.isdecimal()})
+    chars = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    space = chars == ord(" ")
+    digit = chars - np.uint8(ord("0"))  # characters below '0' wrap above 9
+    is_digit = digit <= 9
     if base <= 10:
-        text = "".join(fields).encode("ascii", "replace")
-        values = np.frombuffer(text, dtype=np.uint8).astype(np.int16) - ord("0")
-        values[(values < 0) | (values > 9)] = -1
-    else:
-        values = np.array([min(int(t), base) if t.isdecimal() else -1 for ts in tokens for t in ts])
-    return values, counts
+        values = np.where(is_digit, digit.astype(np.int64), -1)[~space]
+        values[values >= base] = -2
+        return values, np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    edges = np.flatnonzero(space | (chars == ord(",")))
+    field_ends = np.flatnonzero(space[edges])
+    counts = np.diff(np.concatenate(([-1], field_ends, [len(edges)])))
+    starts, stops = np.append(0, edges + 1), np.append(edges, len(chars))  # of each number
+    others = np.append(0, np.cumsum(~is_digit))
+    decimal = (stops > starts) & (others[stops] == others[starts])
+    nonzero = np.append(np.flatnonzero(is_digit & (digit > 0)), len(chars))
+    significant = np.maximum(stops - nonzero[np.searchsorted(nonzero, starts)], 0)
+    width = len(str(base))
+    large = significant > width
+    tie = np.flatnonzero(decimal & (significant == width))
+    large[tie] = chars[stops[tie, None] - width + np.arange(width)].view(f"S{width}")[:, 0] >= str(base).encode()
+    values = np.zeros(len(starts), dtype=np.int64)
+    for place in range(min(width, 18)):  # the last `width` digits hold every value below the base
+        at = stops - 1 - place
+        values += np.where(at >= starts, digit[np.maximum(at, 0)], 0) * np.int64(10**place)
+    return np.where(decimal, np.where(large, -2, values), -1), counts
 
 
 def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int):
@@ -149,8 +180,8 @@ def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int
             fields += words
     values, counts = _digit_values(fields, base)
     starts = np.cumsum(counts) - counts
-    not_decimal = np.logical_or.reduceat(values < 0, starts)
-    too_large = np.logical_or.reduceat(values >= base, starts)
+    not_decimal = np.logical_or.reduceat(values == -1, starts)
+    too_large = np.logical_or.reduceat(values == -2, starts)
     error = np.select([not_decimal, counts != precision, too_large], [1, 2, 3])
     if error.any():
         f = int(np.argmax(error > 0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lowdisc import discrepancy
-from lowdisc.cli import RunConfig, main
+from lowdisc.cli import RunConfig, main, make_parser
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.errors import ParameterError
@@ -309,6 +309,20 @@ def test_scaling_davenport_doubling(capsys):
     assert all(line.startswith("davenport") for line in lines[1:])
 
 
+def test_scaling_dp_sequence_refuses_one_point_in_two_dimensions(capsys):
+    assert run("scaling", "--family", "dp-sequence", "--s", "2", "--N", "1,2") == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1] == "dp-sequence,N=1,,,error: the sequence ratio needs N >= 2 in dimension s = 2,,"
+    assert lines[2].startswith("dp-sequence,N=2,2,2,")
+    assert captured.err == ""
+    # in one dimension the normaliser is 1 at N = 1, so that row keeps its value
+    assert run("scaling", "--family", "dp-sequence", "--s", "1", "--N", "1") == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "dp-sequence,N=1,1,1,0.5773502691896257,0.5773502691896257,0.5773502691896257"
+    )
+
+
 def test_scaling_byte_identical_across_runs(capsys):
     args = ("scaling", "--family", "dp-sequence", "--s", "1", "--N", "16,31,32")
     assert run(*args) == 0
@@ -354,3 +368,28 @@ def test_runconfig_round_trip():
 def test_usage_errors_exit_one(capsys):
     assert run("construct", "--family", "mystery") == 1
     assert run("verify", "t-value", "--family", "davenport", "--N", "4") == 1
+
+
+def test_parser_is_built_once_and_reused_after_usage_errors(capsys):
+    commands = [
+        ("construct", "--family", "mystery"),
+        ("scaling", "--family", "van-der-corput", "--b", "2", "--m", "3"),
+        ("verify",),
+        ("discrepancy", "--q", "x"),
+        ("scaling", "--family", "dp-net", "--alpha", "2", "--s", "1", "--m", "2:3"),
+        ("bogus-command",),
+        ("verify", "t-value", "--family", "faure", "--b", "3", "--m", "2", "--s", "2"),
+    ]
+    alone = []
+    for argv in commands:
+        make_parser.cache_clear()
+        code = run(*argv)
+        alone.append((code, capsys.readouterr()))
+    make_parser.cache_clear()
+    together = []
+    for argv in commands:
+        code = run(*argv)
+        together.append((code, capsys.readouterr()))
+    assert together == alone
+    assert [code for code, _ in alone] == [1, 0, 1, 1, 0, 1, 0]
+    assert make_parser() is make_parser()

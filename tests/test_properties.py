@@ -4,15 +4,17 @@ Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
 the vectorised box count with a per-point loop, point-level interlacing
 with matrix-level interlacing, the array trim with a Fraction loop, the
-exact L2 discrepancy with the rational oracle (with the float pairwise
-sum where the oracle is capped), the bitset and single-anchor point
-counts with a broadcast comparison, the digit-recurrence point generation
-with the matrix product, and the canonical point-file shortcut with the
-line parser.
+exact L2 discrepancy with the rational oracle and, where that is capped,
+with the pairwise sum in Python integers (and the float pairwise sum),
+the bitset and single-anchor point counts with a broadcast comparison,
+the digit-recurrence point generation with the matrix product, the
+canonical point-file shortcut with the line parser, and the vectorised
+digit reading with the per-token one.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from lowdisc.nets import (  # noqa: E402
 )
 from lowdisc.pointfile import (  # noqa: E402
     _canonical_body,
+    _digit_values,
     _header,
     _parse_lines,
     dumps_point_file,
@@ -57,8 +60,9 @@ from lowdisc.pointfile import (  # noqa: E402
 from lowdisc.weights import min_dual_weight, min_weight_by_rank, vector_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
-from l2_reference import l2_float_reference  # noqa: E402
+from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
 from net_reference import net_digits_reference  # noqa: E402
+from pointfile_reference import digit_values_reference  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -308,6 +312,50 @@ def test_perturbed_text_reads_like_the_line_parser(ps, perturb, pos):
 
 
 @st.composite
+def digit_fields(draw):
+    """Coordinate fields of a point-file line and a header base: comma-separated
+    numbers for bases above 10 (leading zeros, the base and its neighbours,
+    numbers far above it, empty and signed tokens, non-ASCII decimal and
+    non-decimal characters), characters for the others."""
+    base = draw(st.sampled_from([2, 7, 10, 11, 13, 251, 1000, 10**20 + 39]))
+    odd = st.sampled_from(["", "+1", "-1", "1_0", "x", "1.0", "\u0663", "\u0967\u0968", "\xb2", "\xe9", "\uff10"])
+    number = st.builds(lambda zeros, v: "0" * zeros + str(v), st.integers(0, 25),
+                       st.sampled_from([0, 1, base - 1, base, base + 1]) | st.integers(0, 10**30))
+    if base <= 10:
+        field = st.text(alphabet="0123456789a\u0663\xb2", min_size=1, max_size=8)
+    else:
+        field = st.lists(number | odd, min_size=1, max_size=6).map(",".join).filter(len)
+    return draw(st.lists(field, max_size=12)), base
+
+
+@given(digit_fields())
+def test_digit_values_equal_the_per_token_reading(case):
+    fields, base = case
+    values, counts = _digit_values(fields, base)
+    reference, reference_counts = digit_values_reference(fields, base)
+    assert np.array_equal(counts, reference_counts)
+    assert len(values) == len(reference)
+    codes = [-2 if v >= base else int(v) for v in reference.tolist()]
+    if base < 10**18:  # values below the base are exact up to 10^18
+        assert values.tolist() == codes
+    else:
+        assert [min(v, 0) for v in values.tolist()] == [min(v, 0) for v in codes]
+
+
+@given(digit_sets(bases=(11, 13)), st.sampled_from(PERTURBATIONS), st.integers(0, 10**6))
+def test_comma_files_read_like_the_per_token_reading(ps, perturb, pos):
+    text = perturb(dumps_point_file(ps), pos)
+
+    def per_token(fields, base):
+        values, counts = digit_values_reference(fields, base)
+        return np.where(values >= base, -2, values), counts
+
+    with mock.patch("lowdisc.pointfile._digit_values", per_token):
+        expected = outcome(loads_point_file, text)
+    assert outcome(loads_point_file, text) == expected
+
+
+@st.composite
 def stratified_sets(draw):
     """b^m points whose first coordinate hits every m-digit prefix exactly once."""
     b, m = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (5, 2), (11, 1)]))
@@ -373,6 +421,12 @@ def test_exact_l2_equals_rational_oracle(ps):
     rep = l2_exact(ps)
     assert rep.exact == l2_exact_rational(ps)
     assert rep.value == math.sqrt(float(rep.exact))
+    assert l2_integer_reference(ps) == rep.exact
+
+
+@given(l2_sets(dims=(1, 2, 3, 4, 5), max_n=400))
+def test_exact_l2_equals_integer_pair_sum(ps):
+    assert l2_exact(ps).exact == l2_integer_reference(ps)
 
 
 @given(l2_sets(dims=(4, 5), max_n=300))
