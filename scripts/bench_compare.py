@@ -16,7 +16,9 @@ subprocess, one at a time:
   of 3 timings of `l2_exact` on that net (with its tracemalloc peak), on
   dp-finite N = 8000, s = 3, and on random base-2 sets of N = 1024 points
   with 32 digits for s = 3, 4 and 5 (seed 0); and the exact squared
-  values, so that the two sides can be checked equal.
+  values, so that the two sides can be checked equal; best of 3 timings
+  of `compute_t_value` on Faure b 13, m 5, s 13 and on the base-2
+  Niederreiter net s 6, m 14, each with the t it found.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  The summary gives the medians and the pairs the change won.
@@ -40,9 +42,11 @@ METRICS = ("run_s", "setup_s", "peak_rss_mb")
 LAYERS = """
 import json, time, tracemalloc
 import numpy as np
-from lowdisc.constructions import dp_finite_pointset, dp_net_matrices
+from lowdisc.constructions import (
+    dp_finite_pointset, dp_net_matrices, faure_matrices, niederreiter_net_matrices,
+)
 from lowdisc.discrepancy import l2_exact
-from lowdisc.nets import PointSet, generate_net_points
+from lowdisc.nets import PointSet, compute_t_value, generate_net_points
 from lowdisc.pointfile import dumps_point_file, loads_point_file
 
 def best(fn, repeat=5):
@@ -76,6 +80,10 @@ for s in (3, 4, 5):
 for name, points in sets.items():
     out[f"l2_exact_{name}_s"] = best(lambda: l2_exact(points), repeat=3)
     out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
+nets = {"faure_b13_m5_s13": faure_matrices(13, 5, 13), "niederreiter_s6_m14": niederreiter_net_matrices(6, 14)}
+for name, net in nets.items():
+    out[f"compute_t_value_{name}_s"] = best(lambda: compute_t_value(net), repeat=3)
+    out[f"compute_t_value_{name}_t"] = compute_t_value(net)
 print(json.dumps(out))
 """
 
@@ -132,7 +140,8 @@ def main() -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
-        "layers": {"repeat": 5, "l2_exact_repeat": 3, "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
+        "layers": {"repeat": 5, "l2_exact_repeat": 3, "compute_t_value_repeat": 3,
+                   "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
         pairs = []

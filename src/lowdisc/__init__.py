@@ -46,7 +46,6 @@ from .errors import (
     PrecisionError,
 )
 from .field import (
-    FieldMatrix,
     binomial_mod_p,
     field_inverse,
     irreducible_polys_f2,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -28,9 +27,8 @@ from .constructions import (
     niederreiter_net_matrices,
     niederreiter_t_bound,
 )
-from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, roth_sequence_ratio
+from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, scaling_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
-from .field import FieldMatrix
 from .nets import (
     GeneratingMatrixSet,
     char_property_sum,
@@ -135,7 +133,7 @@ def build_matrices(cfg: RunConfig) -> GeneratingMatrixSet:
     if family == "van-der-corput":
         b, = _need(cfg, "b")
         m = _single(cfg.m, "m")
-        return GeneratingMatrixSet.from_matrices([FieldMatrix.identity(m, b)])
+        return GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
     if family == "faure":
         b, s = _need(cfg, "b", "s")
         return faure_matrices(b, _single(cfg.m, "m"), s)
@@ -197,8 +195,8 @@ def cmd_construct(cfg: RunConfig) -> int:
     gm = build_matrices(cfg) if cfg.family in MATRIX_FAMILIES else None
     ps = build_points(cfg, gm)
     if gm is not None:
-        for j, mat in enumerate(gm.matrices, start=1):
-            print(f"C{j} = {mat.array.tolist()}", file=sys.stderr)
+        for j, mat in enumerate(gm.array.tolist(), start=1):
+            print(f"C{j} = {mat}", file=sys.stderr)
     if cfg.out:
         write_point_file(ps, cfg.out)
         print(f"wrote {len(ps)} points to {cfg.out}", file=sys.stderr)
@@ -341,16 +339,6 @@ def cmd_discrepancy(path: str, cfg: RunConfig) -> int:
     return 0
 
 
-def _scaling_ratio(family: str, n: int, s: int, value: float, m: int | None) -> float:
-    if family == "davenport":
-        return n * value / math.sqrt(math.log(n))
-    if family == "dp-sequence":
-        return roth_sequence_ratio(n, s, value)
-    if family == "dp-finite":
-        return n * value / math.log(n) ** ((s - 1) / 2.0)
-    return n * value / float(m) ** ((s - 1) / 2.0)
-
-
 def cmd_scaling(cfg: RunConfig) -> int:
     family = cfg.family
     if family is None:
@@ -377,7 +365,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
             m = v if axis == "m" else None
-            ratio = _scaling_ratio(family, n, s, rep.value, m)
+            ratio = scaling_ratio(family, n, s, rep.value, m)
             rows.append(
                 f"{family},{axis}={v},{n},{s},{rep.value!r},{n * rep.value!r},{ratio!r}"
             )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError
 from .field import (
-    FieldMatrix,
     binomial_mod_p,
     irreducible_polys_f2,
     is_prime,
@@ -93,9 +92,8 @@ def cs_matrices(
     if len(set(flat)) != len(flat):
         raise ParameterError("beta values must be pairwise distinct")
     n = alpha * m
-    matrices = []
+    arr = np.zeros((s, n, n), dtype=np.int64)
     for i in range(s):
-        arr = np.zeros((n, n), dtype=np.int64)
         for l in range(1, alpha + 1):
             beta = betas[i][l - 1]
             for j in range(1, m + 1):
@@ -104,13 +102,12 @@ def cs_matrices(
                     if k < j:
                         continue
                     if k == j:
-                        arr[row, k - 1] = 1  # C(j-1, j-1) * beta^0, with 0^0 = 1
+                        arr[i, row, k - 1] = 1  # C(j-1, j-1) * beta^0, with 0^0 = 1
                     else:
-                        arr[row, k - 1] = (
+                        arr[i, row, k - 1] = (
                             binomial_mod_p(k - 1, j - 1, b) * pow(beta, k - j, b)
                         ) % b
-        matrices.append(FieldMatrix(arr, b))
-    return GeneratingMatrixSet(b, s, n, n, tuple(matrices))
+    return GeneratingMatrixSet(b, arr)
 
 
 def faure_matrices(b: int, m: int, s: int) -> GeneratingMatrixSet:
@@ -176,8 +173,7 @@ def niederreiter_net_matrices(s: int, m: int, rows: int | None = None) -> Genera
     """Net matrices from the sequence: upper-left rows x m truncations."""
     rows = m if rows is None else rows
     source = NiederreiterSource(s)
-    mats = tuple(FieldMatrix(source.matrix(j, rows, m), 2) for j in range(1, s + 1))
-    return GeneratingMatrixSet(2, s, rows, m, mats)
+    return GeneratingMatrixSet(2, np.stack([source.matrix(j, rows, m) for j in range(1, s + 1)]))
 
 
 # ----------------------------------------------------------------------
@@ -204,20 +200,17 @@ def interlace_matrices(gm: GeneratingMatrixSet, alpha: int) -> GeneratingMatrixS
     """Matrix-level digit interlacing.
 
     Row u*alpha + v of the j-th output matrix is row u + 1 of input matrix
-    (j-1)*alpha + v; the output has alpha*p rows and the same columns, and
-    generates exactly the pointwise-interlaced net.
+    (j-1)*alpha + v: the transpose of each (alpha, p) block of rows, as in
+    `interlace_pointset`.  The output has alpha*p rows and the same
+    columns, and generates exactly the pointwise-interlaced net.
     """
     if gm.s % alpha != 0:
         raise ParameterError(f"dimension {gm.s} not divisible by alpha={alpha}")
     s_out = gm.s // alpha
-    mats = []
-    for j in range(1, s_out + 1):
-        arr = np.zeros((alpha * gm.rows, gm.cols), dtype=np.int64)
-        for u in range(gm.rows):
-            for v in range(1, alpha + 1):
-                arr[u * alpha + v - 1] = gm.matrices[(j - 1) * alpha + v - 1].array[u]
-        mats.append(FieldMatrix(arr, gm.base))
-    return GeneratingMatrixSet(gm.base, s_out, alpha * gm.rows, gm.cols, tuple(mats))
+    blocks = gm.array.reshape(s_out, alpha, gm.rows, gm.cols)
+    return GeneratingMatrixSet(
+        gm.base, blocks.transpose(0, 2, 1, 3).reshape(s_out, gm.rows * alpha, gm.cols)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -398,5 +391,5 @@ def davenport_symmetrized(
 
 def van_der_corput(b: int, m: int) -> PointSet:
     """The b^m-point radical-inverse set: identity generating matrix."""
-    gm = GeneratingMatrixSet.from_matrices([FieldMatrix.identity(m, b)])
+    gm = GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
     return generate_net_points(gm, provenance={"family": "van-der-corput", "b": b, "m": m})

@@ -2,8 +2,14 @@
 
 Field elements are plain integers in {0, ..., b-1}; every operation takes
 the prime modulus b explicitly and rejects composite b.  Matrices over F_b
-are wrapped in :class:`FieldMatrix`, a validated container around an int64
-numpy array, with Gaussian elimination providing rank and kernel bases.
+are plain two-dimensional integer arrays.  One incremental Gaussian
+elimination, `dependencies`, serves every linear-algebra question: it
+reduces rows one at a time and yields the dependency of each row that
+reduces to zero, so the rank is the rows minus the dependencies, the
+kernel basis is the dependencies among the columns, and a first
+dependency among the rows of the C_j on a support is a dual element
+(`nets.row_dependency`).  Base 2 reduces rows packed into Python ints by XOR;
+other bases reduce lists of ints.
 
 Binary polynomials are represented as integers whose bit i is the
 coefficient of x^i (so x = 2, 1 + x = 3, 1 + x + x^2 = 7).  The zero
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +30,8 @@ __all__ = [
     "is_prime",
     "field_inverse",
     "binomial_mod_p",
-    "FieldMatrix",
+    "pack_rows",
+    "dependencies",
     "matrix_rank",
     "kernel_basis",
     "poly_degree",
@@ -89,103 +97,89 @@ def binomial_mod_p(i: int, j: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Matrices over F_b
+# Matrices over F_b: one incremental elimination
 # ----------------------------------------------------------------------
 
-class FieldMatrix:
-    """A rows x cols matrix over F_b.
+def pack_rows(arr, b: int) -> list:
+    """Rows of a two-dimensional array over F_b in the form `dependencies` reduces.
 
-    The entries are held as an int64 numpy array with values in
-    {0, ..., b-1}; the array is copied and reduced mod b on construction
-    and must not be mutated afterwards.
+    Base 2 packs a row into one int, bit c holding column c, so that
+    elimination is XOR on Python ints; other bases keep lists of ints.
     """
-
-    __slots__ = ("base", "array", "rows", "cols")
-
-    def __init__(self, array, base: int):
-        _require_prime(base)
-        arr = np.asarray(array, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ParameterError("matrix must be two-dimensional")
-        self.base = base
-        self.array = arr % base
-        self.array.setflags(write=False)
-        self.rows, self.cols = self.array.shape
-
-    @classmethod
-    def identity(cls, n: int, base: int) -> "FieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), base)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, base: int) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), base)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.base == other.base
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.array.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix(base={self.base}, array=\n{self.array})"
+    _require_prime(b)
+    arr = np.asarray(arr, dtype=np.int64) % b
+    if arr.ndim != 2:
+        raise ParameterError("matrix must be two-dimensional")
+    if b == 2:
+        packed = np.packbits(arr.astype(np.uint8), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return arr.tolist()
 
 
-def _rref(arr: np.ndarray, b: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod b; returns (rref, pivot column list)."""
-    m = (arr % b).astype(np.int64)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = -1
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot_row = i
+def dependencies(rows: Sequence, b: int) -> Iterator[list[int]]:
+    """Gaussian elimination over F_b, one row at a time.
+
+    Each row is reduced against the independent rows before it, carrying
+    its coefficients along.  A row that reduces to zero yields its
+    dependency: coefficients c with sum_i c_i rows[i] = 0, equal to 1 on
+    that row and 0 on every later one.  Only independent rows enter the
+    basis, so the dependency is the unique one on that row and the
+    independent rows before it.  `rows` come from `pack_rows`.
+    """
+    n = len(rows)
+    if b == 2:
+        # the row's bits sit above n coefficient bits, so while the row part
+        # is nonzero the leading bit is one of its columns
+        pivots: dict[int, int] = {}
+        for k, row in enumerate(rows):
+            v = (row << n) | (1 << k)
+            while v >> n:
+                lead = v.bit_length() - 1
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = v
+                    break
+                v ^= pivot
+            else:
+                yield [(v >> i) & 1 for i in range(n)]
+        return
+    basis: dict[int, list[int]] = {}  # first nonzero column -> row scaled to 1 there
+    for k, row in enumerate(rows):
+        width = len(row)
+        v = row + [0] * n
+        v[width + k] = 1  # the coefficient on row k stays 1, so the scan below ends
+        lead = 0
+        while True:
+            while not v[lead]:
+                lead += 1
+            if lead >= width:
+                yield v[width:]
                 break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        inv = pow(int(m[r, c]), b - 2, b)
-        m[r] = (m[r] * inv) % b
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % b
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+            pivot = basis.get(lead)
+            if pivot is None:
+                inv = pow(v[lead], b - 2, b)
+                basis[lead] = [x * inv % b for x in v]
+                break
+            f = v[lead]
+            v = [(x - f * y) % b for x, y in zip(v, pivot)]
 
 
-def matrix_rank(mat: FieldMatrix) -> int:
-    """Rank of mat over F_b via Gaussian elimination."""
-    _, pivots = _rref(mat.array, mat.base)
-    return len(pivots)
+def matrix_rank(arr, b: int) -> int:
+    """Rank of a two-dimensional array over F_b: rows minus dependent rows."""
+    rows = pack_rows(arr, b)
+    return len(rows) - sum(1 for _ in dependencies(rows, b))
 
 
-def kernel_basis(mat: FieldMatrix) -> list[np.ndarray]:
-    """Basis of the right kernel {v : mat v = 0} over F_b.
+def kernel_basis(arr, b: int) -> list[np.ndarray]:
+    """Basis of the right kernel {v : arr v = 0} over F_b.
 
-    Returns cols - rank vectors of length cols (int64 arrays); empty list
-    for an injective matrix.
+    One int64 vector per column that depends on the columns before it:
+    the dependency among the columns, 1 at that column.  These are the
+    vectors that reduced row echelon form reads off its free columns, in
+    the same order.  Empty list for an injective matrix.
     """
-    b = mat.base
-    rref, pivots = _rref(mat.array, b)
-    free = [c for c in range(mat.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(mat.cols, dtype=np.int64)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-int(rref[i, f])) % b
-        basis.append(v)
-    return basis
+    cols = pack_rows(np.asarray(arr).T, b)
+    return [np.array(dep, dtype=np.int64) for dep in dependencies(cols, b)]
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,26 @@ reads it, and `fractions(n)` gives point n as exact rationals.  Floating
 point enters only when discrepancy numerics ask for it.
 
 A digital net is defined by s generating matrices C_1, ..., C_s of shape
-p x m over F_b.  Point n has coordinate j with digit k equal to row k of
-C_j times the base-b digit vector of n (least significant digit first).
-Generation uses that linearity instead of the product: point n is the sum
-of d_i times column i of the C_j over the digits d_i of n, so a table of
-the points of the b^k lowest indices (b^k <= 4096) is built digit by digit
-and each block of b^k consecutive indices adds one high-digit vector to
-it, digitwise mod b (Bratley, Fox & Niederreiter, ACM TOMACS 2 (1992)).
+p x m over F_b, held as one (s, p, m) array.  Point n has coordinate j
+with digit k equal to row k of C_j times the base-b digit vector of n
+(least significant digit first).  Generation uses that linearity instead
+of the product: point n is the sum of d_i times column i of the C_j over
+the digits d_i of n, so a table of the points of the b^k lowest indices
+(b^k <= 4096) is built digit by digit and each block of b^k consecutive
+indices adds one high-digit vector to it, digitwise mod b (Bratley, Fox &
+Niederreiter, ACM TOMACS 2 (1992)).
+
+Every structural check is linear algebra on the s p pooled rows of the
+C_j, through the one elimination of `field.dependencies`: the t-value and
+the dual weight minima ask whether the rows on a support are dependent,
+and the dual space is the kernel of the pooled rows' transpose, i.e. the
+dependencies among them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -28,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, ParameterError, PrecisionError
-from .field import FieldMatrix, _rref, is_prime, kernel_basis
+from .field import dependencies, is_prime, kernel_basis, pack_rows
 
 __all__ = [
     "GeneratingMatrixSet",
@@ -151,31 +157,33 @@ def fraction_digits(
     return out
 
 
-@dataclass(frozen=True)
 class GeneratingMatrixSet:
-    """s generating matrices over F_b sharing shape rows x cols (p >= m)."""
+    """s generating matrices C_1, ..., C_s over F_b, each rows x cols (rows >= cols).
 
-    base: int
-    s: int
-    rows: int
-    cols: int
-    matrices: tuple[FieldMatrix, ...]
+    The matrices are one read-only (s, rows, cols) int64 array, `array`,
+    copied and reduced mod b on construction; s, rows and cols are its
+    shape.  `array.reshape(s * rows, cols)` pools the rows of all the C_j.
+    """
 
-    def __post_init__(self):
-        if self.s != len(self.matrices) or self.s < 1:
-            raise ParameterError("need one matrix per dimension")
-        for mat in self.matrices:
-            if mat.base != self.base:
-                raise ParameterError("matrix base mismatch")
-            if (mat.rows, mat.cols) != (self.rows, self.cols):
-                raise ParameterError("matrix shape mismatch")
-        if self.rows < self.cols:
+    def __init__(self, base: int, array):
+        if not is_prime(base):
+            raise ParameterError(f"base {base} is not prime")
+        arr = np.asarray(array, dtype=np.int64)
+        if arr.ndim != 3 or arr.shape[0] < 1:
+            raise ParameterError(f"matrices of shape {arr.shape} are not (s, rows, cols) with s >= 1")
+        if arr.shape[1] < arr.shape[2]:
             raise ParameterError("net matrices need at least as many rows as columns")
+        self.base = base
+        self.array = arr % base
+        self.array.setflags(write=False)
+        self.s, self.rows, self.cols = arr.shape
 
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[FieldMatrix]) -> "GeneratingMatrixSet":
-        first = matrices[0]
-        return cls(first.base, len(matrices), first.rows, first.cols, tuple(matrices))
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GeneratingMatrixSet)
+            and self.base == other.base
+            and np.array_equal(self.array, other.array)
+        )
 
 
 def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarray:
@@ -196,7 +204,7 @@ def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarra
 _TABLE_ROWS = 1 << 12
 
 
-def _net_digits(n_from: int, n_to: int, b: int, matrices: Sequence[np.ndarray]) -> np.ndarray:
+def _net_digits(n_from: int, n_to: int, b: int, matrices: np.ndarray) -> np.ndarray:
     """(n_to - n_from, s, rows) uint8 digits of points n_from..n_to-1.
 
     Point n is sum_i d_i c_i mod b, over the base-b digits d_i of n and the
@@ -208,11 +216,10 @@ def _net_digits(n_from: int, n_to: int, b: int, matrices: Sequence[np.ndarray]) 
     indices adds its one high-digit vector (from h's digits) to the table
     digitwise mod b, straight into the output: O(N s rows) byte work, with
     temporaries bounded by the table.  Sums reach 2b - 2, so bases above
-    128 add in uint16.
+    128 add in uint16.  `matrices` is the (s, rows, cols) array of the C_j.
     """
-    rows, cols = matrices[0].shape
-    s = len(matrices)
-    columns = [np.stack([mat[:, i] for mat in matrices]).astype(np.int64) % b for i in range(cols)]
+    s, rows, cols = matrices.shape
+    columns = np.moveaxis(matrices.astype(np.int64) % b, 2, 0)  # columns[i]: (s, rows)
     k = 0
     while k < cols and b ** (k + 1) <= min(_TABLE_ROWS, n_to - n_from):
         k += 1
@@ -244,7 +251,7 @@ def _net_digits(n_from: int, n_to: int, b: int, matrices: Sequence[np.ndarray]) 
 def generate_net_points(gm: GeneratingMatrixSet, provenance: dict | None = None) -> PointSet:
     """All b^m points of the digital net with the given matrices, in index order."""
     check_capacity(gm.base**gm.cols, gm.s, gm.rows)
-    digits = _net_digits(0, gm.base**gm.cols, gm.base, [mat.array for mat in gm.matrices])
+    digits = _net_digits(0, gm.base**gm.cols, gm.base, gm.array)
     return PointSet.from_digits(digits, gm.base, provenance)
 
 
@@ -276,7 +283,7 @@ def generate_sequence_points(
         raise PrecisionError(
             f"column depth {deepest} exceeds precision {precision}: nonzero digits would be lost"
         )
-    matrices = [source.matrix(j, precision, cols) for j in range(1, s + 1)]
+    matrices = np.stack([source.matrix(j, precision, cols) for j in range(1, s + 1)])
     return PointSet.from_digits(_net_digits(n_from, n_to, b, matrices), b)
 
 
@@ -298,49 +305,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def matrix_rows(gm: GeneratingMatrixSet) -> list[list]:
-    """Rows of each C_j in the form `row_dependency` takes.
-
-    Base 2 packs a row into one int (bit c = column c), so elimination is
-    XOR on Python ints; other bases keep int64 arrays.
-    """
-    if gm.base == 2:
-        return [
-            [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in mat.array]
-            for mat in gm.matrices
-        ]
-    return [list(mat.array) for mat in gm.matrices]
-
-
 def row_dependency(rows: Sequence, b: int) -> list[int] | None:
     """Coefficients c, not all zero, with sum_i c_i rows[i] = 0 over F_b.
 
-    None when the rows are linearly independent.  `rows` come from
-    `matrix_rows`.  A dependency among the rows of the C_j indexed by a
-    support is exactly a dual element whose support lies inside it.
+    The first dependency of `field.dependencies`; None when the rows are
+    linearly independent.  `rows` come from `field.pack_rows`.  A
+    dependency among the rows of the C_j indexed by a support is exactly a
+    dual element whose support lies inside it.
     """
-    if b == 2:
-        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (row, rows combined)
-        for k, v in enumerate(rows):
-            combo = 1 << k
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in basis:
-                    basis[lead] = (v, combo)
-                    break
-                bv, bc = basis[lead]
-                v ^= bv
-                combo ^= bc
-            else:
-                return [(combo >> i) & 1 for i in range(len(rows))]
-        return None
-    if not rows:
-        return None
-    stacked = np.vstack(rows)
-    _, pivots = _rref(stacked, b)
-    if len(pivots) == len(rows):
-        return None
-    return [int(c) for c in kernel_basis(FieldMatrix(stacked.T, b))[0]]
+    return next(dependencies(rows, b), None)
 
 
 def _row_sets(p: int, k: int, budget: int, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -453,7 +426,7 @@ def min_dependent_support(
         def supports(w):
             return _product_supports(sets, s, w)
 
-    rows = matrix_rows(gm)
+    rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
     checks = 0
     for w in range(1, (top if full is None else min(top, full)) + 1):
         checks += counts[w]
@@ -464,7 +437,7 @@ def min_dependent_support(
         for support in supports(w):
             if w == full and len(support) <= m:
                 continue  # a larger support of this weight is dependent anyway
-            dep = row_dependency([rows[j][i] for j, i in support], b)
+            dep = row_dependency([rows[j * p + i] for j, i in support], b)
             if dep is not None:
                 k = [0] * s
                 for (j, i), c in zip(support, dep):
@@ -541,10 +514,9 @@ class DualSpace:
 
     def __init__(self, gm: GeneratingMatrixSet, cap: int):
         b, p = gm.base, gm.rows
-        stacked = np.hstack([mat.array.T for mat in gm.matrices])
         self.gm = gm
-        self.stacked = FieldMatrix(stacked, b)
-        basis = kernel_basis(self.stacked)
+        self.stacked = gm.array.reshape(gm.s * p, gm.cols).T  # the pooled rows, transposed
+        basis = kernel_basis(self.stacked, b)
         self.kernel_dim = len(basis)
         self.size = b**self.kernel_dim
         if self.size > cap:
@@ -607,7 +579,7 @@ class DualSpace:
             raise ParameterError("dual components are nonnegative integers")
         if max(kvec) >= b**p:
             return False
-        return not np.any((self.stacked.array @ index_digits(kvec, b, p).ravel()) % b)
+        return not np.any((self.stacked @ index_digits(kvec, b, p).ravel()) % b)
 
 
 def dual_space(gm: GeneratingMatrixSet, cap: int = 1 << 21) -> DualSpace:

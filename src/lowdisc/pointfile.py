@@ -210,11 +210,18 @@ def loads_point_file(text: str) -> PointSet:
 
 
 def read_point_file(path) -> PointSet:
-    # refuse a header above the capacity before the body is read
-    with open(path, encoding="ascii") as f:
-        head = f.readline(_HEADER_CHARS)
-    first = _FIRST_LINE.match(head).group()
-    if head and (len(first) < len(head) or len(head) < _HEADER_CHARS):  # `first` is all of line 1
-        _, s, precision, count = _header(first)
-        check_capacity(count, s, precision)
-    return loads_point_file(Path(path).read_text(encoding="ascii"))
+    try:
+        # refuse a header above the capacity before the body is read
+        with open(path, encoding="ascii") as f:
+            head = f.readline(_HEADER_CHARS)
+        first = _FIRST_LINE.match(head).group()
+        if head and (len(first) < len(head) or len(head) < _HEADER_CHARS):  # `first` is all of line 1
+            _, s, precision, count = _header(first)
+            check_capacity(count, s, precision)
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        at = re.search(rb"[\x80-\xff]", data).start()
+        line = data.count(b"\n", 0, at) + 1
+        raise ParameterError(f"line {line}: byte {data[at]:#04x} is not ASCII") from exc
+    return loads_point_file(text)

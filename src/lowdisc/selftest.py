@@ -33,9 +33,10 @@ from .discrepancy import (
     trim_inequality_check,
     lq_estimate,
     roth_lower_bound,
+    scaling_ratio,
     sequence_profile,
 )
-from .field import FieldMatrix, matrix_rank
+from .field import matrix_rank
 from .nets import (
     GeneratingMatrixSet,
     PointSet,
@@ -53,9 +54,7 @@ CS_EXAMPLE_C2 = [[1, 2, 4, 3], [0, 1, 4, 2], [1, 3, 4, 2], [0, 1, 1, 2]]
 def criterion_01_cs_example() -> tuple[bool, str]:
     """Binomial matrices for b=5, alpha=m=s=2 with betas ((0,1),(2,3))."""
     gm = cs_matrices(5, 2, 2, 2, betas=((0, 1), (2, 3)))
-    ok = np.array_equal(gm.matrices[0].array, CS_EXAMPLE_C1) and np.array_equal(
-        gm.matrices[1].array, CS_EXAMPLE_C2
-    )
+    ok = np.array_equal(gm.array, [CS_EXAMPLE_C1, CS_EXAMPLE_C2])
     return ok, "both 4x4 matrices match exactly" if ok else "matrix mismatch"
 
 
@@ -79,10 +78,10 @@ def _random_full_rank_net(b: int, m: int, s: int, seed: int) -> GeneratingMatrix
     rng = np.random.default_rng(seed)
     mats = []
     while len(mats) < s:
-        fm = FieldMatrix(rng.integers(0, b, size=(m, m)), b)
-        if matrix_rank(fm) == m:
-            mats.append(fm)
-    return GeneratingMatrixSet(b, s, m, m, tuple(mats))
+        mat = rng.integers(0, b, size=(m, m))
+        if matrix_rank(mat, b) == m:
+            mats.append(mat)
+    return GeneratingMatrixSet(b, mats)
 
 
 def criterion_03_mu1_identity() -> tuple[bool, str]:
@@ -239,8 +238,8 @@ def criterion_08_net_ratio_bounded() -> tuple[bool, str]:
     """2^m * L2 / sqrt(m) stays within a factor 4 band for dp_net(3, m, 2)."""
     ratios = []
     for m in range(6, 14):
-        rep = l2_exact(dp_net(3, m, 2))
-        ratios.append((1 << m) * rep.value / math.sqrt(m))
+        ps = dp_net(3, m, 2)
+        ratios.append(scaling_ratio("dp-net", len(ps), ps.s, l2_exact(ps).value, m))
     spread = max(ratios) / min(ratios)
     return spread <= 4.0, f"ratio spread max/min = {spread:.3f} over m = 6..13"
 
@@ -280,8 +279,7 @@ def criterion_11_davenport_ratio_bounded() -> tuple[bool, str]:
     ratios = []
     for k in range(2, 11):
         ps = davenport_symmetrized(2**k)
-        n = len(ps)
-        ratios.append(n * l2_exact(ps).value / math.sqrt(math.log(n)))
+        ratios.append(scaling_ratio("davenport", len(ps), ps.s, l2_exact(ps).value, None))
     spread = max(ratios) / min(ratios)
     return spread <= 4.0, f"ratio spread max/min = {spread:.3f} over 9 doublings"
 

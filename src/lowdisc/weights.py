@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .field import FieldMatrix, is_prime, matrix_rank
+from .field import is_prime, matrix_rank
 from .nets import DualSpace, GeneratingMatrixSet, min_dependent_support
 
 __all__ = [
@@ -88,10 +88,10 @@ def vector_weight(ks: Sequence[int], b: int, kind: str, alpha: int | None = None
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Minimum weight over the nonzero dual elements within a range.
+    """Minimum weight over the nonzero dual elements.
 
-    minimum is None when no nonzero dual element lies in range (the
-    infinite profile, e.g. a one-dimensional net with invertible matrix).
+    minimum is None when the dual has no nonzero element within the search
+    (the infinite profile, e.g. a one-dimensional net with invertible matrix).
     """
 
     kind: str
@@ -99,7 +99,6 @@ class WeightProfile:
     minimum: int | None
     witness: tuple[int, ...] | None
     dual_size: int
-    range_limit: int | None
 
     def csv_row(self) -> str:
         min_s = "inf" if self.minimum is None else str(self.minimum)
@@ -127,37 +126,23 @@ def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarr
     raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
 
 
-def min_dual_weight(
-    dual: DualSpace,
-    kind: str,
-    range_limit: int | None = None,
-    alpha: int | None = None,
-) -> WeightProfile:
+def min_dual_weight(dual: DualSpace, kind: str, alpha: int | None = None) -> WeightProfile:
     """Exhaustive minimum of a weight over the nonzero dual elements.
 
-    Only elements with every coordinate below range_limit participate
-    (default: everything the dual enumerates, i.e. coordinates < b^p).
     The returned witness attains the minimum.
     """
     b, p = dual.gm.base, dual.gm.rows
     digits = dual.element_digits()
     weights = _weight_matrix(digits, kind, alpha).sum(axis=1)
-    mask = np.ones(len(weights), dtype=bool)
-    mask[0] = False  # zero element
-    if range_limit is not None and range_limit < b**p:
-        powers = np.array([b**i for i in range(p)], dtype=object)
-        values = digits.astype(object) @ powers
-        mask &= np.all(values < range_limit, axis=1)
-    if not mask.any():
-        return WeightProfile(kind, alpha, None, None, dual.size, range_limit)
-    candidates = np.where(mask)[0]
-    best = candidates[np.argmin(weights[candidates])]
+    if len(weights) == 1:  # only the zero element
+        return WeightProfile(kind, alpha, None, None, dual.size)
+    best = 1 + int(np.argmin(weights[1:]))  # element 0 is zero
     powers = [b**i for i in range(p)]
     witness = tuple(
         int(sum(int(digits[best, j, i]) * powers[i] for i in range(p)))
         for j in range(dual.gm.s)
     )
-    return WeightProfile(kind, alpha, int(weights[best]), witness, dual.size, range_limit)
+    return WeightProfile(kind, alpha, int(weights[best]), witness, dual.size)
 
 
 def min_weight_by_rank(
@@ -182,10 +167,10 @@ def min_weight_by_rank(
     if kind == "mu" and (alpha is None or alpha < 1):
         raise ParameterError("kind 'mu' needs alpha >= 1")
     found = min_dependent_support(gm, kind, alpha, floor, cap)
-    rank = matrix_rank(FieldMatrix(np.hstack([mat.array.T for mat in gm.matrices]), gm.base))
-    dual_size = gm.base ** (gm.s * gm.rows - rank)
+    pooled = gm.array.reshape(gm.s * gm.rows, gm.cols)
+    dual_size = gm.base ** (len(pooled) - matrix_rank(pooled, gm.base))  # b^(dependent rows)
     minimum, witness = (None, None) if found is None else found
-    return WeightProfile(kind, alpha, minimum, witness, dual_size, None)
+    return WeightProfile(kind, alpha, minimum, witness, dual_size)
 
 
 def t_alpha(alpha: int, t: int, s: int) -> int:

@@ -235,6 +235,15 @@ def test_discrepancy_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_discrepancy_non_ascii_file_names_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 1 1 2 1\n0\xc3\xa9\n")
+    assert run("discrepancy", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "Traceback" not in err
+
+
 def test_discrepancy_q_adds_estimate_row(tmp_path, capsys):
     out = tmp_path / "vdc.txt"
     run("construct", "--family", "van-der-corput", "--b", "2", "--m", "3",

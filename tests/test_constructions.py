@@ -33,13 +33,13 @@ WORKED_C2 = [[1, 2, 4, 3], [0, 1, 4, 2], [1, 3, 4, 2], [0, 1, 1, 2]]
 
 def test_cs_worked_example_bit_for_bit():
     gm = cs_matrices(5, 2, 2, 2, betas=((0, 1), (2, 3)))
-    assert gm.matrices[0].array.tolist() == WORKED_C1
-    assert gm.matrices[1].array.tolist() == WORKED_C2
+    assert gm.array[0].tolist() == WORKED_C1
+    assert gm.array[1].tolist() == WORKED_C2
 
 
 def test_cs_default_betas_reproduce_worked_example():
     # row-major defaults are 0,1,2,3: the worked example's choice
-    assert cs_matrices(5, 2, 2, 2).matrices[0].array.tolist() == WORKED_C1
+    assert cs_matrices(5, 2, 2, 2).array[0].tolist() == WORKED_C1
 
 
 def test_faure_rows_follow_binomial_formula():
@@ -55,14 +55,14 @@ def test_faure_rows_follow_binomial_formula():
                     expect = 1
                 else:
                     expect = binomial_mod_p(k - 1, j - 1, b) * beta ** (k - j) % b
-                assert gm.matrices[i].array[j - 1, k - 1] == expect
+                assert gm.array[i, j - 1, k - 1] == expect
 
 
 def test_cs_beta_zero_rows_are_shifted_diagonal():
     # beta = 0 with 0^0 = 1 leaves exactly one unit entry per row
     gm = cs_matrices(5, 2, 2, 2, betas=((0, 1), (2, 3)))
-    assert gm.matrices[0].array[0].tolist() == [1, 0, 0, 0]
-    assert gm.matrices[0].array[1].tolist() == [0, 1, 0, 0]
+    assert gm.array[0, 0].tolist() == [1, 0, 0, 0]
+    assert gm.array[0, 1].tolist() == [0, 1, 0, 0]
 
 
 def test_cs_parameter_errors():
@@ -138,12 +138,11 @@ def test_interlace_pointset_examples():
 def test_interlace_matrices_examples():
     gm = niederreiter_net_matrices(2, 3)
     assert interlace_matrices(gm, 1) == gm
-    from lowdisc.field import FieldMatrix
     from lowdisc.nets import GeneratingMatrixSet
 
-    ones = GeneratingMatrixSet.from_matrices([FieldMatrix([[1]], 2)] * 2)
+    ones = GeneratingMatrixSet(2, np.ones((2, 1, 1), dtype=np.int64))
     e1 = interlace_matrices(ones, 2)
-    assert e1.matrices[0].array.tolist() == [[1], [1]]
+    assert e1.array[0].tolist() == [[1], [1]]
     with pytest.raises(ParameterError):
         interlace_matrices(gm, 3)  # 2 dims not divisible by 3
 

@@ -7,7 +7,6 @@ import pytest
 
 from lowdisc.constructions import cs_matrices, dp_net_matrices, faure_matrices, van_der_corput
 from lowdisc.errors import CapacityError, ParameterError, PrecisionError
-from lowdisc.field import FieldMatrix
 from lowdisc.nets import (
     _TABLE_ROWS,
     GeneratingMatrixSet,
@@ -28,7 +27,7 @@ from net_reference import net_digits_reference
 
 
 def identity_net(b, m, s):
-    return GeneratingMatrixSet.from_matrices([FieldMatrix.identity(m, b)] * s)
+    return GeneratingMatrixSet(b, [np.eye(m, dtype=np.int64)] * s)
 
 
 # ---------------------------------------------------------
@@ -95,7 +94,7 @@ def test_point_zero_is_origin():
 )
 def test_net_digits_recurrence_matches_matrix_product(b, cols, rows, n_from, n_to):
     rng = np.random.default_rng(b * 1000 + n_from)
-    matrices = [rng.integers(0, b, (rows, cols)) for _ in range(3)]
+    matrices = np.stack([rng.integers(0, b, (rows, cols)) for _ in range(3)])
     assert np.array_equal(
         _net_digits(n_from, n_to, b, matrices), net_digits_reference(n_from, n_to, b, matrices)
     )
@@ -222,13 +221,28 @@ def test_geometric_agrees_with_algebraic_t():
 # Dual space
 # ---------------------------------------------------------
 
+def test_generating_matrix_set_is_one_reduced_read_only_array():
+    source = np.array([[[1, 7], [4, 5], [0, 1]], [[2, 2], [1, 0], [3, 3]]])
+    gm = GeneratingMatrixSet(5, source)
+    assert (gm.s, gm.rows, gm.cols) == (2, 3, 2)
+    assert gm.array.dtype == np.int64 and gm.array.tolist() == (source % 5).tolist()
+    assert not gm.array.flags.writeable
+    assert gm == GeneratingMatrixSet(5, source % 5)
+    assert gm != GeneratingMatrixSet(7, source % 5)
+    source[0, 0, 0] = 3  # the set holds its own copy
+    assert gm.array[0, 0, 0] == 1 and gm != GeneratingMatrixSet(5, source)
+    for base, arr in ((6, source), (5, source[0]), (5, source[:0]), (5, source.transpose(0, 2, 1))):
+        with pytest.raises(ParameterError):
+            GeneratingMatrixSet(base, arr)
+
+
 def test_dual_trivial_for_invertible_single_matrix():
     dual = dual_space(identity_net(2, 3, 1), cap=100)
     assert dual.elements() == [(0,)]
 
 
 def test_dual_two_copies_base2():
-    gm = GeneratingMatrixSet.from_matrices([FieldMatrix([[1]], 2)] * 2)
+    gm = GeneratingMatrixSet(2, np.ones((2, 1, 1), dtype=np.int64))
     dual = dual_space(gm, cap=100)
     assert sorted(dual.elements()) == [(0, 0), (1, 1)]
 
@@ -251,7 +265,7 @@ def test_dual_cs_size_and_membership():
 def test_dual_elements_resubstitute_to_zero():
     for gm in (cs_matrices(5, 2, 2, 2), faure_matrices(3, 2, 2)):
         dual = dual_space(gm, cap=1000)
-        stacked = dual.stacked.array
+        stacked = np.hstack([mat.T for mat in gm.array])
         b, p = gm.base, gm.rows
         for row in dual.element_digits():
             assert not np.any((stacked @ row.reshape(-1).astype(np.int64)) % b)

@@ -2,6 +2,7 @@
 
 Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
+the incremental kernel basis with the one read off the echelon form,
 the vectorised box count with a per-point loop, point-level interlacing
 with matrix-level interlacing, the array trim with a Fraction loop, the
 exact L2 discrepancy with the rational oracle and, where that is capped,
@@ -36,7 +37,7 @@ from lowdisc.discrepancy import (  # noqa: E402
     local_discrepancy,
 )
 from lowdisc.errors import ParameterError  # noqa: E402
-from lowdisc.field import FieldMatrix, _rref  # noqa: E402
+from lowdisc.field import kernel_basis  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
     _TABLE_ROWS,
     GeneratingMatrixSet,
@@ -63,6 +64,7 @@ from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
 from net_reference import net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
+from rank_reference import rref, rref_kernel_basis  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -83,7 +85,7 @@ def nets(draw, max_m=None):
     m = draw(st.integers(1, p if max_m is None else min(p, max_m)))
     entries = draw(st.lists(st.integers(0, b - 1), min_size=s * p * m, max_size=s * p * m))
     arr = np.array(entries, dtype=np.int64).reshape(s, p, m)
-    return GeneratingMatrixSet(b, s, p, m, tuple(FieldMatrix(a, b) for a in arr))
+    return GeneratingMatrixSet(b, arr)
 
 
 def geometric_loop_oracle(ps, t):
@@ -113,10 +115,10 @@ def t_value_oracle(gm):
     for t in range(m + 1):
         independent = True
         for d in _compositions(m - t, gm.s):
-            take = [gm.matrices[j].array[: d[j]] for j in range(gm.s) if d[j] > 0]
+            take = [gm.array[j, : d[j]] for j in range(gm.s) if d[j] > 0]
             if take:
                 stacked = np.vstack(take)
-                independent &= len(_rref(stacked, gm.base)[1]) == stacked.shape[0]
+                independent &= len(rref(stacked, gm.base)[1]) == stacked.shape[0]
         if independent:
             return t
     raise AssertionError("t = m always satisfies the criterion")
@@ -160,6 +162,21 @@ def test_geometric_check_matches_loop_and_algebraic_t(gm):
         assert geometric_net_check(ps, tt) == geometric_loop_oracle(ps, tt) == (tt >= t)
 
 
+@st.composite
+def field_matrices(draw):
+    """A random matrix over F_b, b in {2, 3, 5, 7, 13}, up to 8 x 8, often rank-deficient."""
+    b = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return b, draw(arrays(np.int64, (rows, cols), elements=st.integers(0, b - 1)))
+
+
+@given(field_matrices())
+def test_kernel_basis_equals_the_echelon_basis(case):
+    b, mat = case
+    fast, slow = kernel_basis(mat, b), rref_kernel_basis(mat, b)
+    assert [v.tolist() for v in fast] == [v.tolist() for v in slow]
+
+
 @given(nets(), st.integers(0, 70))
 def test_dual_elements_limit_is_a_prefix(gm, k):
     dual = dual_space(gm, 1 << 14)
@@ -173,7 +190,7 @@ def net_ranges(draw):
     b = draw(st.sampled_from([2, 3, 5, 13, 251]))
     cols = draw(st.integers(1, {2: 14, 3: 9, 5: 6, 13: 4, 251: 2}[b]))
     rows, s = draw(st.integers(cols, cols + 3)), draw(st.integers(1, 3))
-    matrices = [draw(arrays(np.int64, (rows, cols), elements=st.integers(0, b - 1))) for _ in range(s)]
+    matrices = draw(arrays(np.int64, (s, rows, cols), elements=st.integers(0, b - 1)))
     n_from = draw(st.integers(0, b**cols))
     n_to = draw(st.integers(n_from, min(b**cols, n_from + 3 * _TABLE_ROWS)))
     return b, matrices, n_from, n_to
@@ -205,7 +222,7 @@ def interlacing_nets(draw):
     s = alpha * s_out
     entries = draw(st.lists(st.integers(0, 1), min_size=s * p * m, max_size=s * p * m))
     arr = np.array(entries, dtype=np.int64).reshape(s, p, m)
-    return GeneratingMatrixSet(2, s, p, m, tuple(FieldMatrix(a, 2) for a in arr)), alpha
+    return GeneratingMatrixSet(2, arr), alpha
 
 
 @given(interlacing_nets())
