@@ -13,6 +13,9 @@ subprocess, one at a time:
 - layers: best of 5 in-process timings of `generate_net_points` and of a
   `dumps_point_file` + `loads_point_file` round trip, for dp-net alpha 3,
   s 2, m 16 (N = 2^16), and the tracemalloc peak of the generation; best
+  of 5 timings of `dp_sequence(2, 2^16)` and `dp_finite_pointset(2^16 - 1,
+  3)`, each with the sha256 of its digit array, so that the two sides can
+  be checked equal; best
   of 3 timings of `l2_exact` on that net (with its tracemalloc peak), on
   dp-finite N = 8000, s = 3, and on random base-2 sets of N = 1024 points
   with 32 digits for s = 3, 4 and 5 (seed 0); and the exact squared
@@ -40,10 +43,10 @@ SEED = 1
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 
 LAYERS = """
-import json, time, tracemalloc
+import hashlib, json, time, tracemalloc
 import numpy as np
 from lowdisc.constructions import (
-    dp_finite_pointset, dp_net_matrices, faure_matrices, niederreiter_net_matrices,
+    dp_finite_pointset, dp_net_matrices, dp_sequence, faure_matrices, niederreiter_net_matrices,
 )
 from lowdisc.discrepancy import l2_exact
 from lowdisc.nets import PointSet, compute_t_value, generate_net_points
@@ -69,6 +72,11 @@ out = {
     "point_file_round_trip_s": best(lambda: loads_point_file(dumps_point_file(ps))),
     "point_file_bytes": len(dumps_point_file(ps)),
 }
+sequences = {"dp_sequence_s2_65536": lambda: dp_sequence(2, 2**16),
+             "dp_finite_pointset_65535_s3": lambda: dp_finite_pointset(2**16 - 1, 3)}
+for name, build in sequences.items():
+    out[f"{name}_s"] = best(build)
+    out[f"{name}_sha256"] = hashlib.sha256(build().digit_array().tobytes()).hexdigest()
 tracemalloc.start()
 l2_exact(ps)
 out["l2_exact_dp_net_m16_peak_bytes"] = tracemalloc.get_traced_memory()[1]

@@ -9,7 +9,6 @@ bound shapes.
 """
 
 from .constructions import (
-    NiederreiterSource,
     arbitrary_n_trim,
     cs_matrices,
     davenport_symmetrized,
@@ -43,7 +42,6 @@ from .errors import (
     ConsistencyError,
     LowdiscError,
     ParameterError,
-    PrecisionError,
 )
 from .field import (
     binomial_mod_p,
@@ -61,7 +59,6 @@ from .nets import (
     compute_t_value,
     dual_space,
     generate_net_points,
-    generate_sequence_points,
     geometric_net_check,
     is_tms_net,
 )

@@ -31,6 +31,7 @@ from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, scaling_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .nets import (
     GeneratingMatrixSet,
+    _exponent,
     char_property_sum,
     dual_space,
     generate_net_points,
@@ -38,7 +39,7 @@ from .nets import (
     index_digits,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
-from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile
+from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile, t_alpha
 
 MATRIX_FAMILIES = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
 POINT_FAMILIES = MATRIX_FAMILIES + ("dp-finite", "dp-sequence", "davenport")
@@ -212,8 +213,6 @@ def _family_t_bound(cfg: RunConfig, gm: GeneratingMatrixSet) -> int:
         return min(niederreiter_t_bound(gm.s), gm.cols)
     if cfg.family == "dp-net":
         # quality of the underlying sequence, folded through interlacing
-        from .weights import t_alpha
-
         alpha = cfg.alpha or 1
         t_base = min(niederreiter_t_bound(alpha * gm.s), gm.cols)
         return min(t_alpha(alpha, t_base, gm.s), gm.cols)
@@ -221,10 +220,7 @@ def _family_t_bound(cfg: RunConfig, gm: GeneratingMatrixSet) -> int:
 
 
 def _geometric_t_value(ps) -> int:
-    m = 0
-    while ps.base**m < len(ps):
-        m += 1
-    for t in range(m + 1):
+    for t in range(_exponent(len(ps), ps.base) + 1):
         if geometric_net_check(ps, t):
             return t
     raise ConsistencyError("no quality parameter found; counting is broken")
@@ -306,12 +302,15 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
             ok = prof.minimum is None
             add("order", str(ok).lower(), "true", ok, prof)
         elif sel == "char":
-            dual = dual_space(gm, cfg.cap)
+            limit = gm.base**gm.rows
+            if limit > 2**63:
+                raise CapacityError(f"the char check draws Walsh indices below {gm.base}^{gm.rows}, "
+                                    "beyond the int64 range")
+            dual = dual_space(gm, None)  # reads at most 64 elements and tests 20
             worst = 0.0
             for k in dual.elements(limit=64):
                 worst = max(worst, abs(char_property_sum(ps, k) - 1.0))
             rng = np.random.default_rng(cfg.seed)
-            limit = gm.base**gm.rows
             found = 0
             while found < 20:
                 k = tuple(int(v) for v in rng.integers(0, limit, size=gm.s))
@@ -404,7 +403,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--cap",
         type=int,
         help="work cap (default 2^21): candidate supports rank-checked by the mu1, hamming "
-        "and order checks, up to the weight searched; dual elements for the char check",
+        "and order checks, up to the weight searched",
     )
     p.add_argument("--out", help="output path (default stdout)")
 

@@ -7,6 +7,13 @@ polynomials, digit interlacing at both the point and the matrix level,
 the interlaced finite/infinite constructions built from them, the
 trim-and-rescale device that turns b^m-point sets into N-point sets for
 arbitrary N, and Davenport's symmetrized two-dimensional set.
+
+Every digital construction is one (s, rows, cols) matrix array passed
+through `nets.generate_net_points`.  A digital sequence is a net prefix:
+its first N points are points 0..N-1 of the net of the upper-left
+blocks of its matrices (Niederreiter, J. Number Theory 30 (1988)), so
+`dp_sequence` and `dp_finite_base` interlace matrices, not points.
+`interlace_pointset` stays as the independent point-level path.
 """
 
 from __future__ import annotations
@@ -28,16 +35,15 @@ from .field import (
 from .nets import (
     GeneratingMatrixSet,
     PointSet,
+    _exponent,
     check_capacity,
     fraction_digits,
     generate_net_points,
-    generate_sequence_points,
 )
 
 __all__ = [
     "cs_matrices",
     "faure_matrices",
-    "NiederreiterSource",
     "niederreiter_t_bound",
     "niederreiter_net_matrices",
     "interlace_pointset",
@@ -119,61 +125,37 @@ def faure_matrices(b: int, m: int, s: int) -> GeneratingMatrixSet:
 # Generalized Niederreiter sequences over F_2
 # ----------------------------------------------------------------------
 
-class NiederreiterSource:
-    """Generating-matrix source for the generalized Niederreiter sequence.
-
-    Dimension j uses the j-th polynomial of the degree-sorted irreducible
-    list over F_2 (starting x, 1+x, 1+x+x^2, ...).  Entry (k, ell) of C_j
-    is the coefficient of x^-ell in the Laurent expansion of
-    x^(e_j - z - 1) / p_j(x)^i, where k - 1 = (i-1) e_j + z, 0 <= z < e_j.
-    Entries vanish for k > ell, so column ell never reaches below row ell.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ParameterError("dimension must be >= 1")
-        self.dim = dim
-        self.polys = irreducible_polys_f2(dim)
-        self.degrees = [poly_degree(p) for p in self.polys]
-
-    def max_row(self, col: int) -> int:
-        return col
-
-    def t_bound(self) -> int:
-        """Quality parameter of the sequence: sum of (deg p_j - 1)."""
-        return sum(e - 1 for e in self.degrees)
-
-    def matrix(self, j: int, rows: int, cols: int) -> np.ndarray:
-        """Upper-left rows x cols block of C_j as a uint8 array."""
-        if not 1 <= j <= self.dim:
-            raise ParameterError(f"dimension index {j} out of range 1..{self.dim}")
-        pj = self.polys[j - 1]
-        e = self.degrees[j - 1]
-        arr = np.zeros((rows, cols), dtype=np.uint8)
-        power = 1  # p_j^(i-1), updated as i grows
-        prev_i = 0
-        for k in range(1, rows + 1):
-            i1, z = divmod(k - 1, e)
-            i = i1 + 1
-            while prev_i < i:
-                power = poly_mul(power, pj)
-                prev_i += 1
-            numerator = 1 << (e - z - 1)
-            quotient, _ = poly_divmod(numerator << cols, power)
-            for ell in range(max(1, k), cols + 1):
-                arr[k - 1, ell - 1] = (quotient >> (cols - ell)) & 1
-        return arr
-
-
 def niederreiter_t_bound(s: int) -> int:
-    return NiederreiterSource(s).t_bound()
+    """Quality parameter of the s-dimensional sequence: the sum of deg p_j - 1."""
+    return sum(poly_degree(p) - 1 for p in irreducible_polys_f2(s))
 
 
-def niederreiter_net_matrices(s: int, m: int, rows: int | None = None) -> GeneratingMatrixSet:
-    """Net matrices from the sequence: upper-left rows x m truncations."""
-    rows = m if rows is None else rows
-    source = NiederreiterSource(s)
-    return GeneratingMatrixSet(2, np.stack([source.matrix(j, rows, m) for j in range(1, s + 1)]))
+def niederreiter_net_matrices(s: int, m: int) -> GeneratingMatrixSet:
+    """The upper-left m x m blocks of the generalized Niederreiter sequence matrices.
+
+    Dimension j uses the j-th polynomial p_j, of degree e_j, of the
+    degree-sorted irreducible list over F_2 (starting x, 1+x, 1+x+x^2, ...).
+    Entry (k, ell) of C_j is the coefficient of x^-ell in the Laurent
+    expansion of x^(e_j - z - 1) / p_j(x)^i, where k - 1 = (i-1) e_j + z,
+    0 <= z < e_j: bit m - ell of the polynomial quotient of
+    x^(e_j - z - 1 + m) by p_j^i, which has degree m - k.  Entries vanish
+    for k > ell.
+    """
+    if s < 1:
+        raise ParameterError("dimension must be >= 1")
+    quotients = []  # row k of every C_j, C_1's first, as an m-bit integer
+    for p in irreducible_polys_f2(s):
+        e = poly_degree(p)
+        power = 1  # p_j^i for the current row
+        for k in range(m):
+            z = k % e
+            if z == 0:
+                power = poly_mul(power, p)
+            quotients.append(poly_divmod(1 << (e - z - 1 + m), power)[0])
+    width = (m + 7) // 8
+    packed = np.frombuffer(b"".join(q.to_bytes(width, "big") for q in quotients), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(s * m, width), axis=1)[:, width * 8 - m :]
+    return GeneratingMatrixSet(2, bits.reshape(s, m, m))
 
 
 # ----------------------------------------------------------------------
@@ -237,19 +219,18 @@ def dp_net(alpha: int, m: int, s: int) -> PointSet:
 def dp_finite_base(m: int, s: int) -> PointSet:
     """The 2^m-point interlaced set that dp_finite_pointset trims.
 
-    First 2^m points of the Niederreiter sequence in dimension 3s-1 with
-    the coordinate n*2^-m prepended, interlaced in blocks of three.  The
-    first coordinate is verified to hit every m-digit prefix exactly once,
+    The net of the m x m anti-identity stacked on the Niederreiter
+    matrices of dimension 3s-1, interlaced in blocks of three: the first
+    2^m points of the Niederreiter sequence with the coordinate n*2^-m
+    prepended (digit k of n*2^-m is bit m-1-k of n).  The first
+    coordinate is verified to hit every m-digit prefix exactly once,
     which is what makes the trim to arbitrary N possible.
     """
     if m < 1 or s < 1:
         raise ParameterError("need m >= 1 and s >= 1")
-    count = 1 << m
-    source = NiederreiterSource(3 * s - 1)
-    seq = generate_sequence_points(source, 3 * s - 1, 2, 0, count, precision=m)
-    index = fraction_digits(np.arange(count), count, 2, m)[:, None]  # the m bits of n * 2^-m
-    digits = np.concatenate([index, seq.digit_array()], axis=1)
-    interlaced = interlace_pointset(PointSet.from_digits(digits, 2), 3)
+    index = np.eye(m, dtype=np.int64)[None, ::-1]
+    stacked = np.concatenate([index, niederreiter_net_matrices(3 * s - 1, m).array])
+    interlaced = generate_net_points(interlace_matrices(GeneratingMatrixSet(2, stacked), 3))
     if _stratified_prefixes(interlaced, m) is None:
         raise ConsistencyError(
             "projection onto the first coordinate is not a maximally stratified "
@@ -285,17 +266,21 @@ def _stratified_prefixes(ps: PointSet, m: int) -> np.ndarray | None:
 
 
 def dp_sequence(s: int, n_max: int) -> PointSet:
-    """First n_max points of the interlacing-factor-5 sequence in [0,1)^s."""
+    """First n_max points of the interlacing-factor-5 sequence in [0,1)^s.
+
+    The sequence is digital, so its first n_max points are a net prefix:
+    points 0..n_max-1 of dp_net(5, m, s), with m = max(1, bit_length(n_max - 1))
+    the fewest columns that index them.
+    """
     if n_max < 1:
         raise ParameterError("need n_max >= 1")
     if s < 1:
         raise ParameterError("need s >= 1")
-    mm = max(1, (n_max - 1).bit_length())
-    source = NiederreiterSource(5 * s)
-    seq = generate_sequence_points(source, 5 * s, 2, 0, n_max, precision=mm)
-    out = interlace_pointset(seq, 5)
-    return PointSet.from_digits(
-        out.digit_array(), 2, provenance={"family": "dp-sequence", "s": s, "n_max": n_max}
+    m = max(1, (n_max - 1).bit_length())
+    return generate_net_points(
+        dp_net_matrices(5, m, s),
+        provenance={"family": "dp-sequence", "s": s, "n_max": n_max},
+        count=n_max,
     )
 
 
@@ -314,9 +299,7 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
     """
     b = ps.base
     count = len(ps)
-    m = 0
-    while b**m < count:
-        m += 1
+    m = _exponent(count, b)
     if b**m != count:
         raise ParameterError(f"point count {count} is not a power of base {b}")
     if m == 0:

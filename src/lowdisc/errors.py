@@ -17,9 +17,5 @@ class CapacityError(LowdiscError):
     """An enumeration or size cap would be exceeded; refused up front."""
 
 
-class PrecisionError(LowdiscError):
-    """A requested digit precision would silently drop nonzero digits."""
-
-
 class ConsistencyError(LowdiscError):
     """An internal structural guarantee failed; indicates a bug upstream."""

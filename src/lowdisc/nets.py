@@ -14,7 +14,10 @@ of the product: point n is the sum of d_i times column i of the C_j over
 the digits d_i of n, so a table of the points of the b^k lowest indices
 (b^k <= 4096) is built digit by digit and each block of b^k consecutive
 indices adds one high-digit vector to it, digitwise mod b (Bratley, Fox &
-Niederreiter, ACM TOMACS 2 (1992)).
+Niederreiter, ACM TOMACS 2 (1992)).  `generate_net_points` is the one
+generator for every digital construction: the first N points of a
+digital sequence are the first N points of the net of the upper-left
+blocks of its matrices, so a sequence is a net prefix.
 
 Every structural check is linear algebra on the s p pooled rows of the
 C_j, through the one elimination of `field.dependencies`: the t-value and
@@ -33,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, PrecisionError
+from .errors import CapacityError, ParameterError
 from .field import dependencies, is_prime, kernel_basis, pack_rows
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "DualSpace",
     "index_digits",
     "generate_net_points",
-    "generate_sequence_points",
     "compute_t_value",
     "is_tms_net",
     "geometric_net_check",
@@ -248,51 +250,31 @@ def _net_digits(n_from: int, n_to: int, b: int, matrices: np.ndarray) -> np.ndar
     return out
 
 
-def generate_net_points(gm: GeneratingMatrixSet, provenance: dict | None = None) -> PointSet:
-    """All b^m points of the digital net with the given matrices, in index order."""
-    check_capacity(gm.base**gm.cols, gm.s, gm.rows)
-    digits = _net_digits(0, gm.base**gm.cols, gm.base, gm.array)
+def generate_net_points(
+    gm: GeneratingMatrixSet, provenance: dict | None = None, *, count: int | None = None
+) -> PointSet:
+    """Points 0..count-1 of the digital net with the given matrices, in index order.
+
+    `count` defaults to all b^cols points.  A digital sequence is a net
+    prefix: its first N points are points 0..N-1 of the net of the
+    upper-left blocks of its matrices with b^cols >= N columns
+    (Niederreiter, J. Number Theory 30 (1988)).
+    """
+    full = gm.base**gm.cols
+    count = full if count is None else count
+    if not 0 <= count <= full:
+        raise ParameterError(f"point count {count} is not in 0..{full}, the size of the net")
+    check_capacity(count, gm.s, gm.rows)
+    digits = _net_digits(0, count, gm.base, gm.array)
     return PointSet.from_digits(digits, gm.base, provenance)
 
 
-def generate_sequence_points(
-    source,
-    s: int,
-    b: int,
-    n_from: int,
-    n_to: int,
-    precision: int,
-) -> PointSet:
-    """Points n_from..n_to-1 of a digital sequence, exact to `precision` digits.
-
-    `source` provides the generating matrices column-wise: `matrix(j, rows,
-    cols)` returns the upper-left block of C_j and `max_row(col)` bounds the
-    lowest nonzero row of a column, so insufficient precision is detected
-    rather than silently truncated.
-    """
-    if n_from > n_to or n_from < 0:
-        raise ParameterError("need 0 <= n_from <= n_to")
-    if s < 1 or precision < 1:
-        raise ParameterError("dimension and precision must be positive")
-    check_capacity(n_to - n_from, s, precision)
-    if n_from == n_to:
-        return PointSet.from_digits(np.empty((0, s, precision), np.uint8), b)
-    cols = _digit_count(n_to - 1, b)
-    deepest = max(source.max_row(ell) for ell in range(1, cols + 1))
-    if deepest > precision:
-        raise PrecisionError(
-            f"column depth {deepest} exceeds precision {precision}: nonzero digits would be lost"
-        )
-    matrices = np.stack([source.matrix(j, precision, cols) for j in range(1, s + 1)])
-    return PointSet.from_digits(_net_digits(n_from, n_to, b, matrices), b)
-
-
-def _digit_count(n: int, b: int) -> int:
-    c = 0
-    while n > 0:
-        n //= b
-        c += 1
-    return max(c, 1)
+def _exponent(count: int, b: int) -> int:
+    """The smallest m >= 0 with b^m >= count."""
+    m = 0
+    while b**m < count:
+        m += 1
+    return m
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -473,9 +455,7 @@ def geometric_net_check(ps: PointSet, t: int) -> bool:
     """
     b = ps.base
     count = len(ps)
-    m = 0
-    while b**m < count:
-        m += 1
+    m = _exponent(count, b)
     if b**m != count:
         raise ParameterError(f"point count {count} is not a power of base {b}")
     if not 0 <= t <= m:
@@ -512,14 +492,14 @@ class DualSpace:
     filtering all b^(s p) candidates.
     """
 
-    def __init__(self, gm: GeneratingMatrixSet, cap: int):
+    def __init__(self, gm: GeneratingMatrixSet, cap: int | None):
         b, p = gm.base, gm.rows
         self.gm = gm
         self.stacked = gm.array.reshape(gm.s * p, gm.cols).T  # the pooled rows, transposed
         basis = kernel_basis(self.stacked, b)
         self.kernel_dim = len(basis)
         self.size = b**self.kernel_dim
-        if self.size > cap:
+        if cap is not None and self.size > cap:
             raise CapacityError(
                 f"dual enumeration of {b}^{self.kernel_dim} elements exceeds cap {cap}"
             )
@@ -534,8 +514,9 @@ class DualSpace:
         """Dual elements start..stop-1 in enumeration order, as (n, s * p) digits."""
         b = self.gm.base
         idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = (idx[:, None] // b ** np.arange(self.kernel_dim, dtype=np.int64)[None, :]) % b
-        return ((coeffs @ self.basis) % b).astype(np.uint8)
+        used = _exponent(stop, b)  # coefficients of b^used and above are 0 below stop
+        coeffs = (idx[:, None] // b ** np.arange(used, dtype=np.int64)[None, :]) % b
+        return ((coeffs @ self.basis[:used]) % b).astype(np.uint8)
 
     def element_digits(self) -> np.ndarray:
         """All dual elements as a (size, s, p) uint8 digit array, zero first.
@@ -582,7 +563,8 @@ class DualSpace:
         return not np.any((self.stacked @ index_digits(kvec, b, p).ravel()) % b)
 
 
-def dual_space(gm: GeneratingMatrixSet, cap: int = 1 << 21) -> DualSpace:
+def dual_space(gm: GeneratingMatrixSet, cap: int | None = 1 << 21) -> DualSpace:
+    """The dual of the net; more than `cap` elements raise CapacityError, None means no bound."""
     return DualSpace(gm, cap)
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .nets import PointSet, check_capacity
+from .nets import PointSet, _exponent, check_capacity
 
 __all__ = ["write_point_file", "read_point_file", "dumps_point_file", "loads_point_file"]
 
@@ -42,10 +42,7 @@ _HEADER_CHARS = 4096  # the longest first line `read_point_file` checks before t
 
 
 def dumps_point_file(ps: PointSet) -> str:
-    m = 0
-    while ps.base**m < len(ps):
-        m += 1
-    lines = [f"{ps.base} {m} {ps.s} {ps.precision} {len(ps)}"]
+    lines = [f"{ps.base} {_exponent(len(ps), ps.base)} {ps.s} {ps.precision} {len(ps)}"]
     if ps.provenance is not None:
         lines.append(_PROVENANCE + json.dumps(ps.provenance, sort_keys=True))
     digits = ps.digit_array()

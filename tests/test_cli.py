@@ -133,6 +133,20 @@ def test_verify_within_default_cap(argv, row, capsys):
     assert row in capsys.readouterr().out.splitlines()
 
 
+def test_verify_all_char_reads_a_dual_above_the_cap(capsys):
+    """The char check reads 64 dual elements of 13^24, so --cap does not refuse it."""
+    assert run("verify", "all", "--family", "faure", "--b", "13", "--m", "2", "--s", "13") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["t-value", "geometric", "mu1", "hamming", "char"]
+    assert all(row.endswith(",true") for row in rows)
+
+
+def test_verify_char_refuses_walsh_indices_beyond_int64(capsys):
+    # 65 rows in base 2: random Walsh indices below 2^65 cannot be drawn in int64
+    assert run("verify", "char", "--family", "dp-net", "--alpha", "5", "--s", "1", "--m", "13") == 2
+    assert "beyond the int64 range" in capsys.readouterr().err
+
+
 def test_construct_builds_matrices_once(tmp_path, monkeypatch):
     from lowdisc import cli
 

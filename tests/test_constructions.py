@@ -1,10 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lowdisc.constructions import (
-    NiederreiterSource,
     arbitrary_n_trim,
     cs_matrices,
     davenport_symmetrized,
@@ -84,20 +84,18 @@ def test_cs_nets_have_t_zero():
 # ---------------------------------------------------------
 
 def test_niederreiter_first_dimension_is_identity():
-    src = NiederreiterSource(1)
-    assert np.array_equal(src.matrix(1, 6, 6), np.eye(6, dtype=np.uint8))
+    assert np.array_equal(niederreiter_net_matrices(1, 6).array[0], np.eye(6, dtype=np.uint8))
 
 
 def test_niederreiter_second_dimension_first_row_all_ones():
     # 1/(1+x) = x^-1 + x^-2 + ... over F_2
-    src = NiederreiterSource(2)
-    assert src.matrix(2, 1, 8).tolist() == [[1] * 8]
+    assert niederreiter_net_matrices(2, 8).array[1, :1].tolist() == [[1] * 8]
 
 
 def test_niederreiter_upper_triangular():
-    src = NiederreiterSource(4)
+    arr = niederreiter_net_matrices(4, 7).array
     for j in range(1, 5):
-        mat = src.matrix(j, 7, 7)
+        mat = arr[j - 1]
         for k in range(1, 8):
             assert mat[k - 1, k - 1] == 1
             for ell in range(1, k):
@@ -217,6 +215,21 @@ def test_dp_sequence_first_points():
     assert ps.fractions(0)[0] == 0
     # five leading-column digits are all 1; interlaced value 0.11111 in base 2
     assert ps.fractions(1)[0] == Fraction(31, 32)
+
+
+@pytest.mark.parametrize("build, shape, digest", [
+    (lambda: dp_sequence(2, 3000), (3000, 2, 60),
+     "0f19ad21a6333707d3798c5d3eb1efeaa62d2d58acc4dd50c1f835ddfed9c8fd"),
+    (lambda: dp_finite_pointset(1000, 3), (1000, 3, 48),
+     "62fd74cc9e4a5945d9c3c60055a151790eff9fbf1f896733378dce84f6571737"),
+    (lambda: dp_finite_pointset(2000, 3), (2000, 3, 48),
+     "182acc4a9d6fd1a6e22d2bf0342da5a873cf19b05fa4e70687397f8b2bf3b08e"),
+], ids=["dp_sequence-2-3000", "dp_finite_pointset-1000-3", "dp_finite_pointset-2000-3"])
+def test_interlaced_sequence_digits_are_pinned(build, shape, digest):
+    """The digit arrays' sha256, pinned: a change of construction path keeps every digit."""
+    digits = build().digit_array()
+    assert digits.shape == shape
+    assert hashlib.sha256(digits.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lowdisc.constructions import cs_matrices, dp_net_matrices, faure_matrices, van_der_corput
-from lowdisc.errors import CapacityError, ParameterError, PrecisionError
+from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import (
     _TABLE_ROWS,
     GeneratingMatrixSet,
@@ -17,7 +17,6 @@ from lowdisc.nets import (
     dual_space,
     fraction_digits,
     generate_net_points,
-    generate_sequence_points,
     geometric_net_check,
     index_digits,
     is_tms_net,
@@ -117,47 +116,24 @@ def test_net_generation_temporaries_stay_within_the_table():
 # Sequence generation
 # ---------------------------------------------------------
 
-class _DiagonalSource:
-    """Identity sequence matrices: x_n = radical inverse of n."""
-
-    def max_row(self, col):
-        return col
-
-    def matrix(self, j, rows, cols):
-        arr = np.zeros((rows, cols), dtype=np.uint8)
-        for k in range(min(rows, cols)):
-            arr[k, k] = 1
-        return arr
-
-
-class _DeepColumnSource(_DiagonalSource):
-    def max_row(self, col):
-        return 2 * col  # pretend columns reach twice as deep
-
-
 def test_sequence_points_basics():
-    src = _DiagonalSource()
-    ps = generate_sequence_points(src, 1, 2, 0, 4, precision=2)
+    # identity matrices: point n is the radical inverse of n, and a sequence is a net prefix
+    ps = generate_net_points(identity_net(2, 3, 1), count=4)
     assert [ps.fractions(n)[0] for n in range(4)] == [
         Fraction(0),
         Fraction(1, 2),
         Fraction(1, 4),
         Fraction(3, 4),
     ]
-    empty = generate_sequence_points(src, 1, 2, 3, 3, precision=2)
-    assert len(empty) == 0
-    for s, n_to, precision in ((0, 4, 2), (-1, 0, 2), (1, 0, 0)):
-        with pytest.raises(ParameterError, match="positive"):
-            generate_sequence_points(src, s, 2, 0, n_to, precision=precision)
-    assert generate_sequence_points(src, 2, 2, 0, 1, precision=1).fractions(0) == (
+    assert ps == PointSet.from_digits(generate_net_points(identity_net(2, 3, 1)).digit_array()[:4], 2)
+    assert len(generate_net_points(identity_net(2, 2, 1), count=0)) == 0
+    for count in (-1, 9):
+        with pytest.raises(ParameterError, match="size of the net"):
+            generate_net_points(identity_net(2, 3, 1), count=count)
+    assert generate_net_points(identity_net(2, 1, 2), count=1).fractions(0) == (
         Fraction(0),
         Fraction(0),
     )
-
-
-def test_sequence_insufficient_precision_is_refused():
-    with pytest.raises(PrecisionError):
-        generate_sequence_points(_DeepColumnSource(), 1, 2, 0, 8, precision=3)
 
 
 # ---------------------------------------------------------
@@ -276,6 +252,16 @@ def test_dual_cap_is_enforced():
         dual_space(cs_matrices(5, 2, 2, 2), cap=624)
 
 
+def test_unbounded_dual_enumerates_in_order_past_int64_powers():
+    # 13^23, the top enumeration power of this 24-dimensional kernel, exceeds int64
+    dual = dual_space(faure_matrices(13, 2, 13), cap=None)
+    assert dual.kernel_dim == 24
+    elements = dual.elements(limit=14)
+    for n, vec in ((1, dual.basis[0]), (13, dual.basis[1]), (2, 2 * dual.basis[0] % 13)):
+        assert elements[n] == tuple(int(lo + 13 * hi) for lo, hi in vec.reshape(13, 2))
+    assert all(dual.contains(k) for k in elements)
+
+
 # ---------------------------------------------------------
 # Character sums
 # ---------------------------------------------------------
@@ -367,4 +353,6 @@ def test_generation_refuses_oversized_requests_up_front():
     with pytest.raises(CapacityError, match="digit limit"):
         generate_net_points(identity_net(2, 40, 1))
     with pytest.raises(CapacityError, match="digit limit"):
-        generate_sequence_points(None, 2, 2, 0, 1 << 40, precision=48)
+        generate_net_points(identity_net(2, 48, 2), count=1 << 40)
+    # the preflight counts the points asked for, not the whole net
+    assert len(generate_net_points(identity_net(2, 48, 2), count=8)) == 8

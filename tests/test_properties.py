@@ -4,7 +4,9 @@ Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, the t-value with row reduction over compositions,
 the incremental kernel basis with the one read off the echelon form,
 the vectorised box count with a per-point loop, point-level interlacing
-with matrix-level interlacing, the array trim with a Fraction loop, the
+with matrix-level interlacing, the interlaced sequence constructions
+(net prefixes of one matrix array) with the per-coordinate sequence
+interlaced point by point, the array trim with a Fraction loop, the
 exact L2 discrepancy with the rational oracle and, where that is capped,
 with the pairwise sum in Python integers (and the float pairwise sum),
 the bitset and single-anchor point counts with a broadcast comparison,
@@ -26,6 +28,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from lowdisc.constructions import (  # noqa: E402
     arbitrary_n_trim,
+    dp_finite_base,
+    dp_sequence,
     interlace_matrices,
     interlace_pointset,
 )
@@ -65,6 +69,7 @@ from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
 from net_reference import net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
 from rank_reference import rref, rref_kernel_basis  # noqa: E402
+from sequence_reference import dp_finite_base_reference, dp_sequence_reference  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -231,6 +236,16 @@ def test_interlacing_points_match_matrices(net):
     via_matrices = generate_net_points(interlace_matrices(gm, alpha))
     via_points = interlace_pointset(generate_net_points(gm), alpha)
     assert np.array_equal(via_matrices.digit_array(), via_points.digit_array())
+
+
+@given(st.integers(1, 4), st.integers(1, 600))
+def test_dp_sequence_equals_the_point_level_path(s, n_max):
+    assert np.array_equal(dp_sequence(s, n_max).digit_array(), dp_sequence_reference(s, n_max))
+
+
+@given(st.integers(1, 4), st.integers(1, 9))
+def test_dp_finite_base_equals_the_point_level_path(s, m):
+    assert np.array_equal(dp_finite_base(m, s).digit_array(), dp_finite_base_reference(m, s))
 
 
 @given(digit_sets())
