@@ -20,8 +20,9 @@ subprocess, one at a time:
   dp-finite N = 8000, s = 3, and on random base-2 sets of N = 1024 points
   with 32 digits for s = 3, 4 and 5 (seed 0); and the exact squared
   values, so that the two sides can be checked equal; best of 3 timings
-  of `compute_t_value` on Faure b 13, m 5, s 13 and on the base-2
-  Niederreiter net s 6, m 14, each with the t it found.
+  of `compute_t_value` on Faure b 13, m 5, s 13, on Faure b 13, m 7,
+  s 13, on Faure b 17, m 6, s 17 and on the base-2 Niederreiter net s 6,
+  m 14, each with the t it found.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  The summary gives the medians and the pairs the change won.
@@ -88,7 +89,8 @@ for s in (3, 4, 5):
 for name, points in sets.items():
     out[f"l2_exact_{name}_s"] = best(lambda: l2_exact(points), repeat=3)
     out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
-nets = {"faure_b13_m5_s13": faure_matrices(13, 5, 13), "niederreiter_s6_m14": niederreiter_net_matrices(6, 14)}
+nets = {"faure_b13_m5_s13": faure_matrices(13, 5, 13), "faure_b13_m7_s13": faure_matrices(13, 7, 13),
+        "faure_b17_m6_s17": faure_matrices(17, 6, 17), "niederreiter_s6_m14": niederreiter_net_matrices(6, 14)}
 for name, net in nets.items():
     out[f"compute_t_value_{name}_s"] = best(lambda: compute_t_value(net), repeat=3)
     out[f"compute_t_value_{name}_t"] = compute_t_value(net)

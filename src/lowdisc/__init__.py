@@ -56,6 +56,7 @@ from .nets import (
     GeneratingMatrixSet,
     PointSet,
     char_property_sum,
+    char_property_sums,
     compute_t_value,
     dual_space,
     generate_net_points,

@@ -8,7 +8,9 @@ reduces rows one at a time and yields the dependency of each row that
 reduces to zero, so the rank is the rows minus the dependencies, the
 kernel basis is the dependencies among the columns, and a first
 dependency among the rows of the C_j on a support is a dual element
-(`nets.row_dependency`).  Base 2 reduces rows packed into Python ints by XOR;
+(`nets.row_dependency`).  Its one step, `reduce_row`, is undoable, so the
+rank search of `nets.min_dependent_support` resumes it along a walk over
+row supports.  Base 2 reduces rows packed into Python ints by XOR;
 other bases reduce lists of ints.
 
 Binary polynomials are represented as integers whose bit i is the
@@ -31,6 +33,7 @@ __all__ = [
     "field_inverse",
     "binomial_mod_p",
     "pack_rows",
+    "reduce_row",
     "dependencies",
     "matrix_rank",
     "kernel_basis",
@@ -116,52 +119,69 @@ def pack_rows(arr, b: int) -> list:
     return arr.tolist()
 
 
+def reduce_row(v, tail: int, basis: dict, b: int):
+    """Reduce row v against the independent rows in `basis`: the step `dependencies` repeats.
+
+    `basis` maps each lead column (first nonzero column, for base 2 the
+    highest bit) to a row scaled to 1 there.  The last `tail` entries of v
+    (for base 2 its lowest `tail` bits) are carried along without being
+    eliminated.  An independent row enters `basis` as its last item, so
+    `basis.popitem()` undoes the step, and None is returned; a dependent
+    row is returned reduced mod b, zero outside its carried tail.  `v` is
+    not modified.
+    """
+    if b == 2:
+        # the row's bits sit above the tail, so while they are nonzero the
+        # leading bit is one of its columns
+        while v >> tail:
+            lead = v.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = v
+                return None
+            v ^= pivot
+        return v
+    # entries are reduced mod b only where read, and once on return
+    width = len(v) - tail
+    lead = 0
+    while True:
+        while lead < width and not v[lead] % b:
+            lead += 1
+        if lead == width:
+            return [x % b for x in v]
+        pivot = basis.get(lead)
+        if pivot is None:
+            inv = pow(v[lead], b - 2, b)
+            basis[lead] = [x * inv % b for x in v]
+            return None
+        f = v[lead] % b
+        v = [x - f * y for x, y in zip(v, pivot)]
+
+
 def dependencies(rows: Sequence, b: int) -> Iterator[list[int]]:
     """Gaussian elimination over F_b, one row at a time.
 
-    Each row is reduced against the independent rows before it, carrying
-    its coefficients along.  A row that reduces to zero yields its
-    dependency: coefficients c with sum_i c_i rows[i] = 0, equal to 1 on
-    that row and 0 on every later one.  Only independent rows enter the
-    basis, so the dependency is the unique one on that row and the
-    independent rows before it.  `rows` come from `pack_rows`.
+    Each row is reduced against the independent rows before it
+    (`reduce_row`), carrying its coefficients along as the tail.  A row
+    that reduces to zero yields its dependency: coefficients c with
+    sum_i c_i rows[i] = 0, equal to 1 on that row and 0 on every later
+    one.  Only independent rows enter the basis, so the dependency is the
+    unique one on that row and the independent rows before it.  `rows`
+    come from `pack_rows`.
     """
     n = len(rows)
-    if b == 2:
-        # the row's bits sit above n coefficient bits, so while the row part
-        # is nonzero the leading bit is one of its columns
-        pivots: dict[int, int] = {}
-        for k, row in enumerate(rows):
-            v = (row << n) | (1 << k)
-            while v >> n:
-                lead = v.bit_length() - 1
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    pivots[lead] = v
-                    break
-                v ^= pivot
-            else:
-                yield [(v >> i) & 1 for i in range(n)]
-        return
-    basis: dict[int, list[int]] = {}  # first nonzero column -> row scaled to 1 there
+    basis: dict = {}
     for k, row in enumerate(rows):
-        width = len(row)
-        v = row + [0] * n
-        v[width + k] = 1  # the coefficient on row k stays 1, so the scan below ends
-        lead = 0
-        while True:
-            while not v[lead]:
-                lead += 1
-            if lead >= width:
-                yield v[width:]
-                break
-            pivot = basis.get(lead)
-            if pivot is None:
-                inv = pow(v[lead], b - 2, b)
-                basis[lead] = [x * inv % b for x in v]
-                break
-            f = v[lead]
-            v = [(x - f * y) % b for x, y in zip(v, pivot)]
+        if b == 2:
+            v = reduce_row((row << n) | (1 << k), n, basis, b)
+            if v is not None:
+                yield [(v >> i) & 1 for i in range(n)]
+        else:
+            v = row + [0] * n
+            v[len(row) + k] = 1
+            v = reduce_row(v, n, basis, b)
+            if v is not None:
+                yield v[len(row):]
 
 
 def matrix_rank(arr, b: int) -> int:

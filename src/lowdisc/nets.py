@@ -23,7 +23,12 @@ Every structural check is linear algebra on the s p pooled rows of the
 C_j, through the one elimination of `field.dependencies`: the t-value and
 the dual weight minima ask whether the rows on a support are dependent,
 and the dual space is the kernel of the pooled rows' transpose, i.e. the
-dependencies among them.
+dependencies among them.  The rank search walks its candidate supports
+depth first as a trie, so each support resumes the elimination of the
+prefix it shares with others (`field.reduce_row`, undone on backtrack)
+instead of starting over (Pirsic & Schmid, J. Complexity 17 (2001)).
+The character property is checked for many Walsh indices in one pass
+over the digit array (`char_property_sums`).
 """
 
 from __future__ import annotations
@@ -31,13 +36,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .field import dependencies, is_prime, kernel_basis, pack_rows
+from .field import dependencies, is_prime, kernel_basis, pack_rows, reduce_row
 
 __all__ = [
     "GeneratingMatrixSet",
@@ -50,6 +54,7 @@ __all__ = [
     "geometric_net_check",
     "dual_space",
     "char_property_sum",
+    "char_property_sums",
 ]
 
 
@@ -347,6 +352,95 @@ def _prefix_weight(r: int, alpha: int) -> int:
     return sum(range(max(r - alpha, 0) + 1, r + 1))
 
 
+def _set_trie(sets, alpha: int) -> list[list[tuple[int, int, int]]]:
+    """The row sets of `_closed_sets` as a trie: node -> [(row, child, weight step)].
+
+    Node 0 is the empty set and each set is the path of its ascending
+    rows.  Every prefix of a set is itself one of the sets (fewer rows and
+    no larger weight), so every node is a candidate.  The weight step is
+    the child's mu_alpha weight minus the node's; children come in row
+    order, hence in order of weight step.
+    """
+    def weight(rows: tuple[int, ...]) -> int:
+        return sum(rows[-alpha:]) + min(len(rows), alpha)
+
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    trie: list[list[tuple[int, int, int]]] = [[]]
+    for group in sets.values():
+        for rows in group:
+            for k in range(1, len(rows) + 1):
+                node, parent = rows[:k], rows[: k - 1]
+                if node not in ids:
+                    ids[node] = len(trie)
+                    trie.append([])
+                    trie[ids[parent]].append((rows[k - 1], ids[node], weight(node) - weight(parent)))
+    for children in trie:
+        children.sort()
+    return trie
+
+
+def _trie_walk(rows: list, b: int, s: int, p: int, trie, bound: int, ordered: bool) -> tuple[int, list]:
+    """Every dependent candidate support of least weight, through weight `bound`.
+
+    Supports are lists of pooled row indices j p + i, coordinates in
+    order and rows ascending within one; `trie` gives the rows one
+    coordinate may add next, node 0 holding the rows that open it.  The
+    walk is depth first over one basis (`field.reduce_row`): each node's
+    row enters it once and leaves it on backtrack.  Each node also keeps,
+    reduced against its basis, the rows after its last one that can open
+    a coordinate within the weight left (for "nrt" the first row of each
+    later coordinate).  A child takes its row from there when it can, and
+    resumes the reduction of the others against its own row instead of
+    starting over; a leaf's rank is then a lookup.
+    A dependent node is a candidate whose proper prefixes all weigh less,
+    so the least dependent weight is always met at such a node; the walk
+    does not extend it, and it prunes every node above the least
+    dependent weight found so far.  When `ordered`, the walk meets the
+    supports of one weight in the wanted order, so it keeps only the first
+    dependent one and prunes that weight too.  Returns (weight, supports),
+    with no supports when none is dependent.
+    """
+    weight, found = bound, []
+    reach = bound  # the heaviest node still worth a visit
+    basis: dict = {}
+    path: list[int] = []
+    opening = {row: step for row, _, step in trie[0]}  # weight of a coordinate's first row
+
+    def resume(v):
+        """v reduced against the basis, which is left as it was; None when dependent."""
+        return basis.popitem()[1] if reduce_row(v, 0, basis, b) is None else None
+
+    def visit(j: int, node: int, base: int, pending: dict) -> None:
+        nonlocal weight, found, reach
+        for jj in range(j, s):
+            offset = jj * p
+            for row, child, step in trie[node if jj == j else 0]:
+                w = base + step
+                if w > reach:
+                    break
+                i = offset + row
+                v = pending.get(i, rows[i])
+                if v is None:
+                    pass  # a pending row already dependent
+                elif w == reach:  # a leaf: only its rank matters
+                    if i in pending or resume(v) is not None:
+                        continue
+                elif reduce_row(v, 0, basis, b) is None:
+                    path.append(i)
+                    visit(jj, child, w, {k: None if u is None else resume(u) for k, u in pending.items()
+                                         if k > i and opening[k % p] <= reach - w})
+                    path.pop()
+                    basis.popitem()
+                    continue
+                if w < weight or not found:
+                    weight, found = w, []
+                found.append(path + [i])
+                reach = w - 1 if ordered else w
+
+    visit(0, 0, 0, {j * p + row: resume(rows[j * p + row]) for j in range(s) for row in opening})
+    return weight, found
+
+
 def min_dependent_support(
     gm: GeneratingMatrixSet,
     kind: str = "nrt",
@@ -367,10 +461,21 @@ def min_dependent_support(
     skip the rank check.  Returns (W, k) with k a dual element of weight W
     (the dependency among the rows), or None when no support is dependent.
 
+    The candidates form a trie -- per coordinate the trie of its sets for
+    "nrt" and "mu", the combinations of pooled rows for "hamming" -- and
+    one depth-first walk over all weights at once (`_trie_walk`) resumes
+    the elimination of the prefix each support shares with the one before
+    (G. Pirsic and W. Ch. Schmid, J. Complexity 17 (2001)) instead of
+    eliminating every support from scratch.  The witness is that of the
+    weight-by-weight search: the first dependent support of weight W in
+    the order of `_product_supports` (of `itertools.combinations` for
+    "hamming"), with the first dependency among its rows.
+
     With `floor`, only weights below `floor` are searched.  `cap` bounds
-    the candidate supports that may need a rank check: before weight W is
-    searched, the candidates of weights 1..W are counted, and a count above
-    `cap` raises CapacityError.
+    the candidate supports that may need a rank check: the candidates of
+    weights 1..W are counted, and a count above `cap` raises
+    CapacityError at the least such W unless a lighter support is
+    dependent.
     """
     b, s, p, m = gm.base, gm.s, gm.rows, gm.cols
     a = 1 if kind == "nrt" else alpha
@@ -381,10 +486,7 @@ def min_dependent_support(
         full = m + 1 if s * p > m else None  # the first weight whose supports exceed m rows
         for w in range(1, min(top, m) + 1):
             counts[w] = math.comb(s * p, w)
-        pooled = [(j, i) for j in range(s) for i in range(p)]
-
-        def supports(w):
-            return map(list, combinations(pooled, w))
+        trie = [[(r, r + 1, 1) for r in range(t, p)] for t in range(p + 1)]  # node: last row + 1
     else:
         if s * p > m:
             # the first m + 1 rows, coordinate by coordinate, exceed m rows
@@ -404,28 +506,53 @@ def min_dependent_support(
         for (w, r), n in table.items():
             if w and r <= m and (full is None or w < full):
                 counts[w] += n
+        trie = _set_trie(sets, a)
+    if full is not None and full > top:
+        full = None
 
-        def supports(w):
-            return _product_supports(sets, s, w)
-
-    rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
-    checks = 0
-    for w in range(1, (top if full is None else min(top, full)) + 1):
+    # the walk stops below `full`, which needs no rank check, and below the first
+    # weight whose cumulative count exceeds the cap
+    last = top if full is None else full  # the heaviest weight searched
+    bound = last if full is None else full - 1
+    checks, refused = 0, None
+    for w in range(1, last + 1):
         checks += counts[w]
         if cap is not None and checks > cap:
-            raise CapacityError(
-                f"rank search through weight {w} needs {checks} candidate supports, above cap {cap}"
-            )
-        for support in supports(w):
-            if w == full and len(support) <= m:
-                continue  # a larger support of this weight is dependent anyway
-            dep = row_dependency([rows[j * p + i] for j, i in support], b)
-            if dep is not None:
-                k = [0] * s
-                for (j, i), c in zip(support, dep):
-                    k[j] += c * b**i
-                return w, tuple(k)
-    return None
+            bound = min(bound, w - 1)
+            refused = f"rank search through weight {w} needs {checks} candidate supports, above cap {cap}"
+            break
+    rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
+    # the walk meets the combinations of one weight in their own order
+    weight, found = _trie_walk(rows, b, s, p, trie, bound, ordered=kind == "hamming")
+    if found:
+        if kind == "hamming":
+            support = found[0]
+        else:
+            # _product_supports orders by the weights' keys in `sets`, last coordinate
+            # first, then by each set's place in its group, first coordinate first
+            order = {t: (i, g) for i, group in enumerate(sets.values()) for g, t in enumerate(group)}
+
+            def position(support):
+                keys = [order[tuple(i - j * p for i in support if i // p == j)] for j in range(s)]
+                return [key[0] for key in reversed(keys)] + [key[1] for key in keys]
+
+            support = min(found, key=position)
+    elif refused is not None:
+        raise CapacityError(refused)
+    elif full is not None:
+        # every support of this weight with more than m rows is dependent
+        weight = full
+        if kind == "hamming":
+            support = list(range(full))
+        else:
+            first = next(sup for sup in _product_supports(sets, s, full) if len(sup) > m)
+            support = [j * p + i for j, i in first]
+    else:
+        return None
+    k = [0] * s
+    for i, c in zip(support, row_dependency([rows[i] for i in support], b)):
+        k[i // p] += c * b ** (i % p)
+    return weight, tuple(k)
 
 
 def compute_t_value(gm: GeneratingMatrixSet) -> int:
@@ -572,26 +699,44 @@ def dual_space(gm: GeneratingMatrixSet, cap: int | None = 1 << 21) -> DualSpace:
 # Walsh functions and the character property
 # ----------------------------------------------------------------------
 
-def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
-    """(1/N) sum over the net of the product Walsh function at index kvec.
+# Largest (points x indices) block of Walsh exponents that char_property_sums holds at once.
+_WALSH_BLOCK = 1 << 12
 
-    For a digital net this is exactly 1 when kvec lies in the dual space
-    and exactly 0 otherwise; the complex rounding noise stays far below
-    the 1e-9 tolerances used by the verification suite.
+
+def char_property_sums(ps: PointSet, kvecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """(1/N) sum over the net of the product Walsh function at each index of kvecs.
+
+    For a digital net this is exactly 1 when the index lies in the dual
+    space and exactly 0 otherwise; for b > 2 the complex rounding noise
+    stays far below the 1e-9 tolerances used by the verification suite.
+    One pass over the digit array serves every index: blocks of points
+    give (points, indices) exponents mod b, tallied per index into counts
+    of each residue, so temporaries stay within _WALSH_BLOCK entries.
     """
-    if len(kvec) != ps.s:
-        raise ParameterError("need one Walsh index per coordinate")
-    b, p = ps.base, ps.precision
-    if min(kvec) < 0:
-        raise ParameterError("Walsh index must be nonnegative")
-    kdig = index_digits(kvec, b, p)
-    digits = ps.digit_array().astype(np.int64)
-    exponents = np.einsum("njk,jk->n", digits, kdig) % b
-    n = len(ps)
+    b, p, n = ps.base, ps.precision, len(ps)
+    for kvec in kvecs:
+        if len(kvec) != ps.s:
+            raise ParameterError("need one Walsh index per coordinate")
+        if min(kvec) < 0:
+            raise ParameterError("Walsh index must be nonnegative")
     if n == 0:
         raise ParameterError("empty point set")
+    kdig = index_digits([k for kvec in kvecs for k in kvec], b, p).reshape(len(kvecs), ps.s * p).T
+    digits = ps.digit_array().reshape(n, ps.s * p)
+    counts = np.zeros((len(kvecs), b), dtype=np.int64)  # index -> points per exponent
+    offsets = b * np.arange(len(kvecs), dtype=np.int64)
+    step = max(1, _WALSH_BLOCK // max(len(kvecs), 1))
+    for start in range(0, n, step):
+        exponents = digits[start : start + step] @ kdig
+        np.remainder(exponents, b, out=exponents)
+        exponents += offsets
+        counts += np.bincount(exponents.ravel(), minlength=counts.size).reshape(counts.shape)
     if b == 2:
-        return complex((np.count_nonzero(exponents == 0) - np.count_nonzero(exponents)) / n)
-    counts = np.bincount(exponents, minlength=b)
+        return ((counts[:, 0] - counts[:, 1]) / n).astype(complex)
     omega = np.exp(2j * np.pi * np.arange(b) / b)
-    return complex(np.dot(counts, omega) / n)
+    return np.array([np.dot(row, omega) / n for row in counts], dtype=complex)
+
+
+def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
+    """The character sum of `char_property_sums` at the one index kvec."""
+    return complex(char_property_sums(ps, [kvec])[0])

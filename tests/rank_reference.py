@@ -1,11 +1,30 @@
-"""Reduced row echelon form over F_b, for tests.
+"""Reduced row echelon form over F_b and the per-support rank search, for tests.
 
 The textbook elimination, kept apart from `lowdisc.field` as an
 independent oracle: `rref` gives the echelon form and its pivot columns,
 and `rref_kernel_basis` reads the kernel basis off the free columns.
+
+`min_dependent_support` is the per-support rank search: every candidate
+support, weight by weight in enumeration order, is eliminated from
+scratch.  It is the oracle for the trie walk's weight, witness and
+capacity refusal.
 """
 
+import math
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
+
+from lowdisc.errors import CapacityError
+from lowdisc.field import pack_rows
+from lowdisc.nets import (
+    GeneratingMatrixSet,
+    _closed_sets,
+    _prefix_weight,
+    _product_supports,
+    row_dependency,
+)
 
 
 def rref(arr, b):
@@ -49,3 +68,84 @@ def rref_kernel_basis(arr, b):
             v[p] = (-int(reduced[i, f])) % b
         basis.append(v)
     return basis
+
+
+def min_dependent_support(
+    gm: GeneratingMatrixSet,
+    kind: str = "nrt",
+    alpha: int | None = None,
+    floor: int | None = None,
+    cap: int | None = None,
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest weight of a row support with dependent rows, and a dual element on it.
+
+    A dual element with support inside a row set S exists iff the rows of
+    the C_j indexed by S are linearly dependent (Niederreiter & Pirsic,
+    Acta Arith. 97 (2001)).  The weights "nrt" (mu_1), "mu" (mu_alpha)
+    and "hamming" are monotone in the support, so the minimum dual weight
+    is the smallest W for which some candidate support of weight W -- a
+    support maximal for its weight -- has dependent rows: row prefixes per
+    coordinate for "nrt", the sets of `_closed_sets` for "mu", and any W
+    pooled rows for "hamming".  More than m rows are always dependent and
+    skip the rank check.  Returns (W, k) with k a dual element of weight W
+    (the dependency among the rows), or None when no support is dependent.
+
+    With `floor`, only weights below `floor` are searched.  `cap` bounds
+    the candidate supports that may need a rank check: before weight W is
+    searched, the candidates of weights 1..W are counted, and a count above
+    `cap` raises CapacityError.
+    """
+    b, s, p, m = gm.base, gm.s, gm.rows, gm.cols
+    a = 1 if kind == "nrt" else alpha
+    most = s * p if kind == "hamming" else s * _prefix_weight(p, a)  # weight of every row
+    top = most if floor is None else min(most, floor - 1)
+    counts: Counter = Counter()  # weight -> candidate supports with at most m rows
+    if kind == "hamming":
+        full = m + 1 if s * p > m else None  # the first weight whose supports exceed m rows
+        for w in range(1, min(top, m) + 1):
+            counts[w] = math.comb(s * p, w)
+        pooled = [(j, i) for j in range(s) for i in range(p)]
+
+        def supports(w):
+            return map(list, combinations(pooled, w))
+    else:
+        if s * p > m:
+            # the first m + 1 rows, coordinate by coordinate, exceed m rows
+            spread = [min(p, m + 1 - j * p) for j in range(s) if j * p < m + 1]
+            top = min(top, sum(_prefix_weight(r, a) for r in spread))
+        sets = _closed_sets(p, a, top, m + 1)
+        per_coordinate = Counter((w, len(rows)) for w, group in sets.items() for rows in group)
+        table = Counter({(0, 0): 1})  # (weight, rows capped at m + 1) -> supports
+        for _ in range(s):
+            nxt: Counter = Counter()
+            for (w, r), n in table.items():
+                for (w2, r2), n2 in per_coordinate.items():
+                    if w + w2 <= top:
+                        nxt[w + w2, min(r + r2, m + 1)] += n * n2
+            table = nxt
+        full = min((w for w, r in table if r > m), default=None)
+        for (w, r), n in table.items():
+            if w and r <= m and (full is None or w < full):
+                counts[w] += n
+
+        def supports(w):
+            return _product_supports(sets, s, w)
+
+    rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
+    checks = 0
+    for w in range(1, (top if full is None else min(top, full)) + 1):
+        checks += counts[w]
+        if cap is not None and checks > cap:
+            raise CapacityError(
+                f"rank search through weight {w} needs {checks} candidate supports, above cap {cap}"
+            )
+        for support in supports(w):
+            if w == full and len(support) <= m:
+                continue  # a larger support of this weight is dependent anyway
+            dep = row_dependency([rows[j * p + i] for j, i in support], b)
+            if dep is not None:
+                k = [0] * s
+                for (j, i), c in zip(support, dep):
+                    k[j] += c * b**i
+                return w, tuple(k)
+    return None

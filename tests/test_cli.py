@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,23 @@ def test_verify_all_runs_one_nrt_search(monkeypatch, capsys):
     assert kinds.count("nrt") == 1
     out = capsys.readouterr().out
     assert "t-value,dp-net" in out and "mu1,dp-net" in out
+    for check in ("char", "hamming"):  # neither reads the t-value
+        kinds.clear()
+        assert run("verify", check, "--family", "faure", "--b", "3", "--m", "2", "--s", "3") == 0
+        assert kinds.count("nrt") == 0
+    out = capsys.readouterr().out
+    assert "char,faure" in out and "hamming,faure" in out
+
+
+# `verify char` and `verify all` stdout as the per-support rank search and the
+# per-index Walsh sums printed it, at seeds 0-3
+VERIFY_PINS = json.loads((Path(__file__).parent / "verify_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_PINS))
+def test_verify_output_is_pinned(argv, capsys):
+    assert run(*argv.split()) == 0
+    assert capsys.readouterr().out == VERIFY_PINS[argv]
 
 
 def test_verify_geometric_from_point_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Property tests over random generating matrices and digit arrays.
 
 Each fast path is compared with an independent slow one: the rank engine
-with dual enumeration, the t-value with row reduction over compositions,
+with dual enumeration, its trie walk with the per-support search (weight,
+witness and capacity refusal), the batched Walsh sums with the dual
+membership test, the t-value with row reduction over compositions,
 the incremental kernel basis with the one read off the echelon form,
 the vectorised box count with a per-point loop, point-level interlacing
 with matrix-level interlacing, the interlaced sequence constructions
@@ -40,7 +42,7 @@ from lowdisc.discrepancy import (  # noqa: E402
     l2_exact_rational,
     local_discrepancy,
 )
-from lowdisc.errors import ParameterError  # noqa: E402
+from lowdisc.errors import CapacityError, ParameterError  # noqa: E402
 from lowdisc.field import kernel_basis  # noqa: E402
 from lowdisc.nets import (  # noqa: E402
     _TABLE_ROWS,
@@ -48,11 +50,14 @@ from lowdisc.nets import (  # noqa: E402
     PointSet,
     _net_digits,
     _compositions,
+    char_property_sum,
+    char_property_sums,
     compute_t_value,
     dual_space,
     fraction_digits,
     generate_net_points,
     geometric_net_check,
+    min_dependent_support,
 )
 from lowdisc.pointfile import (  # noqa: E402
     _canonical_body,
@@ -68,6 +73,7 @@ from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
 from net_reference import net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
+from rank_reference import min_dependent_support as per_support_search  # noqa: E402
 from rank_reference import rref, rref_kernel_basis  # noqa: E402
 from sequence_reference import dp_finite_base_reference, dp_sequence_reference  # noqa: E402
 
@@ -157,6 +163,61 @@ def test_floor_stops_the_search(gm, floor):
 @given(nets())
 def test_t_value_matches_composition_oracle(gm):
     assert compute_t_value(gm) == t_value_oracle(gm)
+
+
+@st.composite
+def rank_nets(draw):
+    """Random matrices over F_b, b in {2, 3, 5, 7}, s <= 4, m <= 6, with m or m + 1
+    rows; a drawn share of the entries is zeroed, so that light supports are
+    often dependent and the witness order matters."""
+    b = draw(st.sampled_from([2, 3, 5, 7]))
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    p = draw(st.integers(m, m + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeroed = draw(st.sampled_from([0.0, 0.5, 0.8]))
+    return GeneratingMatrixSet(b, rng.integers(0, b, (s, p, m)) * (rng.random((s, p, m)) >= zeroed))
+
+
+RANK_KINDS = [("nrt", None), ("hamming", None), ("mu", 1), ("mu", 2), ("mu", 3)]
+
+
+def rank_search(search, gm, kind, alpha, floor, cap):
+    """(weight, witness) of a rank search, None, or the message of its capacity refusal."""
+    try:
+        return search(gm, kind, alpha, floor, cap)
+    except CapacityError as err:
+        return f"CapacityError: {err}"
+
+
+@given(st.one_of(nets(), rank_nets()), st.one_of(st.none(), st.integers(0, 14)))
+def test_trie_walk_matches_per_support_search(gm, floor):
+    for kind, alpha in RANK_KINDS:
+        walk = rank_search(min_dependent_support, gm, kind, alpha, floor, None)
+        assert walk == rank_search(per_support_search, gm, kind, alpha, floor, None)
+
+
+@given(st.one_of(nets(), rank_nets()), st.one_of(st.none(), st.integers(0, 14)), st.integers(0, 120))
+def test_trie_walk_refuses_like_per_support_search(gm, floor, cap):
+    for kind, alpha in RANK_KINDS:
+        walk = rank_search(min_dependent_support, gm, kind, alpha, floor, cap)
+        assert walk == rank_search(per_support_search, gm, kind, alpha, floor, cap)
+
+
+@given(nets(), st.integers(0, 2**32 - 1))
+def test_batched_walsh_sums_are_the_character_property(gm, seed):
+    ps = generate_net_points(gm)
+    dual = dual_space(gm, 1 << 14)
+    rng = np.random.default_rng(seed)
+    drawn = [tuple(int(v) for v in rng.integers(0, gm.base**gm.rows, gm.s)) for _ in range(16)]
+    indices = dual.elements(limit=32) + drawn
+    sums = char_property_sums(ps, indices)
+    for k, value in zip(indices, sums):
+        expected = 1.0 if dual.contains(k) else 0.0
+        if gm.base == 2:
+            assert value == expected
+        else:
+            assert abs(value - expected) <= 1e-12
+        assert value == char_property_sum(ps, k)
 
 
 @given(nets(max_m=5))

@@ -8,6 +8,7 @@ from lowdisc.constructions import (
     niederreiter_t_bound,
 )
 from lowdisc.errors import CapacityError, ParameterError
+from lowdisc.field import matrix_rank
 from lowdisc.nets import GeneratingMatrixSet, compute_t_value, dual_space
 from lowdisc.selftest import _random_full_rank_net
 from lowdisc.weights import (
@@ -186,6 +187,31 @@ def test_order_alpha_profile_matches_enumeration_on_criterion_nets(alpha, s, m):
     exact = min_dual_weight(dual_space(gm, 1 << 21), "mu", alpha=alpha).minimum
     assert min_weight_by_rank(gm, "mu", alpha).minimum == exact
     assert verify_order_alpha(gm, alpha, t_base) == (exact is None or exact >= floor)
+
+
+def _dual_dimension(alpha, s, m):
+    gm = dp_net_matrices(alpha, m, s)
+    return gm.s * gm.rows - matrix_rank(gm.array.reshape(gm.s * gm.rows, gm.cols), gm.base)
+
+
+# every dp-net with alpha in {2, 3}, s in {1, 2} and m <= 8 whose dual has at most 2^18 elements
+ORDER_NETS = [(a, s, m) for a in (2, 3) for s in (1, 2) for m in range(1, 9) if _dual_dimension(a, s, m) <= 18]
+
+
+@pytest.mark.parametrize("alpha, s, m", ORDER_NETS)
+def test_order_engine_matches_enumeration_through_m8(alpha, s, m):
+    gm = dp_net_matrices(alpha, m, s)
+    t_base = niederreiter_t_bound(alpha * s)
+    floor = alpha * m - t_alpha(alpha, t_base, s)
+    dual = dual_space(gm, 1 << 18)
+    exact = min_dual_weight(dual, "mu", alpha=alpha).minimum
+    assert min_weight_by_rank(gm, "mu", alpha).minimum == exact
+    prof = order_alpha_profile(gm, alpha, t_base)
+    if exact is None or exact >= floor:
+        assert prof.minimum is None
+    else:
+        assert prof.minimum == exact and dual.contains(prof.witness)
+        assert vector_weight(prof.witness, gm.base, "mu", alpha) == exact
 
 
 def test_rank_engine_infinite_profile():
