@@ -22,7 +22,11 @@ subprocess, one at a time:
   values, so that the two sides can be checked equal; best of 3 timings
   of `compute_t_value` on Faure b 13, m 5, s 13, on Faure b 13, m 7,
   s 13, on Faure b 17, m 6, s 17 and on the base-2 Niederreiter net s 6,
-  m 14, each with the t it found.
+  m 14, each with the t it found, and of the mu_3 search
+  `min_dependent_support(dp_net_matrices(3, 16, 2), "mu", 3)` with the
+  weight it found; for each of these rank rungs, the `field.reduce_row`
+  calls of one more run, a count that does not drift with the load of
+  the machine as times do.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  The summary gives the medians and the pairs the change won.
@@ -49,8 +53,9 @@ import numpy as np
 from lowdisc.constructions import (
     dp_finite_pointset, dp_net_matrices, dp_sequence, faure_matrices, niederreiter_net_matrices,
 )
+from lowdisc import field, nets as nets_module
 from lowdisc.discrepancy import l2_exact
-from lowdisc.nets import PointSet, compute_t_value, generate_net_points
+from lowdisc.nets import PointSet, compute_t_value, generate_net_points, min_dependent_support
 from lowdisc.pointfile import dumps_point_file, loads_point_file
 
 def best(fn, repeat=5):
@@ -91,9 +96,25 @@ for name, points in sets.items():
     out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
 nets = {"faure_b13_m5_s13": faure_matrices(13, 5, 13), "faure_b13_m7_s13": faure_matrices(13, 7, 13),
         "faure_b17_m6_s17": faure_matrices(17, 6, 17), "niederreiter_s6_m14": niederreiter_net_matrices(6, 14)}
-for name, net in nets.items():
-    out[f"compute_t_value_{name}_s"] = best(lambda: compute_t_value(net), repeat=3)
-    out[f"compute_t_value_{name}_t"] = compute_t_value(net)
+rank = {f"compute_t_value_{name}": (lambda net=net: compute_t_value(net), "t") for name, net in nets.items()}
+mu3_net = dp_net_matrices(3, 16, 2)
+rank["min_dependent_support_mu3_dp_net_a3_m16_s2"] = (lambda: min_dependent_support(mu3_net, "mu", 3)[0],
+                                                     "weight")
+for name, (run, found) in rank.items():
+    out[f"{name}_s"] = best(run, repeat=3)
+    out[f"{name}_{found}"] = run()
+calls = [0]
+reduce_row = field.reduce_row
+
+def counted(*args):
+    calls[0] += 1
+    return reduce_row(*args)
+
+field.reduce_row = nets_module.reduce_row = counted
+for name, (run, _) in rank.items():
+    calls[0] = 0
+    run()
+    out[f"{name}_reduce_row_calls"] = calls[0]
 print(json.dumps(out))
 """
 
@@ -150,7 +171,7 @@ def main() -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
-        "layers": {"repeat": 5, "l2_exact_repeat": 3, "compute_t_value_repeat": 3,
+        "layers": {"repeat": 5, "l2_exact_repeat": 3, "rank_repeat": 3,
                    "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):

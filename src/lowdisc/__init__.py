@@ -61,6 +61,7 @@ from .nets import (
     dual_space,
     generate_net_points,
     geometric_net_check,
+    geometric_t_value,
     is_tms_net,
 )
 from .pointfile import read_point_file, write_point_file

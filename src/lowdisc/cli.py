@@ -31,11 +31,11 @@ from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, scaling_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .nets import (
     GeneratingMatrixSet,
-    _exponent,
     char_property_sums,
     dual_space,
     generate_net_points,
     geometric_net_check,
+    geometric_t_value,
     index_digits,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
@@ -214,16 +214,13 @@ def _family_t_bound(cfg: RunConfig, gm: GeneratingMatrixSet) -> int:
     if cfg.family == "dp-net":
         # quality of the underlying sequence, folded through interlacing
         alpha = cfg.alpha or 1
-        t_base = min(niederreiter_t_bound(alpha * gm.s), gm.cols)
-        return min(t_alpha(alpha, t_base, gm.s), gm.cols)
+        return min(t_alpha(alpha, _dp_base_t(alpha, gm), gm.s), gm.cols)
     return gm.cols
 
 
-def _geometric_t_value(ps) -> int:
-    for t in range(_exponent(len(ps), ps.base) + 1):
-        if geometric_net_check(ps, t):
-            return t
-    raise ConsistencyError("no quality parameter found; counting is broken")
+def _dp_base_t(alpha: int, gm: GeneratingMatrixSet) -> int:
+    """t of the alpha s-dimensional Niederreiter net that a dp-net interlaces: at most its m."""
+    return min(niederreiter_t_bound(alpha * gm.s), gm.cols)
 
 
 def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> None:
@@ -247,7 +244,7 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
         if check not in ("geometric", "all"):
             raise ParameterError("point-file input supports the geometric check only")
         ps = read_point_file(path)
-        t_geo = _geometric_t_value(ps)
+        t_geo = geometric_t_value(ps)
         bound = (ps.provenance or {}).get("t_bound")
         ok = True if bound is None else t_geo <= int(bound)
         expected = "net-property" if bound is None else f"<={bound}"
@@ -299,7 +296,7 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
                     raise ParameterError("the order check applies to --family dp-net")
                 continue
             alpha = cfg.alpha or 1
-            prof = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
+            prof = order_alpha_profile(gm, alpha, _dp_base_t(alpha, gm), cfg.cap)
             ok = prof.minimum is None
             add("order", str(ok).lower(), "true", ok, prof)
         elif sel == "char":

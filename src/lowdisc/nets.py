@@ -23,10 +23,12 @@ Every structural check is linear algebra on the s p pooled rows of the
 C_j, through the one elimination of `field.dependencies`: the t-value and
 the dual weight minima ask whether the rows on a support are dependent,
 and the dual space is the kernel of the pooled rows' transpose, i.e. the
-dependencies among them.  The rank search walks its candidate supports
-depth first as a trie, so each support resumes the elimination of the
-prefix it shares with others (`field.reduce_row`, undone on backtrack)
-instead of starting over (Pirsic & Schmid, J. Complexity 17 (2001)).
+dependencies among them.  The rank search builds each coordinate's
+candidate supports as a trie and walks them depth first in ascending
+pooled row index, so each support resumes the elimination of the prefix
+it shares with others (`field.reduce_row`, undone on backtrack) instead
+of starting over (Pirsic & Schmid, J. Complexity 17 (2001)), and the
+first dependent support of least weight in that order is the witness.
 The character property is checked for many Walsh indices in one pass
 over the digit array (`char_property_sums`).
 """
@@ -52,6 +54,7 @@ __all__ = [
     "compute_t_value",
     "is_tms_net",
     "geometric_net_check",
+    "geometric_t_value",
     "dual_space",
     "char_property_sum",
     "char_property_sums",
@@ -303,104 +306,68 @@ def row_dependency(rows: Sequence, b: int) -> list[int] | None:
     return next(dependencies(rows, b), None)
 
 
-def _row_sets(p: int, k: int, budget: int, start: int = 0) -> Iterator[tuple[int, ...]]:
-    """k-subsets of rows start..p-1, ascending, whose positions (row + 1) sum to <= budget."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(start, p):
-        if k * (first + 1) + k * (k - 1) // 2 > budget:  # rows first..first+k-1 are cheapest
-            break
-        for rest in _row_sets(p, k - 1, budget - first - 1, first + 1):
-            yield (first,) + rest
-
-
-def _closed_sets(p: int, alpha: int, budget: int, max_rows: int) -> dict[int, list[tuple[int, ...]]]:
-    """The row sets of one coordinate that are maximal for their mu_alpha weight.
-
-    These are the sets of fewer than alpha rows, and each alpha-set T
-    together with every row below min T (rows that do not change the top
-    alpha positions).  Keyed by weight; only weights <= budget and sets of
-    at most max_rows rows.
-    """
-    sets: dict[int, list[tuple[int, ...]]] = {}
-    for k in range(min(alpha, max_rows + 1)):
-        for rows in _row_sets(p, k, budget):
-            sets.setdefault(sum(rows) + k, []).append(rows)
-    for top in _row_sets(p, alpha, budget):
-        if top[0] + alpha <= max_rows:
-            sets.setdefault(sum(top) + alpha, []).append(tuple(range(top[0])) + top)
-    return sets
-
-
-def _product_supports(sets, s: int, weight: int) -> Iterator[list[tuple[int, int]]]:
-    """Supports [(j, row), ...] taking one set per coordinate, of total weight `weight`."""
-    if s == 0:
-        if weight == 0:
-            yield []
-        return
-    j = s - 1
-    for w, group in sets.items():
-        if w <= weight:
-            for head in _product_supports(sets, j, weight - w):
-                for rows in group:
-                    yield head + [(j, i) for i in rows]
-
-
 def _prefix_weight(r: int, alpha: int) -> int:
     """mu_alpha weight of the first r rows of one coordinate."""
     return sum(range(max(r - alpha, 0) + 1, r + 1))
 
 
-def _set_trie(sets, alpha: int) -> list[list[tuple[int, int, int]]]:
-    """The row sets of `_closed_sets` as a trie: node -> [(row, child, weight step)].
+def _candidate_trie(p: int, alpha: int, budget: int, max_rows: int) -> tuple[list, Counter]:
+    """One coordinate's mu_alpha candidates as a trie, and their (weight, rows) counts.
 
-    Node 0 is the empty set and each set is the path of its ascending
-    rows.  Every prefix of a set is itself one of the sets (fewer rows and
-    no larger weight), so every node is a candidate.  The weight step is
-    the child's mu_alpha weight minus the node's; children come in row
-    order, hence in order of weight step.
+    A candidate is a row set maximal for its mu_alpha weight: an ascending
+    row list r_1 < ... < r_k with r_{k-alpha+1} = k - alpha whenever
+    k >= alpha, so that every row below its top alpha rows is present (for
+    alpha = 1, the row prefixes).  Every prefix of a candidate is one, with
+    fewer rows and less weight, so the candidates of weight <= budget and at
+    most max_rows rows are the nodes of a trie: node -> [(row, child,
+    weight step)], node 0 the empty set, the step the child's mu_alpha
+    weight minus the node's.  Children come in row order, hence in order of
+    weight step.
     """
-    def weight(rows: tuple[int, ...]) -> int:
-        return sum(rows[-alpha:]) + min(len(rows), alpha)
+    trie: list[list[tuple[int, int, int]]] = []
+    counts: Counter = Counter()
 
-    ids: dict[tuple[int, ...], int] = {(): 0}
-    trie: list[list[tuple[int, int, int]]] = [[]]
-    for group in sets.values():
-        for rows in group:
-            for k in range(1, len(rows) + 1):
-                node, parent = rows[:k], rows[: k - 1]
-                if node not in ids:
-                    ids[node] = len(trie)
-                    trie.append([])
-                    trie[ids[parent]].append((rows[k - 1], ids[node], weight(node) - weight(parent)))
-    for children in trie:
-        children.sort()
-    return trie
+    def grow(rows: tuple[int, ...], weight: int) -> int:
+        node, k = len(trie), len(rows) + 1  # k: the rows of a child
+        trie.append([])
+        counts[weight, k - 1] += 1
+        dropped = rows[-alpha] + 1 if k > alpha else 0  # the weight term of the row leaving the top alpha
+        for r in range(rows[-1] + 1 if rows else 0, p):
+            child, step = rows + (r,), r + 1 - dropped
+            if k > max_rows or weight + step > budget or (k >= alpha and child[k - alpha] != k - alpha):
+                break  # a larger row weighs more, and is a candidate only if this one is
+            trie[node].append((r, grow(child, weight + step), step))
+        return node
+
+    grow((), 0)
+    return trie, counts
 
 
-def _trie_walk(rows: list, b: int, s: int, p: int, trie, bound: int, ordered: bool) -> tuple[int, list]:
-    """Every dependent candidate support of least weight, through weight `bound`.
+def _trie_walk(rows: list, b: int, s: int, p: int, m: int, trie, bound: int,
+               full: int | None) -> tuple[int, list[int] | None]:
+    """The first dependent candidate support of least weight, through weight `bound`.
 
     Supports are lists of pooled row indices j p + i, coordinates in
     order and rows ascending within one; `trie` gives the rows one
     coordinate may add next, node 0 holding the rows that open it.  The
-    walk is depth first over one basis (`field.reduce_row`): each node's
-    row enters it once and leaves it on backtrack.  Each node also keeps,
+    walk is depth first in ascending pooled row index, C_1's rows first,
+    so it meets the supports in lexicographic order, each after its
+    prefixes.  It keeps one basis (`field.reduce_row`): each node's row
+    enters it once and leaves it on backtrack.  Each node also keeps,
     reduced against its basis, the rows after its last one that can open
     a coordinate within the weight left (for "nrt" the first row of each
     later coordinate).  A child takes its row from there when it can, and
     resumes the reduction of the others against its own row instead of
-    starting over; a leaf's rank is then a lookup.
-    A dependent node is a candidate whose proper prefixes all weigh less,
-    so the least dependent weight is always met at such a node; the walk
-    does not extend it, and it prunes every node above the least
-    dependent weight found so far.  When `ordered`, the walk meets the
-    supports of one weight in the wanted order, so it keeps only the first
-    dependent one and prunes that weight too.  Returns (weight, supports),
-    with no supports when none is dependent.
+    starting over; a leaf's rank is then a lookup.  A support of weight
+    `full` is dependent without a rank check when it has more than m rows
+    and is passed over otherwise.
+    Every proper prefix of a candidate is a lighter candidate, so a
+    dependent node is not extended, and once one is found the walk prunes
+    every node at its weight or above: it stops at the first dependent
+    support of each lighter weight it meets.  Returns (weight, support),
+    with support None when none is dependent.
     """
-    weight, found = bound, []
+    weight, found = bound, None
     reach = bound  # the heaviest node still worth a visit
     basis: dict = {}
     path: list[int] = []
@@ -419,23 +386,24 @@ def _trie_walk(rows: list, b: int, s: int, p: int, trie, bound: int, ordered: bo
                 if w > reach:
                     break
                 i = offset + row
-                v = pending.get(i, rows[i])
-                if v is None:
-                    pass  # a pending row already dependent
-                elif w == reach:  # a leaf: only its rank matters
-                    if i in pending or resume(v) is not None:
+                if w == full:
+                    if len(path) < m:
+                        continue  # at most m rows: a larger support of this weight is dependent anyway
+                else:
+                    v = pending.get(i, rows[i])
+                    if v is None:
+                        pass  # a pending row already dependent
+                    elif w == reach:  # a leaf: only its rank matters
+                        if i in pending or resume(v) is not None:
+                            continue
+                    elif reduce_row(v, 0, basis, b) is None:
+                        path.append(i)
+                        visit(jj, child, w, {k: None if u is None else resume(u) for k, u in pending.items()
+                                             if k > i and opening[k % p] <= reach - w})
+                        path.pop()
+                        basis.popitem()
                         continue
-                elif reduce_row(v, 0, basis, b) is None:
-                    path.append(i)
-                    visit(jj, child, w, {k: None if u is None else resume(u) for k, u in pending.items()
-                                         if k > i and opening[k % p] <= reach - w})
-                    path.pop()
-                    basis.popitem()
-                    continue
-                if w < weight or not found:
-                    weight, found = w, []
-                found.append(path + [i])
-                reach = w - 1 if ordered else w
+                weight, found, reach = w, path + [i], w - 1
 
     visit(0, 0, 0, {j * p + row: resume(rows[j * p + row]) for j in range(s) for row in opening})
     return weight, found
@@ -456,20 +424,21 @@ def min_dependent_support(
     and "hamming" are monotone in the support, so the minimum dual weight
     is the smallest W for which some candidate support of weight W -- a
     support maximal for its weight -- has dependent rows: row prefixes per
-    coordinate for "nrt", the sets of `_closed_sets` for "mu", and any W
-    pooled rows for "hamming".  More than m rows are always dependent and
+    coordinate for "nrt", the sets of `_candidate_trie` for "mu", and any
+    W pooled rows for "hamming".  More than m rows are always dependent and
     skip the rank check.  Returns (W, k) with k a dual element of weight W
     (the dependency among the rows), or None when no support is dependent.
 
-    The candidates form a trie -- per coordinate the trie of its sets for
+    The candidates form a trie -- per coordinate `_candidate_trie` for
     "nrt" and "mu", the combinations of pooled rows for "hamming" -- and
     one depth-first walk over all weights at once (`_trie_walk`) resumes
     the elimination of the prefix each support shares with the one before
     (G. Pirsic and W. Ch. Schmid, J. Complexity 17 (2001)) instead of
-    eliminating every support from scratch.  The witness is that of the
-    weight-by-weight search: the first dependent support of weight W in
-    the order of `_product_supports` (of `itertools.combinations` for
-    "hamming"), with the first dependency among its rows.
+    eliminating every support from scratch.  The witness is the first
+    dependent support of weight W in the walk's order, ascending pooled
+    row index with C_1's rows first, with the first dependency among its
+    rows; at the least weight whose supports may exceed m rows, the first
+    support with more than m rows stands for them.
 
     With `floor`, only weights below `floor` are searched.  `cap` bounds
     the candidate supports that may need a rank check: the candidates of
@@ -481,73 +450,43 @@ def min_dependent_support(
     a = 1 if kind == "nrt" else alpha
     most = s * p if kind == "hamming" else s * _prefix_weight(p, a)  # weight of every row
     top = most if floor is None else min(most, floor - 1)
-    counts: Counter = Counter()  # weight -> candidate supports with at most m rows
     if kind == "hamming":
-        full = m + 1 if s * p > m else None  # the first weight whose supports exceed m rows
-        for w in range(1, min(top, m) + 1):
-            counts[w] = math.comb(s * p, w)
         trie = [[(r, r + 1, 1) for r in range(t, p)] for t in range(p + 1)]  # node: last row + 1
+        per_coordinate = Counter({(k, k): math.comb(p, k) for k in range(p + 1)})
     else:
         if s * p > m:
             # the first m + 1 rows, coordinate by coordinate, exceed m rows
             spread = [min(p, m + 1 - j * p) for j in range(s) if j * p < m + 1]
             top = min(top, sum(_prefix_weight(r, a) for r in spread))
-        sets = _closed_sets(p, a, top, m + 1)
-        per_coordinate = Counter((w, len(rows)) for w, group in sets.items() for rows in group)
-        table = Counter({(0, 0): 1})  # (weight, rows capped at m + 1) -> supports
-        for _ in range(s):
-            nxt: Counter = Counter()
-            for (w, r), n in table.items():
-                for (w2, r2), n2 in per_coordinate.items():
-                    if w + w2 <= top:
-                        nxt[w + w2, min(r + r2, m + 1)] += n * n2
-            table = nxt
-        full = min((w for w, r in table if r > m), default=None)
+        trie, per_coordinate = _candidate_trie(p, a, top, m + 1)
+    table = Counter({(0, 0): 1})  # (weight, rows capped at m + 1) -> supports
+    for _ in range(s):
+        nxt: Counter = Counter()
         for (w, r), n in table.items():
-            if w and r <= m and (full is None or w < full):
-                counts[w] += n
-        trie = _set_trie(sets, a)
-    if full is not None and full > top:
-        full = None
+            for (w2, r2), n2 in per_coordinate.items():
+                if w + w2 <= top:
+                    nxt[w + w2, min(r + r2, m + 1)] += n * n2
+        table = nxt
+    full = min((w for w, r in table if r > m), default=None)  # the first weight exceeding m rows
+    counts: Counter = Counter()  # weight -> candidate supports that need a rank check
+    for (w, r), n in table.items():
+        if w and r <= m and (full is None or w < full):
+            counts[w] += n
 
-    # the walk stops below `full`, which needs no rank check, and below the first
-    # weight whose cumulative count exceeds the cap
-    last = top if full is None else full  # the heaviest weight searched
-    bound = last if full is None else full - 1
+    # the walk stops below the first weight whose cumulative count exceeds the cap
+    bound = top if full is None else full
     checks, refused = 0, None
-    for w in range(1, last + 1):
+    for w in range(1, bound + 1):
         checks += counts[w]
         if cap is not None and checks > cap:
-            bound = min(bound, w - 1)
+            bound = w - 1
             refused = f"rank search through weight {w} needs {checks} candidate supports, above cap {cap}"
             break
     rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
-    # the walk meets the combinations of one weight in their own order
-    weight, found = _trie_walk(rows, b, s, p, trie, bound, ordered=kind == "hamming")
-    if found:
-        if kind == "hamming":
-            support = found[0]
-        else:
-            # _product_supports orders by the weights' keys in `sets`, last coordinate
-            # first, then by each set's place in its group, first coordinate first
-            order = {t: (i, g) for i, group in enumerate(sets.values()) for g, t in enumerate(group)}
-
-            def position(support):
-                keys = [order[tuple(i - j * p for i in support if i // p == j)] for j in range(s)]
-                return [key[0] for key in reversed(keys)] + [key[1] for key in keys]
-
-            support = min(found, key=position)
-    elif refused is not None:
-        raise CapacityError(refused)
-    elif full is not None:
-        # every support of this weight with more than m rows is dependent
-        weight = full
-        if kind == "hamming":
-            support = list(range(full))
-        else:
-            first = next(sup for sup in _product_supports(sets, s, full) if len(sup) > m)
-            support = [j * p + i for j, i in first]
-    else:
+    weight, support = _trie_walk(rows, b, s, p, m, trie, bound, full)
+    if support is None:
+        if refused is not None:
+            raise CapacityError(refused)
         return None
     k = [0] * s
     for i, c in zip(support, row_dependency([rows[i] for i in support], b)):
@@ -574,36 +513,61 @@ def is_tms_net(gm: GeneratingMatrixSet, t: int) -> bool:
     return compute_t_value(gm) <= t
 
 
+def _net_exponent(ps: PointSet) -> int:
+    """The m with b^m = len(ps); a point count that is no power of b is refused."""
+    b, count = ps.base, len(ps)
+    m = _exponent(count, b)
+    if b**m != count:
+        raise ParameterError(f"point count {count} is not a power of base {b}")
+    return m
+
+
+def _digit_prefixes(ps: PointSet, k: int) -> list[list[np.ndarray]]:
+    """prefixes[j][d], d <= k: the first d digits of coordinate j of every point, one base-b integer."""
+    digits = np.pad(ps.digit_array(), ((0, 0), (0, 0), (0, max(k - ps.precision, 0))))
+    prefixes = []
+    for j in range(ps.s):
+        vals = [np.zeros(len(ps), dtype=np.int64)]
+        for d in range(k):
+            vals.append(vals[-1] * ps.base + digits[:, j, d])
+        prefixes.append(vals)
+    return prefixes
+
+
+def _boxes_even(prefixes: list[list[np.ndarray]], b: int, k: int) -> bool:
+    """True iff every b-adic box of volume b^-k holds the same number of points."""
+    count = len(prefixes[0][0])
+    want = count // b**k
+    for d in _compositions(k, len(prefixes)):
+        box = np.zeros(count, dtype=np.int64)
+        for j, vals in enumerate(prefixes):
+            box = box * b ** d[j] + vals[d[j]]
+        if np.any(np.bincount(box, minlength=b**k) != want):
+            return False
+    return True
+
+
 def geometric_net_check(ps: PointSet, t: int) -> bool:
     """Count points in every elementary interval directly.
 
     True iff each b-adic box of volume b^(t-m) holds exactly b^t points.
     Cost grows like the number of boxes; desk scale only.
     """
-    b = ps.base
-    count = len(ps)
-    m = _exponent(count, b)
-    if b**m != count:
-        raise ParameterError(f"point count {count} is not a power of base {b}")
+    m = _net_exponent(ps)
     if not 0 <= t <= m:
         raise ParameterError(f"t must be in [0, {m}]")
-    digits = np.pad(ps.digit_array(), ((0, 0), (0, 0), (0, max(m - ps.precision, 0))))
-    k = m - t
-    # prefixes[j][d]: the first d digits of coordinate j read as one base-b integer
-    prefixes = []
-    for j in range(ps.s):
-        vals = [np.zeros(count, dtype=np.int64)]
-        for d in range(k):
-            vals.append(vals[-1] * b + digits[:, j, d])
-        prefixes.append(vals)
-    want = b**t
-    for d in _compositions(k, ps.s):
-        box = np.zeros(count, dtype=np.int64)
-        for j in range(ps.s):
-            box = box * b ** d[j] + prefixes[j][d[j]]
-        if np.any(np.bincount(box, minlength=b**k) != want):
-            return False
-    return True
+    return _boxes_even(_digit_prefixes(ps, m - t), ps.base, m - t)
+
+
+def geometric_t_value(ps: PointSet) -> int:
+    """The least t for which `geometric_net_check(ps, t)` holds, by box counting.
+
+    The digit prefixes are built once for every t.  At t = m the one box
+    holds every point, so the count always ends there.
+    """
+    m = _net_exponent(ps)
+    prefixes = _digit_prefixes(ps, m)
+    return next(t for t in range(m + 1) if _boxes_even(prefixes, ps.base, m - t))
 
 
 # ----------------------------------------------------------------------

@@ -4,27 +4,25 @@ The textbook elimination, kept apart from `lowdisc.field` as an
 independent oracle: `rref` gives the echelon form and its pivot columns,
 and `rref_kernel_basis` reads the kernel basis off the free columns.
 
-`min_dependent_support` is the per-support rank search: every candidate
-support, weight by weight in enumeration order, is eliminated from
-scratch.  It is the oracle for the trie walk's weight, witness and
-capacity refusal.
+`min_dependent_support` is the per-support rank search: it enumerates its
+own candidate supports (`_closed_sets` per coordinate, `_product_supports`
+across coordinates, `itertools.combinations` for "hamming"), sorts those
+of each weight by pooled row index, C_1's rows first, and eliminates every
+one from scratch, weight by weight.  It is the oracle for the trie walk's
+weight, witness and capacity refusal, and `_closed_sets` the oracle for
+the walk's candidate trie.
 """
 
 import math
 from collections import Counter
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from lowdisc.errors import CapacityError
 from lowdisc.field import pack_rows
-from lowdisc.nets import (
-    GeneratingMatrixSet,
-    _closed_sets,
-    _prefix_weight,
-    _product_supports,
-    row_dependency,
-)
+from lowdisc.nets import GeneratingMatrixSet, _prefix_weight, row_dependency
 
 
 def rref(arr, b):
@@ -70,6 +68,50 @@ def rref_kernel_basis(arr, b):
     return basis
 
 
+def _row_sets(p: int, k: int, budget: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """k-subsets of rows start..p-1, ascending, whose positions (row + 1) sum to <= budget."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(start, p):
+        if k * (first + 1) + k * (k - 1) // 2 > budget:  # rows first..first+k-1 are cheapest
+            break
+        for rest in _row_sets(p, k - 1, budget - first - 1, first + 1):
+            yield (first,) + rest
+
+
+def _closed_sets(p: int, alpha: int, budget: int, max_rows: int) -> dict[int, list[tuple[int, ...]]]:
+    """The row sets of one coordinate that are maximal for their mu_alpha weight.
+
+    These are the sets of fewer than alpha rows, and each alpha-set T
+    together with every row below min T (rows that do not change the top
+    alpha positions).  Keyed by weight; only weights <= budget and sets of
+    at most max_rows rows.
+    """
+    sets: dict[int, list[tuple[int, ...]]] = {}
+    for k in range(min(alpha, max_rows + 1)):
+        for rows in _row_sets(p, k, budget):
+            sets.setdefault(sum(rows) + k, []).append(rows)
+    for top in _row_sets(p, alpha, budget):
+        if top[0] + alpha <= max_rows:
+            sets.setdefault(sum(top) + alpha, []).append(tuple(range(top[0])) + top)
+    return sets
+
+
+def _product_supports(sets, s: int, weight: int) -> Iterator[list[tuple[int, int]]]:
+    """Supports [(j, row), ...] taking one set per coordinate, of total weight `weight`."""
+    if s == 0:
+        if weight == 0:
+            yield []
+        return
+    j = s - 1
+    for w, group in sets.items():
+        if w <= weight:
+            for head in _product_supports(sets, j, weight - w):
+                for rows in group:
+                    yield head + [(j, i) for i in rows]
+
+
 def min_dependent_support(
     gm: GeneratingMatrixSet,
     kind: str = "nrt",
@@ -89,6 +131,8 @@ def min_dependent_support(
     pooled rows for "hamming".  More than m rows are always dependent and
     skip the rank check.  Returns (W, k) with k a dual element of weight W
     (the dependency among the rows), or None when no support is dependent.
+    The supports of one weight are tried in ascending order of their pooled
+    row indices j p + i, so the witness is the first dependent one.
 
     With `floor`, only weights below `floor` are searched.  `cap` bounds
     the candidate supports that may need a rank check: before weight W is
@@ -104,10 +148,9 @@ def min_dependent_support(
         full = m + 1 if s * p > m else None  # the first weight whose supports exceed m rows
         for w in range(1, min(top, m) + 1):
             counts[w] = math.comb(s * p, w)
-        pooled = [(j, i) for j in range(s) for i in range(p)]
 
         def supports(w):
-            return map(list, combinations(pooled, w))
+            return map(list, combinations(range(s * p), w))
     else:
         if s * p > m:
             # the first m + 1 rows, coordinate by coordinate, exceed m rows
@@ -129,7 +172,7 @@ def min_dependent_support(
                 counts[w] += n
 
         def supports(w):
-            return _product_supports(sets, s, w)
+            return sorted([j * p + i for j, i in support] for support in _product_supports(sets, s, w))
 
     rows = pack_rows(gm.array.reshape(s * p, m), b)  # the pooled rows, C_1's first
     checks = 0
@@ -142,10 +185,10 @@ def min_dependent_support(
         for support in supports(w):
             if w == full and len(support) <= m:
                 continue  # a larger support of this weight is dependent anyway
-            dep = row_dependency([rows[j * p + i] for j, i in support], b)
+            dep = row_dependency([rows[i] for i in support], b)
             if dep is not None:
                 k = [0] * s
-                for (j, i), c in zip(support, dep):
-                    k[j] += c * b**i
+                for i, c in zip(support, dep):
+                    k[i // p] += c * b ** (i % p)
                 return w, tuple(k)
     return None

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import (
     _TABLE_ROWS,
     GeneratingMatrixSet,
+    _candidate_trie,
     _net_digits,
     PointSet,
     char_property_sum,
@@ -18,11 +21,13 @@ from lowdisc.nets import (
     fraction_digits,
     generate_net_points,
     geometric_net_check,
+    geometric_t_value,
     index_digits,
     is_tms_net,
 )
 
 from net_reference import net_digits_reference
+from rank_reference import _closed_sets
 
 
 def identity_net(b, m, s):
@@ -161,6 +166,26 @@ def test_is_tms_net():
         is_tms_net(identity_net(2, 2, 1), 3)
 
 
+def test_candidate_trie_holds_the_closed_sets():
+    """Every path of the trie is one of the enumerated candidate sets and back,
+    each path's weight steps add up to its mu_alpha weight, children come in
+    row order, and the (weight, rows) counts are those of the sets."""
+    for p, alpha, budget, max_rows in itertools.product(range(1, 9), range(1, 5), range(40), range(10)):
+        trie, counts = _candidate_trie(p, alpha, budget, max_rows)
+        paths = {}
+
+        def walk(node, rows, weight):
+            paths[rows] = weight
+            assert [row for row, _, _ in trie[node]] == sorted({row for row, _, _ in trie[node]})
+            for row, child, step in trie[node]:
+                walk(child, rows + (row,), weight + step)
+
+        walk(0, (), 0)
+        sets = {rows: w for w, group in _closed_sets(p, alpha, budget, max_rows).items() for rows in group}
+        assert len(paths) == len(trie) and paths == sets
+        assert counts == Counter((w, len(rows)) for rows, w in sets.items())
+
+
 # ---------------------------------------------------------
 # Geometric counting
 # ---------------------------------------------------------
@@ -171,9 +196,12 @@ def test_geometric_check_examples():
     dup = generate_net_points(identity_net(2, 2, 2))
     assert not geometric_net_check(dup, 0)
     assert geometric_net_check(dup, 2)  # t = m: one interval holds everything
+    assert geometric_t_value(vdc) == 0 and geometric_t_value(dup) == 1
     bad = PointSet.from_digits(np.zeros((3, 1, 1), dtype=np.uint8), 2)
     with pytest.raises(ParameterError):
         geometric_net_check(bad, 0)
+    with pytest.raises(ParameterError):
+        geometric_t_value(bad)
 
 
 def test_geometric_agrees_with_algebraic_t():

@@ -57,6 +57,7 @@ from lowdisc.nets import (  # noqa: E402
     fraction_digits,
     generate_net_points,
     geometric_net_check,
+    geometric_t_value,
     min_dependent_support,
 )
 from lowdisc.pointfile import (  # noqa: E402
@@ -226,6 +227,11 @@ def test_geometric_check_matches_loop_and_algebraic_t(gm):
     t = compute_t_value(gm)
     for tt in range(gm.cols + 1):
         assert geometric_net_check(ps, tt) == geometric_loop_oracle(ps, tt) == (tt >= t)
+
+
+@given(nets())
+def test_geometric_t_value_is_the_rank_t_value(gm):
+    assert geometric_t_value(generate_net_points(gm)) == compute_t_value(gm)
 
 
 @st.composite
