@@ -29,15 +29,20 @@ subprocess, one at a time:
   the machine as times do.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
-`perfbench/`.  The summary gives the medians and the pairs the change won.
+`perfbench/`.  Before the first run, every `__pycache__` under both
+checkouts is removed and both are compiled anew with `compileall`, so
+that neither side pays for compiling its imports while the other reads a
+cache.  The summary gives the medians and the pairs the change won.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -125,6 +130,14 @@ def _env(root: Path) -> dict:
     return env
 
 
+def fresh_bytecode(root: Path) -> None:
+    """Remove every `__pycache__` under root, then compile root with this interpreter."""
+    for cache in list(root.rglob("__pycache__")):
+        shutil.rmtree(cache)
+    if not compileall.compile_dir(root, quiet=1):
+        raise RuntimeError(f"compileall failed under {root}")
+
+
 def perfbench(root: Path, workload: str, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
@@ -167,9 +180,13 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
+    for root in sides.values():
+        fresh_bytecode(root)
     record = {
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
+        "bytecode": "every __pycache__ under both checkouts removed, then both compiled "
+                    "with compileall, before the first run",
         "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
         "layers": {"repeat": 5, "l2_exact_repeat": 3, "rank_repeat": 3,
                    "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},

@@ -23,6 +23,7 @@ from .constructions import (
     niederreiter_net_matrices,
     niederreiter_t_bound,
     van_der_corput,
+    van_der_corput_matrices,
 )
 from .discrepancy import (
     DiscrepancyReport,

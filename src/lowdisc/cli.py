@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: construct, verify, discrepancy, scaling, selftest.  Flag
-values can also come from a JSON config file (--config); explicit flags
-win over the file.  Exit codes: 0 success, 1 parameter/precondition
-error, 2 capacity refusal, 3 verification or consistency failure.
+values can also come from a JSON config file (--config), parsed as flags
+placed before explicit ones, which win.  Exit codes: 0 success, 1
+parameter/precondition error, 2 capacity refusal, 3 verification or
+consistency failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from .constructions import (
     faure_matrices,
     niederreiter_net_matrices,
     niederreiter_t_bound,
+    van_der_corput_matrices,
 )
 from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, scaling_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .nets import (
     GeneratingMatrixSet,
-    char_property_sums,
+    char_property_deviation,
     dual_space,
     generate_net_points,
     geometric_net_check,
@@ -44,56 +45,6 @@ from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile, t_a
 MATRIX_FAMILIES = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
 POINT_FAMILIES = MATRIX_FAMILIES + ("dp-finite", "dp-sequence", "davenport")
 CHECKS = ("t-value", "geometric", "mu1", "hamming", "order", "char", "all")
-
-
-@dataclass
-class RunConfig:
-    """Flag values for one command; round-trips through JSON."""
-
-    family: str | None = None
-    b: int | None = None
-    m: str | None = None
-    s: int | None = None
-    alpha: int | None = None
-    N: str | None = None
-    q: float = 2.0
-    samples: int = 4096
-    seed: int = 0
-    cap: int = 1 << 21
-    out: str | None = None
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - cls.field_names()
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge_flags(self, args: argparse.Namespace) -> "RunConfig":
-        """Explicit command-line flags override config-file values."""
-        for name in self.field_names():
-            value = getattr(args, name, None)
-            if value is not None:
-                setattr(self, name, value)
-        return self
-
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ParameterError("config file must hold a JSON object")
-        cfg = RunConfig.from_dict(data)
-    return cfg.merge_flags(args)
 
 
 def _parse_grid(text: str | None, flag: str) -> list[int]:
@@ -119,7 +70,7 @@ def _single(text: str | None, flag: str) -> int:
     return grid[0]
 
 
-def _need(cfg: RunConfig, *names: str):
+def _need(cfg: argparse.Namespace, *names: str):
     values = []
     for name in names:
         value = getattr(cfg, name)
@@ -129,12 +80,11 @@ def _need(cfg: RunConfig, *names: str):
     return values
 
 
-def build_matrices(cfg: RunConfig) -> GeneratingMatrixSet:
+def build_matrices(cfg: argparse.Namespace) -> GeneratingMatrixSet:
     family = cfg.family
     if family == "van-der-corput":
         b, = _need(cfg, "b")
-        m = _single(cfg.m, "m")
-        return GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
+        return van_der_corput_matrices(b, _single(cfg.m, "m"))
     if family == "faure":
         b, s = _need(cfg, "b", "s")
         return faure_matrices(b, _single(cfg.m, "m"), s)
@@ -153,7 +103,7 @@ def build_matrices(cfg: RunConfig) -> GeneratingMatrixSet:
     )
 
 
-def _provenance(cfg: RunConfig, **extra) -> dict:
+def _provenance(cfg: argparse.Namespace, **extra) -> dict:
     prov = {"family": cfg.family}
     for key in ("b", "alpha", "s"):
         if getattr(cfg, key) is not None:
@@ -162,7 +112,7 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
     return prov
 
 
-def build_points(cfg: RunConfig, gm: GeneratingMatrixSet | None = None):
+def build_points(cfg: argparse.Namespace, gm: GeneratingMatrixSet | None = None):
     """The family's point set; matrix families reuse `gm` when given."""
     family = cfg.family
     if family in MATRIX_FAMILIES:
@@ -192,7 +142,7 @@ def _emit(text: str, out: str | None) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(cfg: argparse.Namespace) -> int:
     gm = build_matrices(cfg) if cfg.family in MATRIX_FAMILIES else None
     ps = build_points(cfg, gm)
     if gm is not None:
@@ -206,7 +156,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def _family_t_bound(cfg: RunConfig, gm: GeneratingMatrixSet) -> int:
+def _family_t_bound(cfg: argparse.Namespace, gm: GeneratingMatrixSet) -> int:
     if cfg.family in ("faure", "chen-skriganov", "van-der-corput"):
         return 0
     if cfg.family == "niederreiter":
@@ -214,13 +164,8 @@ def _family_t_bound(cfg: RunConfig, gm: GeneratingMatrixSet) -> int:
     if cfg.family == "dp-net":
         # quality of the underlying sequence, folded through interlacing
         alpha = cfg.alpha or 1
-        return min(t_alpha(alpha, _dp_base_t(alpha, gm), gm.s), gm.cols)
+        return min(t_alpha(alpha, niederreiter_t_bound(alpha * gm.s), gm.s), gm.cols)
     return gm.cols
-
-
-def _dp_base_t(alpha: int, gm: GeneratingMatrixSet) -> int:
-    """t of the alpha s-dimensional Niederreiter net that a dp-net interlaces: at most its m."""
-    return min(niederreiter_t_bound(alpha * gm.s), gm.cols)
 
 
 def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> None:
@@ -239,7 +184,7 @@ def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> 
     )
 
 
-def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
+def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> int:
     if path is not None:
         if check not in ("geometric", "all"):
             raise ParameterError("point-file input supports the geometric check only")
@@ -296,24 +241,11 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
                     raise ParameterError("the order check applies to --family dp-net")
                 continue
             alpha = cfg.alpha or 1
-            prof = order_alpha_profile(gm, alpha, _dp_base_t(alpha, gm), cfg.cap)
+            prof = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
             ok = prof.minimum is None
             add("order", str(ok).lower(), "true", ok, prof)
         elif sel == "char":
-            limit = gm.base**gm.rows
-            if limit > 2**63:
-                raise CapacityError(f"the char check draws Walsh indices below {gm.base}^{gm.rows}, "
-                                    "beyond the int64 range")
-            dual = dual_space(gm, None)  # reads at most 64 elements and tests 20
-            indices = dual.elements(limit=64)
-            in_dual = len(indices)
-            rng = np.random.default_rng(cfg.seed)
-            while len(indices) < in_dual + 20:
-                k = tuple(int(v) for v in rng.integers(0, limit, size=gm.s))
-                if not dual.contains(k):
-                    indices.append(k)
-            sums = [complex(v) for v in char_property_sums(ps, indices)]
-            worst = max([0.0] + [abs(v - 1.0) for v in sums[:in_dual]] + [abs(v) for v in sums[in_dual:]])
+            worst = char_property_deviation(ps, dual_space(gm, None), 64, 20, cfg.seed)  # reads 64: no cap
             add("char", f"{worst:.3e}", "<=1e-9", worst <= 1e-9)
         else:
             raise ParameterError(f"unknown check {sel!r}; choose one of {CHECKS}")
@@ -321,7 +253,7 @@ def cmd_verify(check: str, cfg: RunConfig, path: str | None = None) -> int:
     return 3 if failed else 0
 
 
-def cmd_discrepancy(path: str, cfg: RunConfig) -> int:
+def cmd_discrepancy(path: str, cfg: argparse.Namespace) -> int:
     ps = read_point_file(path)
     prov = ps.provenance or {}
     family = str(prov.get("family", ""))
@@ -334,7 +266,7 @@ def cmd_discrepancy(path: str, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scaling(cfg: RunConfig) -> int:
+def cmd_scaling(cfg: argparse.Namespace) -> int:
     family = cfg.family
     if family is None:
         raise ParameterError("scaling needs --family")
@@ -345,8 +277,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         grid = [("N", v) for v in _parse_grid(cfg.N, "N")]
     full_sequence = None
     for axis, v in grid:
-        sub = RunConfig.from_dict(cfg.to_dict())
-        setattr(sub, axis, str(v))
+        sub = argparse.Namespace(**{**vars(cfg), axis: str(v)})
         try:
             if family == "dp-sequence":
                 # one sequence, growing prefixes
@@ -370,7 +301,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     results = selftest_mod.run_all()
     return 0 if all(ok for _, ok, _ in results) else 3
 
@@ -384,24 +315,39 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+# The flags every subcommand takes, after --config; a config file may set exactly these.
+FLAGS = {
+    "family": dict(choices=POINT_FAMILIES),
+    "b": dict(type=int, help="prime base"),
+    "m": dict(help="digit count; grids allow a:b or comma lists"),
+    "s": dict(type=int, help="dimension"),
+    "alpha": dict(type=int, help="interlacing factor"),
+    "N": dict(help="point count (davenport: the parameter M); grids allowed"),
+    "q": dict(type=float, default=2.0, help="discrepancy norm exponent (default 2)"),
+    "samples": dict(type=int, default=4096, help="Monte Carlo samples (default 4096)"),
+    "seed": dict(type=int, default=0, help="random seed (default 0)"),
+    "cap": dict(type=int, default=1 << 21, help="work cap (default 2^21): candidate supports "
+                "rank-checked by the mu1, hamming and order checks, up to the weight searched"),
+    "out": dict(help="output path (default stdout)"),
+}
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with flag values (flags win)")
-    p.add_argument("--family", choices=POINT_FAMILIES)
-    p.add_argument("--b", type=int, help="prime base")
-    p.add_argument("--m", help="digit count; grids allow a:b or comma lists")
-    p.add_argument("--s", type=int, help="dimension")
-    p.add_argument("--alpha", type=int, help="interlacing factor")
-    p.add_argument("--N", help="point count (davenport: the parameter M); grids allowed")
-    p.add_argument("--q", type=float, help="discrepancy norm exponent (default 2)")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples (default 4096)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument(
-        "--cap",
-        type=int,
-        help="work cap (default 2^21): candidate supports rank-checked by the mu1, hamming "
-        "and order checks, up to the weight searched",
-    )
-    p.add_argument("--out", help="output path (default stdout)")
+    for name, kwargs in FLAGS.items():
+        p.add_argument(f"--{name}", **kwargs)
+
+
+def _config_flags(path: str) -> list[str]:
+    """The config file's values as --key=value flags; a null value leaves its flag unset."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParameterError("config file must hold a JSON object")
+    unknown = set(data) - set(FLAGS)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    return [f"--{key}={value}" for key, value in data.items() if value is not None]
 
 
 @functools.cache
@@ -431,21 +377,30 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's flags go right after the command, before argv's own."""
     parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-        cfg = _load_config(args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.command == "construct":
-            return cmd_construct(cfg)
+            return cmd_construct(args)
         if args.command == "verify":
-            return cmd_verify(args.check, cfg, args.path)
+            return cmd_verify(args.check, args, args.path)
         if args.command == "discrepancy":
-            return cmd_discrepancy(args.path, cfg)
+            return cmd_discrepancy(args.path, args)
         if args.command == "scaling":
-            return cmd_scaling(cfg)
+            return cmd_scaling(args)
         if args.command == "selftest":
-            return cmd_selftest(cfg)
+            return cmd_selftest(args)
         raise ParameterError(f"unknown command {args.command!r}")
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

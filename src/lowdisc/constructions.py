@@ -19,6 +19,7 @@ blocks of its matrices (Niederreiter, J. Number Theory 30 (1988)), so
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .field import (
 from .nets import (
     GeneratingMatrixSet,
     PointSet,
-    _exponent,
+    _net_exponent,
     check_capacity,
     fraction_digits,
     generate_net_points,
@@ -55,6 +56,7 @@ __all__ = [
     "dp_sequence",
     "arbitrary_n_trim",
     "davenport_symmetrized",
+    "van_der_corput_matrices",
     "van_der_corput",
 ]
 
@@ -98,21 +100,13 @@ def cs_matrices(
     if len(set(flat)) != len(flat):
         raise ParameterError("beta values must be pairwise distinct")
     n = alpha * m
+    binom = [[binomial_mod_p(k, j, b) for k in range(n)] for j in range(m)]  # C(k, j) mod b
     arr = np.zeros((s, n, n), dtype=np.int64)
     for i in range(s):
-        for l in range(1, alpha + 1):
-            beta = betas[i][l - 1]
-            for j in range(1, m + 1):
-                row = (l - 1) * m + j - 1
-                for k in range(1, n + 1):
-                    if k < j:
-                        continue
-                    if k == j:
-                        arr[i, row, k - 1] = 1  # C(j-1, j-1) * beta^0, with 0^0 = 1
-                    else:
-                        arr[i, row, k - 1] = (
-                            binomial_mod_p(k - 1, j - 1, b) * pow(beta, k - j, b)
-                        ) % b
+        for l, beta in enumerate(betas[i]):
+            for j in range(m):
+                for k in range(j, n):  # pow(beta, 0, b) = 1 gives the diagonal, 0^0 included
+                    arr[i, l * m + j, k] = binom[j][k] * pow(beta, k - j, b) % b
     return GeneratingMatrixSet(b, arr)
 
 
@@ -143,6 +137,8 @@ def niederreiter_net_matrices(s: int, m: int) -> GeneratingMatrixSet:
     """
     if s < 1:
         raise ParameterError("dimension must be >= 1")
+    if m < 1:
+        raise ParameterError("need m >= 1")
     quotients = []  # row k of every C_j, C_1's first, as an m-bit integer
     for p in irreducible_polys_f2(s):
         e = poly_degree(p)
@@ -297,11 +293,7 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
     rationals of finite expansion, so they are truncated to `precision`
     digits (default: at least 48).
     """
-    b = ps.base
-    count = len(ps)
-    m = _exponent(count, b)
-    if b**m != count:
-        raise ParameterError(f"point count {count} is not a power of base {b}")
+    b, count, m = ps.base, len(ps), _net_exponent(ps)
     if m == 0:
         if N != 1:
             raise ParameterError(f"a single-point set can only be trimmed to N=1, got N={N}")
@@ -343,19 +335,14 @@ def davenport_symmetrized(
     if M < 1 or precision < 1:
         raise ParameterError("need M >= 1 and precision >= 1")
     check_capacity(2 * M, 2, precision)
+    quotients = repeat(1) if alpha_cf is None else iter(alpha_cf)  # golden ratio: all ones
     p_prev, q_prev = 1, 0
-    p_cur, q_cur = (alpha_cf[0] if alpha_cf else 1), 1
-    k = 1
-    while q_cur <= M * M:
-        if alpha_cf is not None:
-            if k >= len(alpha_cf):
-                break
-            a = alpha_cf[k]
-        else:
-            a = 1  # golden ratio: all partial quotients are 1
+    p_cur, q_cur = next(quotients, 1), 1
+    for a in quotients:
+        if q_cur > M * M:
+            break
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        k += 1
     alpha = Fraction(p_cur, q_cur)
     num, den = alpha.numerator % alpha.denominator, alpha.denominator
     n = np.repeat(np.arange(1, M + 1, dtype=np.int64 if M * den < 2**63 else object), 2)
@@ -372,7 +359,15 @@ def davenport_symmetrized(
     return PointSet.from_digits(digits, 2, prov)
 
 
+def van_der_corput_matrices(b: int, m: int) -> GeneratingMatrixSet:
+    """The m x m identity over F_b: the generating matrix of the radical-inverse net."""
+    if m < 1:
+        raise ParameterError("need m >= 1")
+    return GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
+
+
 def van_der_corput(b: int, m: int) -> PointSet:
-    """The b^m-point radical-inverse set: identity generating matrix."""
-    gm = GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
-    return generate_net_points(gm, provenance={"family": "van-der-corput", "b": b, "m": m})
+    """The b^m-point radical-inverse set."""
+    return generate_net_points(
+        van_der_corput_matrices(b, m), provenance={"family": "van-der-corput", "b": b, "m": m}
+    )

@@ -40,7 +40,7 @@ import numpy as np
 
 from .constructions import arbitrary_n_trim
 from .errors import CapacityError, ParameterError
-from .nets import PointSet, fraction_digits
+from .nets import PointSet, _exponent, fraction_digits
 
 __all__ = [
     "DiscrepancyReport",
@@ -731,7 +731,7 @@ def append_index_coordinate(ps: PointSet, N: int, precision: int | None = None) 
     if N < 1:
         raise ParameterError("need N >= 1")
     b = ps.base
-    exact_digits = next(e for e in range(N.bit_length() + 1) if b**e >= N)
+    exact_digits = _exponent(N, b)
     if b**exact_digits == N:
         out_precision = max(ps.precision, exact_digits, 1)
     else:

@@ -58,6 +58,7 @@ __all__ = [
     "dual_space",
     "char_property_sum",
     "char_property_sums",
+    "char_property_deviation",
 ]
 
 
@@ -140,8 +141,8 @@ class PointSet:
         return tuple(coords)
 
     def prefix(self, n: int) -> "PointSet":
-        if n > len(self):
-            raise ParameterError(f"prefix of {n} points requested, only {len(self)} present")
+        if not 0 <= n <= len(self):
+            raise ParameterError(f"prefix of {n} points requested, need 0..{len(self)}")
         prov = dict(self.provenance) if self.provenance else {}
         prov["prefix"] = n
         return PointSet.from_digits(self._digits[:n], self.base, prov)
@@ -594,53 +595,31 @@ class DualSpace:
             raise CapacityError(
                 f"dual enumeration of {b}^{self.kernel_dim} elements exceeds cap {cap}"
             )
-        self.basis = (
-            np.array(basis, dtype=np.int64)
-            if basis
-            else np.zeros((0, gm.s * p), dtype=np.int64)
-        )
-        self._digits: np.ndarray | None = None
+        self.basis = np.array(basis, dtype=np.int64).reshape(-1, gm.s * p)
 
-    def _span(self, start: int, stop: int) -> np.ndarray:
-        """Dual elements start..stop-1 in enumeration order, as (n, s * p) digits."""
-        b = self.gm.base
-        idx = np.arange(start, stop, dtype=np.int64)
-        used = _exponent(stop, b)  # coefficients of b^used and above are 0 below stop
-        coeffs = (idx[:, None] // b ** np.arange(used, dtype=np.int64)[None, :]) % b
-        return ((coeffs @ self.basis[:used]) % b).astype(np.uint8)
+    def element_digits(self, limit: int | None = None) -> np.ndarray:
+        """The first `limit` dual elements (all if None) as an (n, s, p) uint8 digit array.
 
-    def element_digits(self) -> np.ndarray:
-        """All dual elements as a (size, s, p) uint8 digit array, zero first.
-
-        Spans the kernel in chunks so that the intermediate int64 products
-        stay small even for million-element duals.
-        """
-        if self._digits is None:
-            s, p = self.gm.s, self.gm.rows
-            arr = np.zeros((self.size, s * p), dtype=np.uint8)
-            chunk = 1 << 16
-            for start in range(0, self.size, chunk):
-                stop = min(start + chunk, self.size)
-                arr[start:stop] = self._span(start, stop)
-            arr = arr.reshape(self.size, s, p)
-            arr.setflags(write=False)
-            self._digits = arr
-        return self._digits
-
-    def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
-        """Dual elements as integer vectors (k_1, ..., k_s), in enumeration order.
-
-        With `limit`, only the first `limit` elements are computed.
+        Element i weights the kernel basis by the base-b digits of i, so
+        element 0 is zero; chunks keep the int64 products small.
         """
         b, s, p = self.gm.base, self.gm.s, self.gm.rows
-        if limit is None:
-            digits = self.element_digits()
-        else:
-            n = min(max(limit, 0), self.size)
-            digits = self._span(0, n).reshape(n, s, p)
+        n = self.size if limit is None else min(max(limit, 0), self.size)
+        used = _exponent(n, b)  # coefficients of b^used and above are 0 below n
+        powers = b ** np.arange(used, dtype=np.int64)
+        out = np.empty((n, s * p), dtype=np.uint8)
+        chunk = 1 << 16
+        for start in range(0, n, chunk):
+            coeffs = (np.arange(start, min(start + chunk, n), dtype=np.int64)[:, None] // powers) % b
+            out[start : start + len(coeffs)] = (coeffs @ self.basis[:used]) % b
+        return out.reshape(n, s, p)
+
+    def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
+        """The first `limit` dual elements (all if None) as integer vectors (k_1, ..., k_s)."""
+        b, p = self.gm.base, self.gm.rows
         dtype = np.int64 if b**p < 2**62 else object
         powers = np.array([b**i for i in range(p)], dtype=dtype)
-        return [tuple(row) for row in (digits.astype(dtype) @ powers).tolist()]
+        return [tuple(row) for row in (self.element_digits(limit).astype(dtype) @ powers).tolist()]
 
     def contains(self, kvec: Sequence[int]) -> bool:
         """Membership by direct substitution into the stacked system."""
@@ -704,3 +683,27 @@ def char_property_sums(ps: PointSet, kvecs: Sequence[Sequence[int]]) -> np.ndarr
 def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
     """The character sum of `char_property_sums` at the one index kvec."""
     return complex(char_property_sums(ps, [kvec])[0])
+
+
+def char_property_deviation(ps: PointSet, dual: DualSpace, in_dual: int | None, drawn: int,
+                            seed: int) -> float:
+    """The worst deviation of the net's character sums from the character property.
+
+    The sums are compared with 1 at the first `in_dual` dual elements (all
+    of them if None) and with 0 at `drawn` indices outside the dual, drawn
+    uniformly from {0, ..., b^p - 1}^s with `seed` by rejecting dual members.
+    """
+    gm = dual.gm
+    limit = gm.base**gm.rows
+    if limit > 2**63:
+        raise CapacityError(f"the char check draws Walsh indices below {gm.base}^{gm.rows}, "
+                            "beyond the int64 range")
+    indices = dual.elements(in_dual)
+    count = len(indices)
+    rng = np.random.default_rng(seed)
+    while len(indices) < count + drawn:
+        k = tuple(int(v) for v in rng.integers(0, limit, size=gm.s))
+        if not dual.contains(k):
+            indices.append(k)
+    sums = [complex(v) for v in char_property_sums(ps, indices)]
+    return max([0.0] + [abs(v - 1.0) for v in sums[:count]] + [abs(v) for v in sums[count:]])

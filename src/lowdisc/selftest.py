@@ -40,7 +40,7 @@ from .field import matrix_rank
 from .nets import (
     GeneratingMatrixSet,
     PointSet,
-    char_property_sum,
+    char_property_deviation,
     compute_t_value,
     dual_space,
     generate_net_points,
@@ -214,20 +214,7 @@ def criterion_07_char_property() -> tuple[bool, str]:
         (dp_net_matrices(3, 3, 1), 1 << 10),
     ]
     for gm, cap in cases:
-        ps = generate_net_points(gm)
-        dual = dual_space(gm, cap)
-        case_worst = 0.0
-        for k in dual.elements():
-            case_worst = max(case_worst, abs(char_property_sum(ps, k) - 1.0))
-        rng = np.random.default_rng(17)
-        limit = gm.base**gm.rows
-        found = 0
-        while found < 100:
-            k = tuple(int(v) for v in rng.integers(0, limit, size=gm.s))
-            if dual.contains(k):
-                continue
-            case_worst = max(case_worst, abs(char_property_sum(ps, k)))
-            found += 1
+        case_worst = char_property_deviation(generate_net_points(gm), dual_space(gm, cap), None, 100, 17)
         if case_worst > 1e-9:
             return False, f"deviation {case_worst:.2e} on base-{gm.base} net"
         worst = max(worst, case_worst)

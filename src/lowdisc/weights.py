@@ -191,8 +191,10 @@ def order_alpha_profile(
     The condition min mu_alpha >= alpha*m - t_alpha holds iff the returned
     minimum is None; otherwise the witness is a dual element below it.
     gm_interlaced is the interlaced matrix set (alpha*p rows, m columns);
-    t_base is the quality parameter of the underlying sequence or net.
+    t_base is the quality parameter of the underlying sequence or net,
+    clamped to m, since the net's t never exceeds its m.
     """
+    t_base = min(t_base, gm_interlaced.cols)
     floor = alpha * gm_interlaced.cols - t_alpha(alpha, t_base, gm_interlaced.s)
     return min_weight_by_rank(gm_interlaced, "mu", alpha=alpha, floor=floor, cap=cap)
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lowdisc import discrepancy
-from lowdisc.cli import RunConfig, main, make_parser
+from lowdisc.cli import main, make_parser
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
-from lowdisc.errors import ParameterError
 from lowdisc.nets import generate_net_points
 from lowdisc.pointfile import read_point_file
 
@@ -364,6 +363,17 @@ def test_scaling_dp_sequence_refuses_one_point_in_two_dimensions(capsys):
     )
 
 
+def test_scaling_rows_refuse_bad_sizes(capsys):
+    assert run("scaling", "--family", "niederreiter", "--s", "1", "--m", "0:1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "niederreiter,m=0,,,error: need m >= 1,,"
+    assert lines[2].startswith("niederreiter,m=1,2,1,")
+    assert run("scaling", "--family", "dp-sequence", "--s", "2", "--N=-1,4") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "dp-sequence,N=-1,,,error: prefix of -1 points requested, need 0..4,,"
+    assert lines[2].startswith("dp-sequence,N=4,4,2,")
+
+
 def test_scaling_byte_identical_across_runs(capsys):
     args = ("scaling", "--family", "dp-sequence", "--s", "1", "--N", "16,31,32")
     assert run(*args) == 0
@@ -399,11 +409,45 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_runconfig_round_trip():
-    cfg = RunConfig(family="faure", b=5, m="2", s=2, seed=9)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ParameterError):
-        RunConfig.from_dict({"nope": 1})
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    t_value = ("verify", "t-value", "--config", str(cfg))
+    faure = {"family": "faure", "m": 2, "s": 2}
+    assert run("verify", "t-value", "--family", "faure", "--b", "5", "--m", "2", "--s", "2") == 0
+    by_flag = capsys.readouterr()
+    cfg.write_text(json.dumps({**faure, "b": "5"}))
+    assert run(*t_value) == 0
+    assert capsys.readouterr() == by_flag
+    for key, value in (("s", 2.0), ("seed", "x"), ("b", True)):
+        cfg.write_text(json.dumps({**faure, "b": 5, key: value}))
+        assert run(*t_value) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: argument --{key}: invalid int value: {str(value)!r}\n"
+    cfg.write_text(json.dumps({**faure, "b": 5}))
+    assert run(*t_value, "--s", "3") == 0  # the flag wins over the file
+    assert "t-value,faure,b=5;m=2;s=3;" in capsys.readouterr().out
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    faure = ("--family", "faure", "--b", "3", "--m", "2", "--s", "2")
+    assert run("verify", "char", *faure, "--seed=-1") == 1
+    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -1\n"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -5}))
+    assert run("verify", "char", *faure, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -5\n"
+    assert run("verify", "char", *faure, "--config", str(cfg), "--seed", "0") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "van-der-corput", "--b", "2", "--m=-1"),
+    ("--family", "van-der-corput", "--b", "2", "--m", "0"),
+    ("--family", "niederreiter", "--s", "2", "--m=-1"),
+    ("--family", "niederreiter", "--s", "2", "--m", "0"),
+])
+def test_construct_refuses_fewer_than_one_digit(argv, capsys):
+    assert run("construct", *argv) == 1
+    assert capsys.readouterr().err == "error: need m >= 1\n"
 
 
 def test_usage_errors_exit_one(capsys):

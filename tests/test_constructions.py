@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,19 +9,19 @@ from lowdisc.constructions import (
     arbitrary_n_trim,
     cs_matrices,
     davenport_symmetrized,
+    default_betas,
     dp_finite_base,
     dp_finite_pointset,
     dp_net,
     dp_sequence,
-    faure_matrices,
     interlace_matrices,
     interlace_pointset,
     niederreiter_net_matrices,
     niederreiter_t_bound,
     van_der_corput,
+    van_der_corput_matrices,
 )
 from lowdisc.errors import CapacityError, ParameterError
-from lowdisc.field import binomial_mod_p
 from lowdisc.nets import PointSet, compute_t_value, generate_net_points
 
 # ---------------------------------------------------------
@@ -42,20 +43,34 @@ def test_cs_default_betas_reproduce_worked_example():
     assert cs_matrices(5, 2, 2, 2).array[0].tolist() == WORKED_C1
 
 
-def test_faure_rows_follow_binomial_formula():
-    b, m, s = 5, 3, 2
-    gm = faure_matrices(b, m, s)
+def cs_entries_reference(b, alpha, m, s, betas):
+    """Chen-Skriganov matrices entry by entry: row (l-1)*m + j of matrix i holds
+    C(k-1, j-1) * beta_{i,l}^(k-j) mod b in column k >= j, 1 on the diagonal."""
+    n = alpha * m
+    arr = np.zeros((s, n, n), dtype=np.int64)
     for i in range(s):
-        beta = i  # default betas for alpha=1 are 0, 1, ..., s-1
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                if k < j:
-                    expect = 0
-                elif k == j:
-                    expect = 1
-                else:
-                    expect = binomial_mod_p(k - 1, j - 1, b) * beta ** (k - j) % b
-                assert gm.array[i, j - 1, k - 1] == expect
+        for l in range(1, alpha + 1):
+            beta = betas[i][l - 1]
+            for j in range(1, m + 1):
+                row = (l - 1) * m + j - 1
+                for k in range(j, n + 1):
+                    if k == j:
+                        arr[i, row, k - 1] = 1  # C(j-1, j-1) * beta^0, with 0^0 = 1
+                    else:
+                        arr[i, row, k - 1] = math.comb(k - 1, j - 1) * beta ** (k - j) % b
+    return arr
+
+
+def test_cs_matrices_follow_the_entry_formula():
+    rng = np.random.default_rng(3)
+    for b in (2, 3, 5, 7, 11, 13):
+        for alpha in (1, 2, 3):
+            for m in (1, 2, 3):
+                for s in range(1, b // alpha + 1):  # every s with alpha*s <= b
+                    shuffled = rng.permutation(b)[: alpha * s].reshape(s, alpha).tolist()
+                    for betas in (default_betas(alpha, s), shuffled):
+                        gm = cs_matrices(b, alpha, m, s, betas=betas)
+                        assert np.array_equal(gm.array, cs_entries_reference(b, alpha, m, s, betas))
 
 
 def test_cs_beta_zero_rows_are_shifted_diagonal():
@@ -82,6 +97,14 @@ def test_cs_nets_have_t_zero():
 # ---------------------------------------------------------
 # Niederreiter matrices
 # ---------------------------------------------------------
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_matrix_families_need_one_digit(m):
+    with pytest.raises(ParameterError, match="need m >= 1"):
+        van_der_corput_matrices(2, m)
+    with pytest.raises(ParameterError, match="need m >= 1"):
+        niederreiter_net_matrices(2, m)
+
 
 def test_niederreiter_first_dimension_is_identity():
     assert np.array_equal(niederreiter_net_matrices(1, 6).array[0], np.eye(6, dtype=np.uint8))
@@ -288,6 +311,41 @@ def test_davenport_explicit_cf_prefix():
     # sqrt(2) = [1; 2, 2, 2, ...]
     ps = davenport_symmetrized(4, alpha_cf=[1, 2, 2, 2, 2, 2, 2])
     assert len(ps) == 8
+
+
+# The convergent p/q that stands for alpha: the first with q > M^2, or the last
+# the partial quotients give.  sqrt(2) = [1; 2, 2, ...], pi = [3; 7, 15, 1, 292, ...]
+# and the golden ratio (None) = [1; 1, 1, ...].
+DAVENPORT_CONVERGENTS = [
+    ([], {1: Fraction(1), 4: Fraction(1), 50: Fraction(1)}),
+    ([1], {1: Fraction(1), 4: Fraction(1), 50: Fraction(1)}),
+    ([1, 2, 2, 2, 2, 2, 2], {1: Fraction(3, 2), 4: Fraction(41, 29), 50: Fraction(239, 169)}),
+    ([3, 7, 15, 1, 292], {1: Fraction(22, 7), 4: Fraction(333, 106), 50: Fraction(103993, 33102)}),
+    (None, {1: Fraction(3, 2), 4: Fraction(34, 21), 50: Fraction(4181, 2584)}),
+]
+
+
+def davenport_reference(M, alpha, precision=48):
+    """The 2M points ({n alpha}, n/M mod 1), ({-n alpha}, n/M mod 1), n = 1..M,
+    truncated to `precision` binary digits."""
+
+    def digits(x):
+        top = math.floor(x * 2**precision)
+        return [(top >> (precision - 1 - i)) & 1 for i in range(precision)]
+
+    rows = [
+        [digits(sign * n * alpha % 1), digits(Fraction(n % M, M))]
+        for n in range(1, M + 1)
+        for sign in (1, -1)
+    ]
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("alpha_cf, convergents", DAVENPORT_CONVERGENTS)
+def test_davenport_uses_the_expected_convergent(alpha_cf, convergents):
+    for M, alpha in convergents.items():
+        got = davenport_symmetrized(M, alpha_cf=alpha_cf).digit_array()
+        assert np.array_equal(got, davenport_reference(M, alpha))
 
 
 def test_davenport_refuses_oversized_request_up_front():

@@ -331,6 +331,9 @@ def test_pointset_prefix():
     assert np.array_equal(pre.digit_array(), ps.digit_array()[:3])
     with pytest.raises(ParameterError):
         ps.prefix(9)
+    with pytest.raises(ParameterError, match="prefix of -1 points"):
+        ps.prefix(-1)
+    assert len(ps.prefix(0)) == 0
 
 
 def test_pointset_from_digits_validates_and_freezes():

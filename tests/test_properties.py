@@ -253,6 +253,7 @@ def test_kernel_basis_equals_the_echelon_basis(case):
 def test_dual_elements_limit_is_a_prefix(gm, k):
     dual = dual_space(gm, 1 << 14)
     assert dual.elements(limit=k) == dual.elements()[:k]
+    assert np.array_equal(dual.element_digits(k), dual.element_digits()[:k])
 
 
 @st.composite
