@@ -51,13 +51,12 @@ def _parse_grid(text: str | None, flag: str) -> list[int]:
     """Grid syntax: '7', '4:12' (inclusive), or '2,4,8'."""
     if text is None:
         raise ParameterError(f"--{flag} is required here")
-    text = str(text)  # config files may carry plain integers
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
             return list(range(int(lo), int(hi) + 1))
         if "," in text:
-            return [int(v) for v in str(text).split(",")]
+            return [int(v) for v in text.split(",")]
         return [int(text)]
     except ValueError as exc:
         raise ParameterError(f"--{flag}: bad grid value {text!r}") from exc
@@ -271,23 +270,18 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
     if family is None:
         raise ParameterError("scaling needs --family")
     rows = ["family,params,N,s,value,n_times_value,ratio"]
-    if family in MATRIX_FAMILIES:
-        grid = [("m", v) for v in _parse_grid(cfg.m, "m")]
-    else:
-        grid = [("N", v) for v in _parse_grid(cfg.N, "N")]
+    axis = "m" if family in MATRIX_FAMILIES else "N"
+    grid = _parse_grid(getattr(cfg, axis), axis)
     full_sequence = None
-    for axis, v in grid:
-        sub = argparse.Namespace(**{**vars(cfg), axis: str(v)})
+    for v in grid:
         try:
             if family == "dp-sequence":
                 # one sequence, growing prefixes
-                s, = _need(cfg, "s")
-                n_max = max(val for _, val in grid)
                 if full_sequence is None:
-                    full_sequence = dp_sequence(s, n_max)
+                    full_sequence = dp_sequence(*_need(cfg, "s"), max(grid))
                 ps = full_sequence.prefix(v)
             else:
-                ps = build_points(sub)
+                ps = build_points(argparse.Namespace(**{**vars(cfg), axis: str(v)}))
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
             m = v if axis == "m" else None
@@ -315,6 +309,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _int_or_none(minimum: float = -float("inf")):
+    """A flag type: an int of at least `minimum`, or 'none' (a config file's null) for None."""
+
+    def parse(text: str) -> int | None:
+        value = None if text == "none" else int(text)
+        if value is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value: 'x'"
+    return parse
+
+
 # The flags every subcommand takes, after --config; a config file may set exactly these.
 FLAGS = {
     "family": dict(choices=POINT_FAMILIES),
@@ -325,11 +332,13 @@ FLAGS = {
     "N": dict(help="point count (davenport: the parameter M); grids allowed"),
     "q": dict(type=float, default=2.0, help="discrepancy norm exponent (default 2)"),
     "samples": dict(type=int, default=4096, help="Monte Carlo samples (default 4096)"),
-    "seed": dict(type=int, default=0, help="random seed (default 0)"),
-    "cap": dict(type=int, default=1 << 21, help="work cap (default 2^21): candidate supports "
-                "rank-checked by the mu1, hamming and order checks, up to the weight searched"),
+    "seed": dict(type=_int_or_none(0), default=0, help="random seed (default 0)"),
+    "cap": dict(type=_int_or_none(), default=1 << 21, help="work cap (default 2^21): candidate "
+                "supports rank-checked by the mu1, hamming and order checks, up to the weight "
+                "searched"),
     "out": dict(help="output path (default stdout)"),
 }
+NONE_FLAGS = ("seed", "cap")  # the flags whose value 'none' stands for a config file's null
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -339,7 +348,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_flags(path: str) -> list[str]:
-    """The config file's values as --key=value flags; a null value leaves its flag unset."""
+    """The config file's values as --key=value flags; a null is 'none' for the NONE_FLAGS
+    and leaves any other flag at its default."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -347,7 +357,8 @@ def _config_flags(path: str) -> list[str]:
     unknown = set(data) - set(FLAGS)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    return [f"--{key}={value}" for key, value in data.items() if value is not None]
+    return [f"--{key}={'none' if value is None else value}" for key, value in data.items()
+            if value is not None or key in NONE_FLAGS]
 
 
 @functools.cache
@@ -383,8 +394,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
-    if args.seed < 0:
-        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     return args
 
 

@@ -131,17 +131,13 @@ def min_dual_weight(dual: DualSpace, kind: str, alpha: int | None = None) -> Wei
 
     The returned witness attains the minimum.
     """
-    b, p = dual.gm.base, dual.gm.rows
+    b = dual.gm.base
     digits = dual.element_digits()
     weights = _weight_matrix(digits, kind, alpha).sum(axis=1)
     if len(weights) == 1:  # only the zero element
         return WeightProfile(kind, alpha, None, None, dual.size)
     best = 1 + int(np.argmin(weights[1:]))  # element 0 is zero
-    powers = [b**i for i in range(p)]
-    witness = tuple(
-        int(sum(int(digits[best, j, i]) * powers[i] for i in range(p)))
-        for j in range(dual.gm.s)
-    )
+    witness = tuple(sum(int(d) * b**i for i, d in enumerate(row)) for row in digits[best])
     return WeightProfile(kind, alpha, int(weights[best]), witness, dual.size)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lowdisc import discrepancy
-from lowdisc.cli import main, make_parser
+from lowdisc.cli import _parse_args, main, make_parser
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.nets import generate_net_points
@@ -436,7 +436,28 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": -5}))
     assert run("verify", "char", *faure, "--config", str(cfg)) == 1
     assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -5\n"
-    assert run("verify", "char", *faure, "--config", str(cfg), "--seed", "0") == 0
+    # the file's value is parsed like a flag, so it is refused even where a flag overrides it
+    assert run("verify", "char", *faure, "--config", str(cfg), "--seed", "0") == 1
+
+
+def test_config_null_seed_and_cap_read_as_none(tmp_path, capsys):
+    """A null seed draws fresh entropy and a null cap lifts the bound, as `--seed none`
+    and `--cap none` do; a flag still overrides the file."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "chen-skriganov", "b": 11, "alpha": 2, "s": 5, "m": 5,
+                               "seed": None, "cap": None}))
+    hamming = ("verify", "hamming", "--config", str(cfg))
+    by_flag = _parse_args(["verify", "hamming", "--seed", "none", "--cap", "none"])
+    assert (by_flag.seed, by_flag.cap) == (None, None)
+    by_file = _parse_args(list(hamming))
+    assert (by_file.seed, by_file.cap) == (None, None)
+    overridden = _parse_args([*hamming, "--seed", "3", "--cap", "7"])
+    assert (overridden.seed, overridden.cap) == (3, 7)
+    # the weight-5 search needs 2 369 935 candidate supports, above the default cap 2^21
+    assert run(*hamming, "--cap", str(1 << 21)) == 2
+    assert "above cap 2097152" in capsys.readouterr().err
+    assert run(*hamming) == 0
+    assert "hamming,chen-skriganov,b=11;m=10;s=5;alpha=2,5,>=3,true" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from lowdisc.constructions import (
     dp_finite_pointset,
     dp_net,
     dp_sequence,
+    faure_matrices,
     interlace_matrices,
     interlace_pointset,
     niederreiter_net_matrices,
@@ -22,6 +23,7 @@ from lowdisc.constructions import (
     van_der_corput_matrices,
 )
 from lowdisc.errors import CapacityError, ParameterError
+from lowdisc.field import binomial_mod_p
 from lowdisc.nets import PointSet, compute_t_value, generate_net_points
 
 # ---------------------------------------------------------
@@ -41,6 +43,22 @@ def test_cs_worked_example_bit_for_bit():
 def test_cs_default_betas_reproduce_worked_example():
     # row-major defaults are 0,1,2,3: the worked example's choice
     assert cs_matrices(5, 2, 2, 2).array[0].tolist() == WORKED_C1
+
+
+def test_faure_rows_follow_binomial_formula():
+    b, m, s = 5, 3, 2
+    gm = faure_matrices(b, m, s)
+    for i in range(s):
+        beta = i  # default betas for alpha=1 are 0, 1, ..., s-1
+        for j in range(1, m + 1):
+            for k in range(1, m + 1):
+                if k < j:
+                    expect = 0
+                elif k == j:
+                    expect = 1
+                else:
+                    expect = binomial_mod_p(k - 1, j - 1, b) * beta ** (k - j) % b
+                assert gm.array[i, j - 1, k - 1] == expect
 
 
 def cs_entries_reference(b, alpha, m, s, betas):
