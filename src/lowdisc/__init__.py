@@ -63,18 +63,15 @@ from .nets import (
     generate_net_points,
     geometric_net_check,
     geometric_t_value,
-    is_tms_net,
 )
 from .pointfile import read_point_file, write_point_file
 from .weights import (
-    WeightProfile,
     hamming_weight,
     min_dual_weight,
     mu_alpha,
     nrt_weight,
     t_alpha,
     vector_weight,
-    verify_order_alpha,
 )
 
 __version__ = "0.1.0"

@@ -38,9 +38,10 @@ from .nets import (
     geometric_net_check,
     geometric_t_value,
     index_digits,
+    min_dependent_support,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
-from .weights import WeightProfile, min_weight_by_rank, order_alpha_profile, t_alpha
+from .weights import order_alpha_profile, t_alpha
 
 MATRIX_FAMILIES = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
 POINT_FAMILIES = MATRIX_FAMILIES + ("dp-finite", "dp-sequence", "davenport")
@@ -167,17 +168,18 @@ def _family_t_bound(cfg: argparse.Namespace, gm: GeneratingMatrixSet) -> int:
     return gm.cols
 
 
-def _report_witness(name: str, prof: WeightProfile, gm: GeneratingMatrixSet) -> None:
-    """Print a failed check's witness dual element and its support to stderr."""
-    if prof.witness is None:
+def _report_witness(name: str, found: tuple | None, gm: GeneratingMatrixSet) -> None:
+    """Print a failed check's witness dual element, if any, and its support to stderr."""
+    if found is None:
         return
+    weight, witness = found
     support = []
-    for j, digits in enumerate(index_digits(prof.witness, gm.base, gm.rows), start=1):
+    for j, digits in enumerate(index_digits(witness, gm.base, gm.rows), start=1):
         rows = np.flatnonzero(digits).tolist()
         if rows:
             support.append(f"C{j} rows {rows}")
     print(
-        f"{name} witness: dual element {prof.witness} of weight {prof.minimum}, "
+        f"{name} witness: dual element {witness} of weight {weight}, "
         f"support {'; '.join(support)}",
         file=sys.stderr,
     )
@@ -190,7 +192,9 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
         ps = read_point_file(path)
         t_geo = geometric_t_value(ps)
         bound = (ps.provenance or {}).get("t_bound")
-        ok = True if bound is None else t_geo <= int(bound)
+        if bound is not None and (type(bound) is not int or bound < 0):
+            raise ParameterError(f"provenance t_bound {bound!r} is not a non-negative int")
+        ok = True if bound is None else t_geo <= bound
         expected = "net-property" if bound is None else f"<={bound}"
         _emit(
             "check,family,params,value,expected,pass\n"
@@ -204,18 +208,18 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
     params = f"b={gm.base};m={gm.cols};s={gm.s};alpha={cfg.alpha or ''}"
     failed = False
 
-    def add(name: str, value, expected, ok: bool, prof: WeightProfile | None = None):
+    def add(name: str, value, expected, ok: bool, found: tuple | None = None):
         nonlocal failed
         failed |= not ok
-        if not ok and prof is not None:
-            _report_witness(name, prof, gm)
+        if not ok:
+            _report_witness(name, found, gm)
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
     selected = CHECKS[:-1] if check == "all" else (check,)
     if {"t-value", "geometric", "mu1"} & set(selected):
         # one nrt search gives both the t-value and the mu1 row; --cap bounds it only for mu1
-        nrt = min_weight_by_rank(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
-        t_val = 0 if nrt.minimum is None else gm.cols + 1 - nrt.minimum
+        nrt = min_dependent_support(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
+        t_val = 0 if nrt is None else gm.cols + 1 - nrt[0]
     ps = generate_net_points(gm) if {"geometric", "char"} & set(selected) else None
     for sel in selected:
         if sel == "t-value":
@@ -225,24 +229,23 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
         elif sel == "mu1":
             want = gm.cols - t_val + 1
-            value = "inf" if nrt.minimum is None else nrt.minimum
-            add("mu1", value, want, nrt.minimum is None or nrt.minimum == want, nrt)
+            value = "inf" if nrt is None else nrt[0]
+            add("mu1", value, want, nrt is None or nrt[0] == want, nrt)
         elif sel == "hamming":
             if check == "all" and cfg.family not in ("chen-skriganov", "faure"):
                 continue  # the dual Hamming floor is this family's guarantee
             alpha = cfg.alpha or 1
-            prof = min_weight_by_rank(gm, "hamming", cap=cfg.cap)
-            value = "inf" if prof.minimum is None else prof.minimum
-            add("hamming", value, f">={alpha + 1}", prof.minimum is None or prof.minimum > alpha, prof)
+            found = min_dependent_support(gm, "hamming", cap=cfg.cap)
+            value = "inf" if found is None else found[0]
+            add("hamming", value, f">={alpha + 1}", found is None or found[0] > alpha, found)
         elif sel == "order":
             if cfg.family != "dp-net":
                 if check != "all":
                     raise ParameterError("the order check applies to --family dp-net")
                 continue
             alpha = cfg.alpha or 1
-            prof = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
-            ok = prof.minimum is None
-            add("order", str(ok).lower(), "true", ok, prof)
+            found = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
+            add("order", str(found is None).lower(), "true", found is None, found)
         elif sel == "char":
             worst = char_property_deviation(ps, dual_space(gm, None), 64, 20, cfg.seed)  # reads 64: no cap
             add("char", f"{worst:.3e}", "<=1e-9", worst <= 1e-9)
@@ -309,7 +312,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _int_or_none(minimum: float = -float("inf")):
+def _int_or_none(minimum: int):
     """A flag type: an int of at least `minimum`, or 'none' (a config file's null) for None."""
 
     def parse(text: str) -> int | None:
@@ -333,7 +336,7 @@ FLAGS = {
     "q": dict(type=float, default=2.0, help="discrepancy norm exponent (default 2)"),
     "samples": dict(type=int, default=4096, help="Monte Carlo samples (default 4096)"),
     "seed": dict(type=_int_or_none(0), default=0, help="random seed (default 0)"),
-    "cap": dict(type=_int_or_none(), default=1 << 21, help="work cap (default 2^21): candidate "
+    "cap": dict(type=_int_or_none(0), default=1 << 21, help="work cap (default 2^21): candidate "
                 "supports rank-checked by the mu1, hamming and order checks, up to the weight "
                 "searched"),
     "out": dict(help="output path (default stdout)"),
@@ -350,8 +353,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def _config_flags(path: str) -> list[str]:
     """The config file's values as --key=value flags; a null is 'none' for the NONE_FLAGS
     and leaves any other flag at its default."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text") from exc
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
     unknown = set(data) - set(FLAGS)

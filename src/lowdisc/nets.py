@@ -23,7 +23,9 @@ Every structural check is linear algebra on the s p pooled rows of the
 C_j, through the one elimination of `field.dependencies`: the t-value and
 the dual weight minima ask whether the rows on a support are dependent,
 and the dual space is the kernel of the pooled rows' transpose, i.e. the
-dependencies among them.  The rank search builds each coordinate's
+dependencies among them.  The rank search, `min_dependent_support`, is
+the one weight search: its answer is (weight, witness) or None, and the
+t-value is read off its nrt minimum.  It builds each coordinate's
 candidate supports as a trie and walks them depth first in ascending
 pooled row index, so each support resumes the elimination of the prefix
 it shares with others (`field.reduce_row`, undone on backtrack) instead
@@ -51,8 +53,8 @@ __all__ = [
     "DualSpace",
     "index_digits",
     "generate_net_points",
+    "min_dependent_support",
     "compute_t_value",
-    "is_tms_net",
     "geometric_net_check",
     "geometric_t_value",
     "dual_space",
@@ -61,6 +63,9 @@ __all__ = [
     "char_property_deviation",
 ]
 
+
+# The weights of the rank search: mu_1, the Hamming weight and mu_alpha.
+KINDS = ("nrt", "hamming", "mu")
 
 # Largest digit array, in bytes (one byte per digit), that point generation
 # allocates; larger requests raise CapacityError before any allocation.
@@ -447,6 +452,10 @@ def min_dependent_support(
     CapacityError at the least such W unless a lighter support is
     dependent.
     """
+    if kind not in KINDS:
+        raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+    if kind == "mu" and (alpha is None or alpha < 1):
+        raise ParameterError("kind 'mu' needs alpha >= 1")
     b, s, p, m = gm.base, gm.s, gm.rows, gm.cols
     a = 1 if kind == "nrt" else alpha
     most = s * p if kind == "hamming" else s * _prefix_weight(p, a)  # weight of every row
@@ -506,12 +515,6 @@ def compute_t_value(gm: GeneratingMatrixSet) -> int:
     """
     found = min_dependent_support(gm, "nrt")
     return 0 if found is None else gm.cols + 1 - found[0]
-
-
-def is_tms_net(gm: GeneratingMatrixSet, t: int) -> bool:
-    if not 0 <= t <= gm.cols:
-        raise ParameterError(f"t must be in [0, {gm.cols}]")
-    return compute_t_value(gm) <= t
 
 
 def _net_exponent(ps: PointSet) -> int:

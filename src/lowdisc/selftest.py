@@ -45,7 +45,7 @@ from .nets import (
     dual_space,
     generate_net_points,
 )
-from .weights import min_dual_weight, verify_order_alpha
+from .weights import min_dual_weight, order_alpha_profile
 
 CS_EXAMPLE_C1 = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1], [0, 1, 2, 3]]
 CS_EXAMPLE_C2 = [[1, 2, 4, 3], [0, 1, 4, 2], [1, 3, 4, 2], [0, 1, 1, 2]]
@@ -66,9 +66,10 @@ def criterion_02_structure_floor() -> tuple[bool, str]:
         gm = cs_matrices(b, alpha, m, s)
         t = compute_t_value(gm)
         dual = dual_space(gm, 11**4 + 1)
-        prof = min_dual_weight(dual, "hamming")
-        ok = t == 0 and prof.minimum is not None and prof.minimum >= alpha + 1
-        details.append(f"b={b},m={m},s={s}: t={t}, min_hamming={prof.minimum}")
+        found = min_dual_weight(dual, "hamming")
+        minimum = None if found is None else found[0]
+        ok = t == 0 and minimum is not None and minimum >= alpha + 1
+        details.append(f"b={b},m={m},s={s}: t={t}, min_hamming={minimum}")
         if not ok:
             return False, "; ".join(details)
     return True, "; ".join(details)
@@ -102,9 +103,10 @@ def criterion_03_mu1_identity() -> tuple[bool, str]:
     ]
     for i, gm in enumerate(nets):
         t = compute_t_value(gm)
-        prof = min_dual_weight(dual_space(gm, 1 << 22), "nrt")
-        if prof.minimum != gm.cols - t + 1:
-            return False, f"net #{i}: min={prof.minimum}, expected {gm.cols - t + 1}"
+        found = min_dual_weight(dual_space(gm, 1 << 22), "nrt")
+        minimum = None if found is None else found[0]
+        if minimum != gm.cols - t + 1:
+            return False, f"net #{i}: min={minimum}, expected {gm.cols - t + 1}"
     return True, f"identity holds on all {len(nets)} nets"
 
 
@@ -116,7 +118,7 @@ def criterion_04_order_alpha() -> tuple[bool, str]:
             t_base = niederreiter_t_bound(alpha * s)
             for m in (1, 2, 3, 4):
                 gm = dp_net_matrices(alpha, m, s)
-                if not verify_order_alpha(gm, alpha, t_base, cap=1 << 21):
+                if order_alpha_profile(gm, alpha, t_base, cap=1 << 21) is not None:
                     return False, f"violated at alpha={alpha}, s={s}, m={m}"
                 checked += 1
     return True, f"{checked} (alpha, s, m) combinations verified"

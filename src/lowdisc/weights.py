@@ -4,37 +4,33 @@ Three weights drive the structural analysis of digital nets: the position
 of the most significant base-b digit ("nrt"), the count of nonzero digits
 ("hamming"), and the sum of the alpha highest nonzero digit positions
 ("mu").  What a construction guarantees is always a floor on one of these
-weights over the nonzero dual space; this module computes those minima,
-with a witness, either by rank over row supports (`min_weight_by_rank`)
-or by enumerating the dual (`min_dual_weight`, the oracle).
+weights over the nonzero dual space.  The minimum with a witness comes
+from the rank search `nets.min_dependent_support`; `min_dual_weight`
+gives the same answer by enumerating the dual, as the oracle, and
+`order_alpha_profile` runs the rank search stopped at the order-alpha
+floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .field import is_prime, matrix_rank
-from .nets import DualSpace, GeneratingMatrixSet, min_dependent_support
+from .field import is_prime
+from .nets import KINDS, DualSpace, GeneratingMatrixSet, min_dependent_support
 
 __all__ = [
     "nrt_weight",
     "hamming_weight",
     "mu_alpha",
     "vector_weight",
-    "WeightProfile",
     "min_dual_weight",
-    "min_weight_by_rank",
     "t_alpha",
     "order_alpha_profile",
-    "verify_order_alpha",
 ]
-
-KINDS = ("nrt", "hamming", "mu")
 
 
 def _digit_positions(k: int, b: int) -> list[int]:
@@ -86,27 +82,6 @@ def vector_weight(ks: Sequence[int], b: int, kind: str, alpha: int | None = None
     raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Minimum weight over the nonzero dual elements.
-
-    minimum is None when the dual has no nonzero element within the search
-    (the infinite profile, e.g. a one-dimensional net with invertible matrix).
-    """
-
-    kind: str
-    alpha: int | None
-    minimum: int | None
-    witness: tuple[int, ...] | None
-    dual_size: int
-
-    def csv_row(self) -> str:
-        min_s = "inf" if self.minimum is None else str(self.minimum)
-        wit_s = "" if self.witness is None else ";".join(str(k) for k in self.witness)
-        alpha_s = "" if self.alpha is None else str(self.alpha)
-        return f"{self.kind},{alpha_s},{min_s},{wit_s},{self.dual_size}"
-
-
 def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarray:
     """Per-coordinate weights for a (n, s, p) dual digit array."""
     p = digits.shape[2]
@@ -126,47 +101,23 @@ def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarr
     raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
 
 
-def min_dual_weight(dual: DualSpace, kind: str, alpha: int | None = None) -> WeightProfile:
+def min_dual_weight(
+    dual: DualSpace, kind: str, alpha: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
     """Exhaustive minimum of a weight over the nonzero dual elements.
 
-    The returned witness attains the minimum.
+    The answer of `nets.min_dependent_support`, by enumeration: (W, k) with
+    k a dual element attaining the minimum W, or None when the dual has no
+    nonzero element (e.g. a one-dimensional net with invertible matrix).
     """
     b = dual.gm.base
     digits = dual.element_digits()
     weights = _weight_matrix(digits, kind, alpha).sum(axis=1)
     if len(weights) == 1:  # only the zero element
-        return WeightProfile(kind, alpha, None, None, dual.size)
+        return None
     best = 1 + int(np.argmin(weights[1:]))  # element 0 is zero
     witness = tuple(sum(int(d) * b**i for i, d in enumerate(row)) for row in digits[best])
-    return WeightProfile(kind, alpha, int(weights[best]), witness, dual.size)
-
-
-def min_weight_by_rank(
-    gm: GeneratingMatrixSet,
-    kind: str,
-    alpha: int | None = None,
-    floor: int | None = None,
-    cap: int | None = 1 << 21,
-) -> WeightProfile:
-    """Exact minimum of a weight over the nonzero dual, without enumerating it.
-
-    The minimum is the smallest weight of a row support with linearly
-    dependent rows (`nets.min_dependent_support`); the witness is that
-    dependency, a dual element attaining the minimum.  With `floor`, the
-    search stops below weight `floor`: minimum None then means the minimum
-    is at least `floor` (or infinite).  `cap` bounds the candidate supports
-    counted through the weight reached; above it CapacityError is raised
-    (None: no bound).
-    """
-    if kind not in KINDS:
-        raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
-    if kind == "mu" and (alpha is None or alpha < 1):
-        raise ParameterError("kind 'mu' needs alpha >= 1")
-    found = min_dependent_support(gm, kind, alpha, floor, cap)
-    pooled = gm.array.reshape(gm.s * gm.rows, gm.cols)
-    dual_size = gm.base ** (len(pooled) - matrix_rank(pooled, gm.base))  # b^(dependent rows)
-    minimum, witness = (None, None) if found is None else found
-    return WeightProfile(kind, alpha, minimum, witness, dual_size)
+    return int(weights[best]), witness
 
 
 def t_alpha(alpha: int, t: int, s: int) -> int:
@@ -181,25 +132,15 @@ def order_alpha_profile(
     alpha: int,
     t_base: int,
     cap: int = 1 << 21,
-) -> WeightProfile:
+) -> tuple[int, tuple[int, ...]] | None:
     """The mu_alpha search for the higher-order dual condition, stopped at its floor.
 
-    The condition min mu_alpha >= alpha*m - t_alpha holds iff the returned
-    minimum is None; otherwise the witness is a dual element below it.
+    The condition min mu_alpha >= alpha*m - t_alpha holds iff the answer is
+    None; otherwise it is (W, k) with k a dual element of weight W below it.
     gm_interlaced is the interlaced matrix set (alpha*p rows, m columns);
     t_base is the quality parameter of the underlying sequence or net,
     clamped to m, since the net's t never exceeds its m.
     """
     t_base = min(t_base, gm_interlaced.cols)
     floor = alpha * gm_interlaced.cols - t_alpha(alpha, t_base, gm_interlaced.s)
-    return min_weight_by_rank(gm_interlaced, "mu", alpha=alpha, floor=floor, cap=cap)
-
-
-def verify_order_alpha(
-    gm_interlaced: GeneratingMatrixSet,
-    alpha: int,
-    t_base: int,
-    cap: int = 1 << 21,
-) -> bool:
-    """Check the higher-order dual condition min mu_alpha >= alpha*m - t_alpha."""
-    return order_alpha_profile(gm_interlaced, alpha, t_base, cap).minimum is None
+    return min_dependent_support(gm_interlaced, "mu", alpha, floor, cap)

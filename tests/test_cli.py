@@ -9,8 +9,8 @@ from lowdisc import discrepancy
 from lowdisc.cli import _parse_args, main, make_parser
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
-from lowdisc.nets import generate_net_points
-from lowdisc.pointfile import read_point_file
+from lowdisc.nets import GeneratingMatrixSet, generate_net_points
+from lowdisc.pointfile import read_point_file, write_point_file
 
 from count_reference import count_below_reference
 
@@ -193,7 +193,7 @@ def test_verify_all_builds_the_net_once(monkeypatch, capsys):
 
 
 def test_verify_all_runs_one_nrt_search(monkeypatch, capsys):
-    from lowdisc import nets, weights
+    from lowdisc import cli, nets
 
     kinds = []
     original = nets.min_dependent_support
@@ -202,8 +202,8 @@ def test_verify_all_runs_one_nrt_search(monkeypatch, capsys):
         kinds.append(kind)
         return original(gm, kind, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "min_dependent_support", counted)
     monkeypatch.setattr(nets, "min_dependent_support", counted)
-    monkeypatch.setattr(weights, "min_dependent_support", counted)
     assert run("verify", "all", "--family", "dp-net", "--alpha", "2", "--s", "2", "--m", "4") == 0
     assert kinds.count("nrt") == 1
     out = capsys.readouterr().out
@@ -235,6 +235,29 @@ def test_verify_geometric_from_point_file(tmp_path, capsys):
     assert run("verify", "geometric", str(out)) == 0
     assert "geometric,file" in capsys.readouterr().out
     assert run("verify", "mu1", str(out)) == 1  # needs matrices
+
+
+def _diagonal_file(tmp_path, t_bound):
+    """The point file of the (1, 2, 2)-net on the diagonal, with t_bound in its provenance."""
+    path = tmp_path / "diagonal.txt"
+    write_point_file(generate_net_points(GeneratingMatrixSet(2, [np.eye(2)] * 2), {"t_bound": t_bound}),
+                     path)
+    return str(path)
+
+
+def test_verify_geometric_checks_the_files_t_bound(tmp_path, capsys):
+    path = _diagonal_file(tmp_path, 1)
+    assert run("verify", "geometric", path) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"geometric,file,{path},1,<=1,true"
+    path = _diagonal_file(tmp_path, 0)
+    assert run("verify", "geometric", path) == 3
+    assert capsys.readouterr().out.splitlines()[1] == f"geometric,file,{path},1,<=0,false"
+
+
+@pytest.mark.parametrize("t_bound", ["x", "1", -1, 1.5, True])
+def test_verify_geometric_refuses_a_malformed_t_bound(t_bound, tmp_path, capsys):
+    assert run("verify", "geometric", _diagonal_file(tmp_path, t_bound)) == 1
+    assert capsys.readouterr().err == f"error: provenance t_bound {t_bound!r} is not a non-negative int\n"
 
 
 # ---------------------------------------------------------
@@ -428,16 +451,24 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     assert "t-value,faure,b=5;m=2;s=3;" in capsys.readouterr().out
 
 
-def test_negative_seed_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("flag, check", [("seed", "char"), ("cap", "mu1")])
+def test_negative_seed_or_cap_exits_one(flag, check, tmp_path, capsys):
     faure = ("--family", "faure", "--b", "3", "--m", "2", "--s", "2")
-    assert run("verify", "char", *faure, "--seed=-1") == 1
-    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -1\n"
+    assert run("verify", check, *faure, f"--{flag}=-1") == 1
+    assert capsys.readouterr().err == f"error: argument --{flag}: must be >= 0, got -1\n"
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": -5}))
-    assert run("verify", "char", *faure, "--config", str(cfg)) == 1
-    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -5\n"
+    cfg.write_text(json.dumps({flag: -5}))
+    assert run("verify", check, *faure, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: argument --{flag}: must be >= 0, got -5\n"
     # the file's value is parsed like a flag, so it is refused even where a flag overrides it
-    assert run("verify", "char", *faure, "--config", str(cfg), "--seed", "0") == 1
+    assert run("verify", check, *faure, "--config", str(cfg), f"--{flag}", "0") == 1
+
+
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(json.dumps({"family": "van-der-corput"}).encode("utf-16"))  # starts ff fe
+    assert run("construct", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: config file {cfg} is not UTF-8 text\n"
 
 
 def test_config_null_seed_and_cap_read_as_none(tmp_path, capsys):

@@ -23,7 +23,6 @@ from lowdisc.nets import (
     geometric_net_check,
     geometric_t_value,
     index_digits,
-    is_tms_net,
 )
 
 from net_reference import net_digits_reference
@@ -150,20 +149,13 @@ def test_t_value_identity_single_dimension():
 
 
 def test_t_value_duplicated_matrices():
+    assert compute_t_value(identity_net(2, 3, 1)) == 0
     # rows (1,0) and (1,0) pooled at d=(1,1) are dependent
     assert compute_t_value(identity_net(2, 2, 2)) == 1
 
 
 def test_t_value_cs_net_is_zero():
     assert compute_t_value(cs_matrices(5, 2, 2, 2)) == 0
-
-
-def test_is_tms_net():
-    assert is_tms_net(identity_net(2, 3, 1), 0)
-    assert not is_tms_net(identity_net(2, 2, 2), 0)
-    assert is_tms_net(cs_matrices(5, 2, 2, 2), 0)
-    with pytest.raises(ParameterError):
-        is_tms_net(identity_net(2, 2, 1), 3)
 
 
 def test_candidate_trie_holds_the_closed_sets():

@@ -9,19 +9,22 @@ from lowdisc.constructions import (
 )
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.field import matrix_rank
-from lowdisc.nets import GeneratingMatrixSet, compute_t_value, dual_space
+from lowdisc.nets import DualSpace, GeneratingMatrixSet, compute_t_value, dual_space, min_dependent_support
 from lowdisc.selftest import _random_full_rank_net
 from lowdisc.weights import (
     hamming_weight,
     min_dual_weight,
-    min_weight_by_rank,
     mu_alpha,
     nrt_weight,
     order_alpha_profile,
     t_alpha,
     vector_weight,
-    verify_order_alpha,
 )
+
+
+def minimum(found):
+    """The weight of a (weight, witness) search answer; None for no answer."""
+    return None if found is None else found[0]
 
 
 def digit_positions(k, b):
@@ -112,37 +115,34 @@ def test_digitwise_difference_triggers_hamming_floor():
 
 def test_min_dual_weight_infinite_profile():
     gm = GeneratingMatrixSet(2, np.eye(3, dtype=np.int64)[None])
-    prof = min_dual_weight(dual_space(gm, 100), "nrt")
-    assert prof.minimum is None and prof.witness is None
-    assert "inf" in prof.csv_row()
+    assert min_dual_weight(dual_space(gm, 100), "nrt") is None
 
 
 def test_min_dual_mu1_identity_assorted():
     for gm in (faure_matrices(5, 2, 2), cs_matrices(5, 2, 2, 2), dp_net_matrices(2, 3, 1)):
         t = compute_t_value(gm)
-        prof = min_dual_weight(dual_space(gm, 1 << 16), "nrt")
-        assert prof.minimum == gm.cols - t + 1
+        assert minimum(min_dual_weight(dual_space(gm, 1 << 16), "nrt")) == gm.cols - t + 1
 
 
 def test_min_dual_hamming_cs():
-    prof = min_dual_weight(dual_space(cs_matrices(5, 2, 2, 2), 1000), "hamming")
-    assert prof.minimum is not None and prof.minimum >= 3  # alpha + 1
+    weight = minimum(min_dual_weight(dual_space(cs_matrices(5, 2, 2, 2), 1000), "hamming"))
+    assert weight is not None and weight >= 3  # alpha + 1
 
 
 def test_min_dual_weight_witness_attains_minimum():
     gm = cs_matrices(5, 2, 2, 2)
     dual = dual_space(gm, 1000)
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2)):
-        prof = min_dual_weight(dual, kind, alpha=alpha)
-        assert dual.contains(prof.witness)
-        assert vector_weight(prof.witness, gm.base, kind, alpha) == prof.minimum
+        weight, witness = min_dual_weight(dual, kind, alpha=alpha)
+        assert dual.contains(witness)
+        assert vector_weight(witness, gm.base, kind, alpha) == weight
         # brute force over the enumerated dual agrees
         best = min(
             vector_weight(k, gm.base, kind, alpha)
             for k in dual.elements()
             if any(k)
         )
-        assert best == prof.minimum
+        assert best == weight
 
 
 # ---------------------------------------------------------
@@ -172,10 +172,10 @@ CRITERION_NETS = [
 def test_rank_engine_matches_enumeration_on_criterion_nets(gm):
     dual = dual_space(gm, 1 << 22)
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2), ("mu", 3)):
-        fast = min_weight_by_rank(gm, kind, alpha)
-        assert fast.minimum == min_dual_weight(dual, kind, alpha=alpha).minimum
-        assert dual.contains(fast.witness)
-        assert vector_weight(fast.witness, gm.base, kind, alpha) == fast.minimum
+        weight, witness = min_dependent_support(gm, kind, alpha)
+        assert weight == minimum(min_dual_weight(dual, kind, alpha=alpha))
+        assert dual.contains(witness)
+        assert vector_weight(witness, gm.base, kind, alpha) == weight
 
 
 # the interlaced nets of acceptance criterion 04
@@ -184,9 +184,9 @@ def test_order_alpha_profile_matches_enumeration_on_criterion_nets(alpha, s, m):
     gm = dp_net_matrices(alpha, m, s)
     t_base = niederreiter_t_bound(alpha * s)
     floor = alpha * m - t_alpha(alpha, t_base, s)
-    exact = min_dual_weight(dual_space(gm, 1 << 21), "mu", alpha=alpha).minimum
-    assert min_weight_by_rank(gm, "mu", alpha).minimum == exact
-    assert verify_order_alpha(gm, alpha, t_base) == (exact is None or exact >= floor)
+    exact = minimum(min_dual_weight(dual_space(gm, 1 << 21), "mu", alpha=alpha))
+    assert minimum(min_dependent_support(gm, "mu", alpha)) == exact
+    assert (order_alpha_profile(gm, alpha, t_base) is None) == (exact is None or exact >= floor)
 
 
 def _dual_dimension(alpha, s, m):
@@ -204,32 +204,33 @@ def test_order_engine_matches_enumeration_through_m8(alpha, s, m):
     t_base = niederreiter_t_bound(alpha * s)
     floor = alpha * m - t_alpha(alpha, t_base, s)
     dual = dual_space(gm, 1 << 18)
-    exact = min_dual_weight(dual, "mu", alpha=alpha).minimum
-    assert min_weight_by_rank(gm, "mu", alpha).minimum == exact
-    prof = order_alpha_profile(gm, alpha, t_base)
+    exact = minimum(min_dual_weight(dual, "mu", alpha=alpha))
+    assert minimum(min_dependent_support(gm, "mu", alpha)) == exact
+    found = order_alpha_profile(gm, alpha, t_base)
     if exact is None or exact >= floor:
-        assert prof.minimum is None
+        assert found is None
     else:
-        assert prof.minimum == exact and dual.contains(prof.witness)
-        assert vector_weight(prof.witness, gm.base, "mu", alpha) == exact
+        weight, witness = found
+        assert weight == exact and dual.contains(witness)
+        assert vector_weight(witness, gm.base, "mu", alpha) == exact
 
 
 def test_rank_engine_infinite_profile():
     gm = GeneratingMatrixSet(2, np.eye(3, dtype=np.int64)[None])
+    assert DualSpace(gm, None).size == 1
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2)):
-        prof = min_weight_by_rank(gm, kind, alpha)
-        assert prof.minimum is None and prof.witness is None and prof.dual_size == 1
+        assert min_dependent_support(gm, kind, alpha) is None
 
 
 def test_rank_engine_beyond_enumeration():
     """An 11^12-element dual: mu1 = m - t + 1 with a witness in the dual."""
     gm = faure_matrices(11, 3, 5)
-    prof = min_weight_by_rank(gm, "nrt")
-    assert prof.dual_size == 11**12
-    assert prof.minimum == gm.cols - compute_t_value(gm) + 1 == 4
-    assert vector_weight(prof.witness, 11, "nrt") == 4
+    weight, witness = min_dependent_support(gm, "nrt")
+    assert DualSpace(gm, None).size == 11**12
+    assert weight == gm.cols - compute_t_value(gm) + 1 == 4
+    assert vector_weight(witness, 11, "nrt") == 4
     stacked = np.hstack([mat.T for mat in gm.array])
-    digits = [(k // 11**i) % 11 for k in prof.witness for i in range(gm.rows)]
+    digits = [(k // 11**i) % 11 for k in witness for i in range(gm.rows)]
     assert not np.any((stacked @ np.array(digits)) % 11)
 
 
@@ -237,20 +238,20 @@ def test_rank_engine_cap_counts_candidate_supports():
     gm = cs_matrices(5, 2, 2, 2)
     # nrt: compositions of weight 1..4 into two prefixes of at most 4 rows
     with pytest.raises(CapacityError, match="14 candidate supports"):
-        min_weight_by_rank(gm, "nrt", cap=13)
-    assert min_weight_by_rank(gm, "nrt", cap=14).minimum == 5
+        min_dependent_support(gm, "nrt", cap=13)
+    assert minimum(min_dependent_support(gm, "nrt", cap=14)) == 5
     with pytest.raises(CapacityError):
-        min_weight_by_rank(gm, "hamming", cap=10)
+        min_dependent_support(gm, "hamming", cap=10)
 
 
 def test_rank_engine_rejects_bad_kind():
     gm = cs_matrices(5, 2, 1, 2)
-    with pytest.raises(ParameterError):
-        min_weight_by_rank(gm, "mu")
-    with pytest.raises(ParameterError):
-        min_weight_by_rank(gm, "mu", alpha=0)
-    with pytest.raises(ParameterError):
-        min_weight_by_rank(gm, "nope")
+    with pytest.raises(ParameterError, match="kind 'mu' needs alpha >= 1"):
+        min_dependent_support(gm, "mu")
+    with pytest.raises(ParameterError, match="kind 'mu' needs alpha >= 1"):
+        min_dependent_support(gm, "mu", alpha=0)
+    with pytest.raises(ParameterError, match="unknown weight kind 'nope'"):
+        min_dependent_support(gm, "nope")
 
 
 # ---------------------------------------------------------
@@ -263,25 +264,14 @@ def test_t_alpha_values():
     assert t_alpha(5, 2, 2) == 30  # 10 + 2*10
 
 
-def test_verify_order_alpha_interlaced():
-    gm = dp_net_matrices(2, 3, 1)
-    assert verify_order_alpha(gm, 2, niederreiter_t_bound(2))
-
-
-def test_verify_order_alpha_detects_row_scrambling():
-    """Reversing the rows of the interlaced matrix breaks the condition
-    (counterexample found at alpha=2, m=3 by direct search)."""
-    gm = dp_net_matrices(2, 3, 1)
-    scrambled = GeneratingMatrixSet(gm.base, gm.array[:, ::-1])
-    assert not verify_order_alpha(scrambled, 2, niederreiter_t_bound(2))
-
-
 def test_order_alpha_profile_witness_is_below_the_floor():
+    """The interlaced net meets the condition; reversing the rows of its matrix
+    breaks it (counterexample found at alpha=2, m=3 by direct search)."""
     gm = dp_net_matrices(2, 3, 1)
     scrambled = GeneratingMatrixSet(gm.base, gm.array[:, ::-1])
     floor = 2 * gm.cols - t_alpha(2, niederreiter_t_bound(2), 1)
-    prof = order_alpha_profile(scrambled, 2, niederreiter_t_bound(2))
-    assert prof.minimum is not None and prof.minimum < floor
-    assert dual_space(scrambled, 1 << 10).contains(prof.witness)
-    assert vector_weight(prof.witness, 2, "mu", 2) == prof.minimum
-    assert order_alpha_profile(gm, 2, niederreiter_t_bound(2)).minimum is None
+    weight, witness = order_alpha_profile(scrambled, 2, niederreiter_t_bound(2))
+    assert weight < floor
+    assert dual_space(scrambled, 1 << 10).contains(witness)
+    assert vector_weight(witness, 2, "mu", 2) == weight
+    assert order_alpha_profile(gm, 2, niederreiter_t_bound(2)) is None
