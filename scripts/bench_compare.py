@@ -26,7 +26,11 @@ subprocess, one at a time:
   `min_dependent_support(dp_net_matrices(3, 16, 2), "mu", 3)` with the
   weight it found; for each of these rank rungs, the `field.reduce_row`
   calls of one more run, a count that does not drift with the load of
-  the machine as times do.
+  the machine as times do;
+- fresh rungs: `l2_exact` on dp-net alpha 3, s 2, m 18 and m 20 (N = 2^18
+  and 2^20), each once in a fresh subprocess per checkout, recording the
+  wall time of the call, the process's `ru_maxrss` before the call (the
+  point set built) and after it, and the exact squared value.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  Before the first run, every `__pycache__` under both
@@ -124,6 +128,21 @@ print(json.dumps(out))
 """
 
 
+FRESH = """
+import json, resource, sys, time
+from lowdisc.constructions import dp_net
+from lowdisc.discrepancy import l2_exact
+ps = dp_net(3, int(sys.argv[1]), 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+exact = l2_exact(ps).exact
+seconds = time.perf_counter() - start
+print(json.dumps({"s": seconds, "ru_maxrss_kb_before": before,
+                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "exact": str(exact)}))
+"""
+FRESH_M = (18, 20)
+
+
 def _env(root: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
@@ -147,6 +166,12 @@ def perfbench(root: Path, workload: str, seconds: int) -> dict:
 
 def layers(root: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root, env=_env(root),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def fresh(root: Path, m: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", FRESH, str(m)], cwd=root, env=_env(root),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -206,6 +231,9 @@ def main() -> int:
         }
     for side, root in sides.items():
         record["layers"][side] = layers(root)
+    record["fresh"] = {"what": "l2_exact on dp-net alpha=3 s=2, one fresh subprocess per rung and side"}
+    for m in FRESH_M:
+        record["fresh"][f"l2_exact_dp_net_m{m}"] = {side: fresh(root, m) for side, root in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -24,6 +24,20 @@ norms have no closed form and are estimated by stratified Monte Carlo;
 the points below each draw are counted with prefix bitsets (sort each
 coordinate once, look up one bitset per coordinate, AND them, popcount),
 about samples * N * s / 64 word operations plus N log N per coordinate.
+
+Memory.  `l2_exact` keeps each u_j = P - X_j exactly, as k uint64 limbs
+of w base-b digits with b^w N <= 2^64 (k = 1 for most sets; 2 for the
+55-digit dp-sequence prefixes or a 60-digit net of 2^20 points), and one
+int64 rank per point and coordinate.  Residues modulo the r moduli are
+formed from the limbs where they are needed, one batch at a time.  The
+unit-weight plane sweep that opens every s = 2 sum keeps its per-point
+sums as limbs too, exact in uint64, and reduces them once at the end.  So
+the working set is O(N) words, about s (14 + 4k) per point, plus 2 (s + 1)
+per modulus for the weight rows of the halving levels when s >= 3; every
+other temporary of `l2_exact` and of the Lq counter is a batch of at most
+_WORK_BYTES.  `l2_exact` estimates its working set before allocating and
+refuses one above MAX_L2_BYTES with CapacityError, as `lq_estimate` does
+for draws above MAX_DRAW_BYTES.
 Lower-bound comparators use the explicit Roth constant
 c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
 """
@@ -102,9 +116,14 @@ def local_discrepancy(ps: PointSet, t: Sequence[float]) -> float:
 
 # Groups of at most this many (A, B) pairs are summed pair by pair.
 _DIRECT_PAIRS = 64
-# Items per recursive call and pairs per direct batch: this bounds the
-# (items, moduli) temporaries to a few MB.
-_BATCH_ITEMS = 1 << 14
+# Bytes of one temporary of l2_exact or _count_below: every batch of items,
+# pairs, points or anchors holds this many bytes over the bytes of one.
+_WORK_BYTES = 1 << 18
+
+
+def _batch(unit_bytes: int) -> int:
+    """How many units of `unit_bytes` bytes one temporary holds (at least one)."""
+    return max(1, _WORK_BYTES // unit_bytes)
 
 
 @functools.cache
@@ -139,73 +158,125 @@ def _crt(residues: np.ndarray, moduli: np.ndarray) -> int:
 
 class _Coordinates(NamedTuple):
     rank: np.ndarray  # (s, N) int64: order of u_j = P - X_j, ties broken arbitrarily
-    res: np.ndarray  # (s, r, N) uint64: u_j modulo each modulus
-    q: np.ndarray  # (r, 1) uint64: the moduli, shaped to broadcast over items
+    limbs: np.ndarray  # (s, k, N) uint64: u_j = sum_i limbs[j, i] radix^i, each limb at most radix
+    radix: int  # b^w with N radix <= 2^64, so that sums of N - 1 limbs are exact in uint64
+    big_p: int  # P
+    q: np.ndarray  # (r, 1) uint64: the pair-term moduli, shaped to broadcast over items
 
 
-def _integer_coordinates(ps: PointSet, moduli: np.ndarray) -> _Coordinates:
-    """Ranks and residues of u_jn = P - X_jn, where x_jn = X_jn / P and P = b^precision.
+def _limb_digits(base: int, n: int) -> int:
+    """w, the base-b digits per limb: the largest with b^w max(N, 2) <= 2^64."""
+    w = 1
+    while base ** (w + 1) * max(n, 2) <= 2**64:
+        w += 1
+    return w
 
-    X is read by Horner's rule over chunks of digits whose value fits in
-    int64; the chunks order X lexicographically and give its residues.
+
+def _integer_coordinates(ps: PointSet, q: np.ndarray) -> _Coordinates:
+    """Ranks and limbs of u_jn = P - X_jn, where x_jn = X_jn / P and P = b^precision.
+
+    Limb i of X holds its digits i w .. i w + w - 1 from the least
+    significant, read by Horner's rule; u = (P - 1 - X) + 1 takes the
+    complement of each limb and carries the one up through the zero limbs
+    of X.  Below the top, limbs are digits of radix b^w, so their order is
+    the order of u.
     """
     b, p, n = ps.base, ps.precision, len(ps)
-    q = moduli[:, None]
+    w = _limb_digits(b, n)
     digits = ps.digit_array().transpose(1, 0, 2)  # (s, N, precision)
-    width = 1
-    while b ** (width + 1) < 2**63:
-        width += 1
-    chunks = []
-    x_res = np.zeros((ps.s, len(moduli), n), dtype=np.uint64)
-    for lo in range(0, p, width):
-        hi = min(lo + width, p)
+    limbs = np.empty((ps.s, -(-p // w), n), dtype=np.uint64)
+    carry = np.ones((ps.s, n), dtype=bool)
+    for i in range(limbs.shape[1]):
+        lo, hi = max(p - (i + 1) * w, 0), p - i * w
         powers = b ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-        chunk = np.einsum("jnk,k->jn", digits[:, :, lo:hi], powers)  # no int64 copy of the digits
-        chunks.append(chunk)
-        part = chunk.astype(np.uint64)[:, None, :] % q
-        part *= np.array([pow(b, p - hi, int(m)) for m in moduli], dtype=np.uint64)[:, None]
-        part %= q
-        x_res += part
-        x_res %= q
-    big_p = np.array([pow(b, p, int(m)) for m in moduli], dtype=np.uint64)[:, None]
-    u_res = np.subtract(big_p + q, x_res, out=x_res)  # P - X, reduced below
-    u_res %= q
+        x = np.einsum("jnk,k->jn", digits[:, :, lo:hi], powers).astype(np.uint64)  # no int64 copy of the digits
+        limbs[:, i] = np.uint64(b ** (hi - lo) - 1) - x + carry
+        if i < limbs.shape[1] - 1:
+            carry &= x == 0
+            limbs[:, i][carry] = 0  # b^w: the one carries on
     rank = np.empty((ps.s, n), dtype=np.int64)
     for j in range(ps.s):
-        descending_x = np.lexsort([c[j] for c in reversed(chunks)])[::-1]
-        rank[j, descending_x] = np.arange(n)
-    return _Coordinates(rank, u_res, q)
+        rank[j, np.lexsort(limbs[j])] = np.arange(n)
+    return _Coordinates(rank, limbs, b**w, b**p, q)
+
+
+def _residues(limbs: np.ndarray, radix: int, q: np.ndarray) -> np.ndarray:
+    """(r, n) residues modulo each modulus of the n integers sum_i limbs[i] radix^i, from (k, n) limbs."""
+    res = limbs[-1] % q
+    if len(limbs) > 1:
+        step = np.uint64(radix) % q
+        for limb in limbs[-2::-1]:  # Horner's rule from the top limb; each step stays below q^2
+            res *= step
+            res += limb % q
+            res %= q
+    return res
+
+
+def _u(co: _Coordinates, j: int, point: np.ndarray) -> np.ndarray:
+    """u_j of the points as factors of a residue: (r, n) residues, or when
+    P <= 2^32 (so k = 1) the values themselves, one (1, n) row whose
+    product with a residue stays below 2^64."""
+    limbs = np.take(co.limbs[j], point, axis=1)
+    return limbs if co.big_p <= 2**32 else _residues(limbs, co.radix, co.q)
+
+
+def _point_sums(co: _Coordinates, moduli: np.ndarray, factor: np.ndarray | None):
+    """sum_n c_n prod_j u_jn and the cross term sum_n prod_j u_jn (2P - u_jn), the
+    latter being sum_n prod_j (P^2 - X_jn^2), modulo each of `moduli`.
+
+    c_n = factor[n] (below 2^32), or 1 when factor is None.  The points go
+    in batches, each with its residues computed once for both sums.
+    """
+    q = moduli[:, None]
+    s, n = co.rank.shape
+    two_p = np.array([2 * co.big_p % int(m) for m in moduli], dtype=np.uint64)[:, None]
+    diagonal, cross = np.zeros(len(q), dtype=np.uint64), np.zeros(len(q), dtype=np.uint64)
+    size = _batch(8 * len(q))
+    for lo in range(0, n, size):
+        part = np.empty((len(q), min(size, n - lo)), dtype=np.uint64)
+        part[:] = 1 if factor is None else factor[lo : lo + size]
+        prod = np.ones_like(part)
+        for j in range(s):
+            u = _residues(co.limbs[j][:, lo : lo + size], co.radix, q)
+            part *= u
+            part %= q
+            prod *= u
+            prod %= q
+            u = np.subtract(two_p + q, u, out=u) % q
+            prod *= u
+            prod %= q
+        diagonal = (diagonal + part.sum(axis=1) % q[:, 0]) % q[:, 0]
+        cross = (cross + prod.sum(axis=1) % q[:, 0]) % q[:, 0]
+    return diagonal, cross
 
 
 def _run_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end (exclusive) of each item's run of equal sorted keys."""
+    """Start and length of each item's run of equal sorted keys."""
     edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [len(keys)]))
-    return np.repeat(starts, ends - starts), np.repeat(ends, ends - starts)
+    lengths = np.diff(starts, append=len(keys))
+    return np.repeat(starts, lengths), np.repeat(lengths, lengths)
 
 
-def _pair_term(co: _Coordinates) -> np.ndarray:
-    """T = sum_{a,b} prod_j min(u_ja, u_jb), modulo each modulus.
+def _pair_term(co: _Coordinates, diagonal: np.ndarray) -> np.ndarray:
+    """T = sum_{a,b} prod_j min(u_ja, u_jb), modulo each pair-term modulus.
 
-    The diagonal plus twice the pairs a < b in rank order of the first
-    coordinate, whose minimum there is u_1a: a closed form for s = 1, the
-    plane kernel for s = 2, and halving on that rank (Heinrich's recursion)
-    down to the plane kernel for s >= 3.
+    The diagonal (from `_point_sums`) plus twice the pairs a < b in rank
+    order of the first coordinate, whose minimum there is u_1a: a closed
+    form for s = 1 (folded into the diagonal's factors, see `_l2_squared`),
+    the plane kernel for s = 2, and halving on that rank (Heinrich's
+    recursion) down to the plane kernel for s >= 3.
     """
-    q = co.q
+    q = co.q[:, 0]
     s, n = co.rank.shape
-    diag = np.ones((len(q), n), dtype=np.uint64)
-    for j in range(s):
-        diag = diag * co.res[j] % q
     if s == 1:
-        off = (co.res[0] * (n - 1 - co.rank[0]).astype(np.uint64) % q).sum(axis=1)
-    elif s == 2:
-        off = _plane_sum(np.zeros(n, dtype=np.int64), None, np.argsort(co.rank[0]), None, (0, 1), co)
+        return diagonal
+    group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
+    if s == 2:
+        off = _plane_sum(group, None, point, None, (0, 1), co)
     else:
-        ones = np.ones((len(q), n), dtype=np.uint64)
-        off = _halve(np.zeros(n, dtype=np.int64), None, np.argsort(co.rank[0]), ones, tuple(range(s)), co)
-    return (diag.sum(axis=1) % q[:, 0] + 2 * (off % q[:, 0])) % q[:, 0]
+        off = _halve(group, None, point, np.ones((len(q), n), dtype=np.uint64), tuple(range(s)), co)
+    return (diagonal + 2 * off) % q
 
 
 def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
@@ -242,16 +313,16 @@ def _halve(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
     u_j at the lower item, which takes u_j into its weight; the pair goes
     on with dims[1:] in a group of its own, one per block and pairing of
     halves.  Items come sorted by (group, rank); `colour` None pairs each
-    lower half with its upper half within one set of points.
+    lower half with its upper half within one set of points.  One call
+    takes as many levels at once as fill a batch of weight residues.
     """
     q = co.q
-    start, end = _run_bounds(group)
+    start, length = _run_bounds(group)
     pos = np.arange(len(group)) - start
-    length = end - start
-    lifted = weight * co.res[dims[0]][:, point] % q
+    lifted = weight * _u(co, dims[0], point) % q
     total = np.zeros(len(q), dtype=np.uint64)
     levels = int(length.max() - 1).bit_length()
-    step = max(1, _BATCH_ITEMS // len(group))  # levels per recursive call
+    step = _batch(8 * len(q) * len(group))  # levels per recursive call
     for first in range(0, levels, step):
         level = np.arange(first, min(first + step, levels))[:, None]
         lower = (pos >> level) & 1 == 0
@@ -281,47 +352,65 @@ def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
     item U ranks lower in y.  So every item keeps two sums: `below`, the
     weight of its upper partners that rank above it in y, and `above`,
     sum w u_x of its lower partners that rank above it in y.  The pair sum
-    is then sum over items of (w u_x u_y) below + (w u_y) above.  An item's
+    is then sum over items of u_y (w above + w u_x below).  An item's
     partners at different levels are different items, so both sums stay
-    below items * 2^32 and take no modulus until the end.  `weight` None
-    means unit weights, for which `below` is one row of counts.
+    below items * 2^32 and take no modulus until the end.
+
+    `weight` None means unit weights, the plane sweep that opens every
+    s = 2 sum: `below` is one row of counts, and u_x and `above` are exact
+    limbs (see `_Coordinates`), k rows where residues would take r, each
+    sum below (N - 1) radix.  Then above + u_x below is exact too, and it
+    is reduced modulo each modulus only at the end, one batch of items at
+    a time.
     """
     q = co.q
     x, y = dims
-    start, end = _run_bounds(group)
+    start, length = _run_bounds(group)
     pos = np.arange(len(group)) - start
-    length = end - start
-    u_x, u_y = np.take(co.res[x], point, axis=1), np.take(co.res[y], point, axis=1)
-    lifted = u_x if weight is None else weight * u_x % q
-    below = np.zeros((1 if weight is None else len(q), len(group)), dtype=np.uint64)
-    above = np.zeros((len(q), len(group)), dtype=np.uint64)
+    if weight is None:
+        lifted = np.take(co.limbs[x], point, axis=1)
+        below = np.zeros((1, len(group)), dtype=np.uint64)
+    else:
+        lifted = weight * _u(co, x, point) % q
+        below = np.zeros((len(q), len(group)), dtype=np.uint64)
+    above = np.zeros(lifted.shape, dtype=np.uint64)
     rank_y = co.rank[y, point]
     for level in range(int(length.max() - 1).bit_length()):
-        live = np.flatnonzero(length > (1 << level))  # groups larger than a half-block
-        lower = (pos[live] >> level) & 1 == 0
-        key = 2 * (start[live] + (pos[live] >> (level + 1)))  # one number per block
+        # each index array is rebound or dropped once used, so that no dead one of N items stays alive
+        item = np.flatnonzero(length > (1 << level))  # groups larger than a half-block
+        lower = (pos[item] >> level) & 1 == 0
+        key = 2 * (start[item] + (pos[item] >> (level + 1)))  # one number per block
         if colour is not None:
-            key += colour[live] != lower
-        order = np.argsort(key * co.rank.shape[1] + rank_y[live])
-        item, lower = live[order], lower[order]
-        _, stop = _run_bounds(key[order])  # end of each item's block
+            key += colour[item] != lower
+        order = np.argsort(key * co.rank.shape[1] + rank_y[item])
+        item, lower, key = item[order], lower[order], key[order]
+        del order
+        stop = np.add(*_run_bounds(key), out=key)  # end of each item's block
         lo, hi = np.flatnonzero(lower), np.flatnonzero(~lower)
         n_lo = np.zeros(len(item) + 1, dtype=np.int64)  # lower items before each position
         np.cumsum(lower, out=n_lo[1:])
-        n_hi = np.arange(len(item) + 1) - n_lo
         _add_columns(above, item[hi], _suffix_sums(lifted, item[lo], n_lo[hi], n_lo[stop[hi]]))
+        first, stop = lo - n_lo[lo], stop[lo] - n_lo[stop[lo]]  # upper items before lo and before its block's end
         if weight is None:
-            below[0, item[lo]] += (n_hi[stop[lo]] - n_hi[lo]).astype(np.uint64)
+            below[0, item[lo]] += (stop - first).astype(np.uint64)
         else:
-            _add_columns(below, item[lo], _suffix_sums(weight, item[hi], n_hi[lo], n_hi[stop[lo]]))
-    if weight is not None:  # counts of unit weights are below N, so below every modulus
-        below %= q
-    above %= q
-    w_y = u_y if weight is None else weight * u_y % q
-    total = (w_y * above % q).sum(axis=1) % q[:, 0]
-    w_y *= u_x
-    w_y %= q
-    return (total + (w_y * below % q).sum(axis=1) % q[:, 0]) % q[:, 0]
+            _add_columns(below, item[lo], _suffix_sums(weight, item[hi], first, stop))
+    if weight is None:
+        above += lifted * below
+    total = np.zeros(len(q), dtype=np.uint64)
+    size = _batch(8 * len(q))
+    for first in range(0, len(group), size):
+        part = slice(first, first + size)
+        if weight is None:
+            sums = _residues(above[:, part], co.radix, q)
+        else:
+            sums = above[:, part] % q * weight[:, part] % q
+            sums += below[:, part] % q * lifted[:, part] % q
+            sums %= q
+        sums *= _u(co, y, point[part])
+        sums %= q
+        total += sums.sum(axis=1) % q[:, 0]
+    return total % q[:, 0]
 
 
 def _suffix_sums(values: np.ndarray, items: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -329,7 +418,9 @@ def _suffix_sums(values: np.ndarray, items: np.ndarray, first: np.ndarray, stop:
     without a modulus: exact while the sums stay below 2^64."""
     cum = np.zeros((len(values), len(items) + 1), dtype=np.uint64)
     np.cumsum(np.take(values, items, axis=1), axis=1, out=cum[:, 1:])
-    return np.take(cum, stop, axis=1) - np.take(cum, first, axis=1)
+    sums = np.take(cum, stop, axis=1)
+    sums -= np.take(cum, first, axis=1)
+    return sums
 
 
 def _add_columns(acc: np.ndarray, columns: np.ndarray, values: np.ndarray) -> None:
@@ -340,7 +431,7 @@ def _add_columns(acc: np.ndarray, columns: np.ndarray, values: np.ndarray) -> No
 
 
 def _direct_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
-    """The sum of `_cross_sum`, pair by pair, for groups of few pairs."""
+    """The sum of `_cross_sum`, pair by pair, for groups of few pairs, one batch of pairs at a time."""
     q = co.q
     total = np.zeros(len(q), dtype=np.uint64)
     a_items = np.flatnonzero(colour)
@@ -350,17 +441,35 @@ def _direct_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndar
     n_b = np.bincount(group[b_items], minlength=int(group.max()) + 1)
     b_start = np.cumsum(n_b) - n_b
     partners = np.cumsum(n_b[group[a_items]])
-    for a in np.split(a_items, np.searchsorted(partners, np.arange(_BATCH_ITEMS, partners[-1], _BATCH_ITEMS))):
+    size = _batch(8 * len(q))
+    for a in np.split(a_items, np.searchsorted(partners, np.arange(size, partners[-1], size))):
         reps = n_b[group[a]]
         pa = np.repeat(a, reps)
         pb = b_items[np.repeat(b_start[group[a]] - (np.cumsum(reps) - reps), reps) + np.arange(len(pa))]
         prod = weight[:, pa] * weight[:, pb] % q
         xa, xb = point[pa], point[pb]
         for j in dims:
-            prod *= co.res[j][:, np.where(co.rank[j, xa] < co.rank[j, xb], xa, xb)]  # u_j of the lower
+            prod *= _u(co, j, np.where(co.rank[j, xa] < co.rank[j, xb], xa, xb))  # u_j of the lower
             prod %= q
         total = (total + prod.sum(axis=1)) % q[:, 0]
     return total
+
+
+def _l2_work_bytes(n: int, s: int, base: int, precision: int) -> int:
+    """An upper bound on the bytes `l2_exact` allocates beside the digit array
+    of N points in dimension s with `precision` base-b digits.
+
+    Per point, 14 + 4k words for each coordinate (ranks, limbs and the
+    plane sweep's index arrays, k limbs each), and for s >= 3 another
+    2(s + 1) words per pair-term modulus (the weight rows of the halving
+    levels); plus 3s temporaries of _WORK_BYTES.  These coefficients bound,
+    with at least 10% to spare, the tracemalloc peaks measured on random
+    sets in bases 2, 3 and 13 for s = 1..5, N = 2 to 2^16 and k = 1, 2.
+    """
+    moduli = len(_moduli_above(n * n * base ** (precision * s)))
+    limbs = -(-precision // _limb_digits(base, n))
+    words = s * (14 + 4 * limbs) + (2 * (s + 1) * moduli if s > 2 else 0)
+    return 8 * n * words + 3 * s * _WORK_BYTES
 
 
 def _l2_squared(ps: PointSet) -> Fraction:
@@ -369,25 +478,27 @@ def _l2_squared(ps: PointSet) -> Fraction:
     T = sum_{a,b} prod_j min(u_ja, u_jb) is the pair term and
     C = sum_n prod_j (P^2 - X_jn^2) the cross term.  Both are computed
     modulo coprime moduli below 2^32 in uint64 arrays and recovered exactly
-    by the Chinese remainder theorem.
+    by the Chinese remainder theorem.  For s = 1 the pair term is
+    sum_n u_n (2N - 1 - 2 rank_n): u_n pairs with itself, and twice with
+    each of the points ranked above it.  A working set above MAX_L2_BYTES
+    is refused with CapacityError before anything is allocated.
     """
     n, s = len(ps), ps.s
+    need = _l2_work_bytes(n, s, ps.base, ps.precision)
+    if need > MAX_L2_BYTES:
+        raise CapacityError(
+            f"exact L2 of {n} points in dimension {s} needs about {need} bytes of "
+            f"working memory, above the {MAX_L2_BYTES}-byte limit"
+        )
     big_p = ps.base**ps.precision
     pair_bound, cross_bound = n * n * big_p**s, n * big_p ** (2 * s)
     moduli = _moduli_above(max(pair_bound, cross_bound))
-    co = _integer_coordinates(ps, moduli)
-    q = co.q
-    two_p = np.array([2 * big_p % int(m) for m in moduli], dtype=np.uint64)[:, None]
-    cross = np.ones((len(moduli), n), dtype=np.uint64)
-    for j in range(s):
-        cross *= co.res[j]
-        cross %= q
-        cross *= (two_p + q - co.res[j]) % q
-        cross %= q
-    cross_term = _crt(cross.sum(axis=1) % moduli, moduli)
     r = len(_moduli_above(pair_bound))
-    co = _Coordinates(co.rank, np.ascontiguousarray(co.res[:, :r]), q[:r])
-    pair_term = _crt(_pair_term(co), moduli[:r])
+    co = _integer_coordinates(ps, moduli[:r, None])
+    factor = (2 * n - 1 - 2 * co.rank[0]).astype(np.uint64) if s == 1 else None
+    diagonal, cross = _point_sums(co, moduli, factor)
+    pair_term = _crt(_pair_term(co, diagonal[:r]), moduli[:r])
+    cross_term = _crt(cross, moduli)
     return (
         Fraction(pair_term, n * n * big_p**s)
         - Fraction(2 * cross_term, n * 2**s * big_p ** (2 * s))
@@ -402,7 +513,8 @@ def l2_exact(ps: PointSet) -> DiscrepancyReport:
     float `value` is its square root.  About N (log N)^max(1, s-1) items
     are sorted in all, each once per halving level of the plane kernel,
     against N^2 s terms for the pairwise sum; each carries one uint64 sum
-    per modulus (4 to 6 of them at the usual sizes).
+    per modulus (4 to 6 of them at the usual sizes), or per limb in the
+    unit-weight plane sweep.
     """
     n = len(ps)
     if n == 0:
@@ -450,11 +562,11 @@ def l2_exact_rational(ps: PointSet) -> Fraction:
 
 # Largest float64 draw array (samples x s x 8 bytes) lq_estimate allocates.
 MAX_DRAW_BYTES = 1 << 27
+# Largest working set (_l2_work_bytes) l2_exact allocates beside the digit array.
+MAX_L2_BYTES = 1 << 30
 # Points per block of _count_below: a block's prefix table is (B + 1) x B/64
 # uint64 words, 2 MB per coordinate.
 _LQ_BLOCK = 4096
-# uint64 words per gathered anchor chunk of _count_below (1 MB).
-_LQ_GATHER_WORDS = 1 << 17
 
 
 def _count_below(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -465,7 +577,8 @@ def _count_below(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     bitset of the k smallest points, so searchsorted(sorted x_j, t_j) picks
     the row of the points with x_j < t_j.  An anchor's count is the popcount
     of the AND of its s rows: about len(t) N s / 64 word operations, plus
-    N log N per coordinate for the sorts.
+    N log N per coordinate for the sorts.  The anchors go in chunks whose
+    gathered rows fill _WORK_BYTES.
     """
     n, s = x.shape
     counts = np.zeros(len(t), dtype=np.int64)
@@ -480,7 +593,7 @@ def _count_below(x: np.ndarray, t: np.ndarray) -> np.ndarray:
             table[np.arange(1, size + 1), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
             tables.append(np.bitwise_or.accumulate(table, axis=0, out=table))
             keys.append(block[order, j])
-        chunk = max(1, _LQ_GATHER_WORDS // words)
+        chunk = _batch(8 * words)
         for a in range(0, len(t), chunk):
             anchors = t[a : a + chunk]
             inside = tables[0][np.searchsorted(keys[0], anchors[:, 0], side="left")]

@@ -19,7 +19,9 @@ only source of error messages.  It splits the lines into coordinate
 fields in Python and reads all their digits, comma-separated numbers
 included, in one vectorised pass.  The header is checked against the
 digit-array capacity before any body work, and `read_point_file` checks it
-before reading the body from disk.
+before reading the body from disk.  `read_point_file` reads the file once,
+as bytes, and `loads_point_file` reads the canonical layout from them in
+place; only the line parser decodes a str copy.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ from .nets import PointSet, _exponent, check_capacity
 
 __all__ = ["write_point_file", "read_point_file", "dumps_point_file", "loads_point_file"]
 
-# the first line as str.splitlines() delimits it
+# the first line as str.splitlines() delimits it, in a str and in ASCII bytes
 _FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-_PROVENANCE = "# provenance: "
+_FIRST_ASCII_LINE = re.compile(b"[^\n\r\v\f\x1c\x1d\x1e]*")
+_PROVENANCE = b"# provenance: "
 _HEADER_CHARS = 4096  # the longest first line `read_point_file` checks before the body
 
 
 def dumps_point_file(ps: PointSet) -> str:
     lines = [f"{ps.base} {_exponent(len(ps), ps.base)} {ps.s} {ps.precision} {len(ps)}"]
     if ps.provenance is not None:
-        lines.append(_PROVENANCE + json.dumps(ps.provenance, sort_keys=True))
+        lines.append(_PROVENANCE.decode() + json.dumps(ps.provenance, sort_keys=True))
     digits = ps.digit_array()
     if ps.base <= 10:
         body = np.empty(digits.shape[:2] + (ps.precision + 1,), dtype=np.uint8)
@@ -80,17 +83,17 @@ def _header(line: str) -> tuple[int, int, int, int]:
     return base, s, precision, count
 
 
-def _canonical_body(text: str, start: int, base: int, s: int, precision: int, count: int):
-    """(digits, provenance) when the text from `start` on -- the newline that
-    ends the header, then the rest -- is exactly what dumps_point_file writes
-    for base <= 10; None otherwise.  Never raises."""
-    if base > 10 or not text.isascii() or not text.startswith("\n", start):
+def _canonical_body(data: bytes, start: int, base: int, s: int, precision: int, count: int):
+    """(digits, provenance) when the ASCII text bytes from `start` on -- the
+    newline that ends the header, then the rest -- are exactly what
+    dumps_point_file writes for base <= 10; None otherwise.  Never raises."""
+    if base > 10 or not data.startswith(b"\n", start):
         return None
     start += 1
     provenance = None
-    if text.startswith(_PROVENANCE, start):
-        end = text.find("\n", start)
-        line = text[start + len(_PROVENANCE) : end]
+    if data.startswith(_PROVENANCE, start):
+        end = data.find(b"\n", start)
+        line = data[start + len(_PROVENANCE) : end].decode("ascii")
         if end < 0 or not line.isprintable():
             return None
         try:
@@ -100,9 +103,9 @@ def _canonical_body(text: str, start: int, base: int, s: int, precision: int, co
         if not isinstance(provenance, dict):
             return None
         start = end + 1
-    if len(text) - start != count * s * (precision + 1):
+    if len(data) - start != count * s * (precision + 1):
         return None
-    cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=start)
+    cells = np.frombuffer(data, dtype=np.uint8, offset=start)
     cells = cells.reshape(count, s, precision + 1)
     separators = np.full(s, ord(" "), dtype=np.uint8)
     separators[-1] = ord("\n")
@@ -193,15 +196,30 @@ def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int
     return values.astype(np.uint8).reshape(len(linenos), s, precision), provenance
 
 
-def loads_point_file(text: str) -> PointSet:
+def loads_point_file(text: str | bytes) -> PointSet:
+    """The point set in point-file text: a str, or bytes, which must be ASCII
+    and are read in place (`read_point_file` passes a file's bytes)."""
+    if isinstance(text, bytes) and not text.isascii():
+        at = re.search(rb"[\x80-\xff]", text).start()
+        line = text.count(b"\n", 0, at) + 1
+        raise ParameterError(f"line {line}: byte {text[at]:#04x} is not ASCII")
     if not text:
         raise ParameterError("line 1: empty point file")
-    first = _FIRST_LINE.match(text).group()
+    if isinstance(text, bytes):
+        first = _FIRST_ASCII_LINE.match(text).group().decode("ascii")
+    else:
+        first = _FIRST_LINE.match(text).group()
     base, s, precision, count = _header(first)
     check_capacity(count, s, precision)
-    parsed = _canonical_body(text, len(first), base, s, precision, count)
+    parsed = None
+    if isinstance(text, bytes) or text.isascii():
+        # a str is encoded now, as a temporary of the call: small objects allocated after a
+        # file-sized buffer can keep the allocator from reusing its pages
+        parsed = _canonical_body(text if isinstance(text, bytes) else text.encode("ascii"), len(first),
+                                 base, s, precision, count)
     if parsed is None:
-        parsed = _parse_lines(text.splitlines(), base, s, precision, count)
+        lines = (text.decode("ascii") if isinstance(text, bytes) else text).splitlines()
+        parsed = _parse_lines(lines, base, s, precision, count)
     digits, provenance = parsed
     return PointSet.from_digits(digits, base, provenance)
 
@@ -211,14 +229,10 @@ def read_point_file(path) -> PointSet:
         # refuse a header above the capacity before the body is read
         with open(path, encoding="ascii") as f:
             head = f.readline(_HEADER_CHARS)
-        first = _FIRST_LINE.match(head).group()
-        if head and (len(first) < len(head) or len(head) < _HEADER_CHARS):  # `first` is all of line 1
-            _, s, precision, count = _header(first)
-            check_capacity(count, s, precision)
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        data = Path(path).read_bytes()
-        at = re.search(rb"[\x80-\xff]", data).start()
-        line = data.count(b"\n", 0, at) + 1
-        raise ParameterError(f"line {line}: byte {data[at]:#04x} is not ASCII") from exc
-    return loads_point_file(text)
+    except UnicodeDecodeError:
+        head = ""  # loads_point_file names the line of the first non-ASCII byte
+    first = _FIRST_LINE.match(head).group()
+    if head and (len(first) < len(head) or len(head) < _HEADER_CHARS):  # `first` is all of line 1
+        _, s, precision, count = _header(first)
+        check_capacity(count, s, precision)
+    return loads_point_file(Path(path).read_bytes())

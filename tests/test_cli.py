@@ -180,6 +180,37 @@ def test_discrepancy_of_an_oversized_point_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_read_point_file_keeps_one_copy_of_the_text(tmp_path):
+    """The file's bytes, the digit array and one range-check boolean per digit:
+    no decoded str beside the bytes."""
+    import tracemalloc
+    from lowdisc.constructions import dp_net
+
+    ps = dp_net(3, 12, 2)
+    path = tmp_path / "net.txt"
+    write_point_file(ps, path)
+    read_point_file(path)
+    tracemalloc.start()
+    try:
+        back = read_point_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == ps
+    assert peak <= path.stat().st_size + 2 * ps.digit_array().nbytes + 65536
+
+
+def test_discrepancy_above_the_l2_working_limit_exits_two(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "net.txt"
+    assert run("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "6", "--out", str(path)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(discrepancy, "MAX_L2_BYTES", 1000)
+    assert run("discrepancy", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: exact L2 of 64 points in dimension 2 needs about")
+    assert "Traceback" not in err
+
+
 def test_verify_all_builds_the_net_once(monkeypatch, capsys):
     from lowdisc import cli
 

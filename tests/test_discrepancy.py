@@ -34,7 +34,7 @@ from lowdisc.nets import PointSet, fraction_digits, generate_net_points
 from lowdisc.selftest import _oracle_pointsets
 
 from count_reference import count_below_reference
-from l2_reference import l2_float_reference
+from l2_reference import l2_float_reference, l2_integer_reference
 
 
 def single_point(*fracs, precision=8):
@@ -187,6 +187,72 @@ def test_l2_exact_matches_float_reference_at_large_n(make):
     rep = l2_exact(ps)
     assert rep.value == math.sqrt(float(rep.exact))
     assert math.isclose(rep.value, l2_float_reference(ps), rel_tol=1e-8)
+
+
+def test_l2_exact_refuses_a_working_set_above_the_limit_before_allocating(monkeypatch):
+    ps = dp_net(3, 10, 2)
+    need = discrepancy._l2_work_bytes(len(ps), ps.s, ps.base, ps.precision)
+    monkeypatch.setattr(discrepancy, "MAX_L2_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"needs about {need} bytes of working memory"):
+            l2_exact(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # the estimate and the message, no array of N items
+    monkeypatch.setattr(discrepancy, "MAX_L2_BYTES", need)
+    assert l2_exact(ps).exact == l2_exact(dp_net(3, 10, 2)).exact
+
+
+def test_l2_exact_preflight_admits_the_m20_net():
+    """dp-net alpha 3, s 2, m 20: 2^20 points of 60 digits, two limbs, within the limit."""
+    assert discrepancy._l2_work_bytes(2**20, 2, 2, 60) <= discrepancy.MAX_L2_BYTES
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: dp_net(3, 14, 2), lambda: dp_finite_pointset(2000, 3)], ids=["dp_net-3-14-2", "dp_finite-s3-2000"]
+)
+def test_l2_exact_peak_stays_within_its_preflight_estimate(make):
+    ps = make()
+    tracemalloc.start()
+    try:
+        l2_exact(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= discrepancy._l2_work_bytes(len(ps), ps.s, ps.base, ps.precision)
+
+
+def _tie_heavy_sets():
+    """s = 1..5 sets in bases 2 and 3 with duplicated points, a coordinate of few
+    values and an all-zero coordinate; 70 base-2 digits take two limbs."""
+    rng = np.random.default_rng(5)
+    for s in range(1, 6):
+        for n, b, p in ((1, 2, 3), (2, 3, 4), (300, 2, 70), (257, 3, 6), (300, 2, 12)):
+            digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
+            digits[n - n // 4 :] = digits[: n // 4]
+            digits[:, 0] = digits[np.arange(n) % 3, 0]
+            if s > 1:
+                digits[:, -1] = 0
+            yield PointSet.from_digits(digits, b)
+
+
+def test_l2_exact_is_exact_under_a_tiny_work_budget(monkeypatch):
+    """A budget of a few KB puts many batch and chunk edges inside every sum."""
+    monkeypatch.setattr(discrepancy, "_WORK_BYTES", 4096)
+    sets = list(_tie_heavy_sets())
+    assert any(-(-ps.precision // discrepancy._limb_digits(ps.base, len(ps))) == 2 for ps in sets)
+    for ps in sets:
+        assert l2_exact(ps).exact == l2_integer_reference(ps)
+
+
+def test_lq_estimate_is_unchanged_under_a_tiny_work_budget(monkeypatch):
+    ps = dp_net(3, 10, 2)
+    monkeypatch.setattr(discrepancy, "_WORK_BYTES", 4096)
+    fast = lq_estimate(ps, 4.0, 16384, seed=1)
+    monkeypatch.setattr(discrepancy, "_count_below", count_below_reference)
+    assert lq_estimate(ps, 4.0, 16384, seed=1) == fast
 
 
 def test_report_fields():

@@ -342,7 +342,7 @@ def outcome(load, text):
 def test_canonical_shortcut_equals_line_parser(ps):
     text = dumps_point_file(ps)
     first = text.split("\n", 1)[0]
-    shortcut = _canonical_body(text, len(first), *_header(first))
+    shortcut = _canonical_body(text.encode("ascii"), len(first), *_header(first))
     assert shortcut is not None
     assert PointSet.from_digits(shortcut[0], ps.base, shortcut[1]) == line_parser(text) == ps
 
