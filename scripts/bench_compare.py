@@ -30,7 +30,9 @@ subprocess, one at a time:
 - fresh rungs: `l2_exact` on dp-net alpha 3, s 2, m 18 and m 20 (N = 2^18
   and 2^20), each once in a fresh subprocess per checkout, recording the
   wall time of the call, the process's `ru_maxrss` before the call (the
-  point set built) and after it, and the exact squared value.
+  point set built) and after it, and the exact squared value;
+- `rerun`: the layer and fresh rungs once more with the change's side
+  first, since each side runs them after the other, not in pairs.
 
 Each checkout is run with its own `src` on PYTHONPATH and its own
 `perfbench/`.  Before the first run, every `__pycache__` under both
@@ -234,6 +236,13 @@ def main() -> int:
     record["fresh"] = {"what": "l2_exact on dp-net alpha=3 s=2, one fresh subprocess per rung and side"}
     for m in FRESH_M:
         record["fresh"][f"l2_exact_dp_net_m{m}"] = {side: fresh(root, m) for side, root in sides.items()}
+    reverse = {side: sides[side] for side in ("change", "parent")}
+    rerun = {"order": "change first, then parent (the reverse of the first run)", "layers": {}, "fresh": {}}
+    for side, root in reverse.items():
+        rerun["layers"][side] = layers(root)
+    for m in FRESH_M:
+        rerun["fresh"][f"l2_exact_dp_net_m{m}"] = {side: fresh(root, m) for side, root in reverse.items()}
+    record["rerun"] = rerun
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -38,6 +38,7 @@ other temporary of `l2_exact` and of the Lq counter is a batch of at most
 _WORK_BYTES.  `l2_exact` estimates its working set before allocating and
 refuses one above MAX_L2_BYTES with CapacityError, as `lq_estimate` does
 for draws above MAX_DRAW_BYTES.
+
 Lower-bound comparators use the explicit Roth constant
 c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
 """

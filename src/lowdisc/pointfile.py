@@ -199,27 +199,23 @@ def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int
 def loads_point_file(text: str | bytes) -> PointSet:
     """The point set in point-file text: a str, or bytes, which must be ASCII
     and are read in place (`read_point_file` passes a file's bytes)."""
-    if isinstance(text, bytes) and not text.isascii():
+    raw = isinstance(text, bytes)
+    if raw and not text.isascii():
         at = re.search(rb"[\x80-\xff]", text).start()
         line = text.count(b"\n", 0, at) + 1
         raise ParameterError(f"line {line}: byte {text[at]:#04x} is not ASCII")
     if not text:
         raise ParameterError("line 1: empty point file")
-    if isinstance(text, bytes):
-        first = _FIRST_ASCII_LINE.match(text).group().decode("ascii")
-    else:
-        first = _FIRST_LINE.match(text).group()
+    first = _FIRST_ASCII_LINE.match(text).group().decode("ascii") if raw else _FIRST_LINE.match(text).group()
     base, s, precision, count = _header(first)
     check_capacity(count, s, precision)
     parsed = None
-    if isinstance(text, bytes) or text.isascii():
+    if raw or text.isascii():
         # a str is encoded now, as a temporary of the call: small objects allocated after a
         # file-sized buffer can keep the allocator from reusing its pages
-        parsed = _canonical_body(text if isinstance(text, bytes) else text.encode("ascii"), len(first),
-                                 base, s, precision, count)
+        parsed = _canonical_body(text if raw else text.encode("ascii"), len(first), base, s, precision, count)
     if parsed is None:
-        lines = (text.decode("ascii") if isinstance(text, bytes) else text).splitlines()
-        parsed = _parse_lines(lines, base, s, precision, count)
+        parsed = _parse_lines((text.decode("ascii") if raw else text).splitlines(), base, s, precision, count)
     digits, provenance = parsed
     return PointSet.from_digits(digits, base, provenance)
 
