@@ -214,11 +214,8 @@ def _residues(limbs: np.ndarray, radix: int, q: np.ndarray) -> np.ndarray:
 
 
 def _u(co: _Coordinates, j: int, point: np.ndarray) -> np.ndarray:
-    """u_j of the points as factors of a residue: (r, n) residues, or when
-    P <= 2^32 (so k = 1) the values themselves, one (1, n) row whose
-    product with a residue stays below 2^64."""
-    limbs = np.take(co.limbs[j], point, axis=1)
-    return limbs if co.big_p <= 2**32 else _residues(limbs, co.radix, co.q)
+    """(r, n) residues of u_j of the points."""
+    return _residues(np.take(co.limbs[j], point, axis=1), co.radix, co.q)
 
 
 def _point_sums(co: _Coordinates, moduli: np.ndarray, factor: np.ndarray | None):

@@ -210,32 +210,47 @@ def test_l2_exact_preflight_admits_the_m20_net():
     assert discrepancy._l2_work_bytes(2**20, 2, 2, 60) <= discrepancy.MAX_L2_BYTES
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: dp_net(3, 14, 2), lambda: dp_finite_pointset(2000, 3)], ids=["dp_net-3-14-2", "dp_finite-s3-2000"]
-)
-def test_l2_exact_peak_stays_within_its_preflight_estimate(make):
-    ps = make()
-    tracemalloc.start()
-    try:
-        l2_exact(ps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= discrepancy._l2_work_bytes(len(ps), ps.s, ps.base, ps.precision)
+def _tie_heavy(n, s, b, p, rng):
+    """N random points with duplicates, a first coordinate of three values
+    and, for s > 1, an all-zero last coordinate."""
+    digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
+    digits[n - n // 4 :] = digits[: n // 4]
+    digits[:, 0] = digits[np.arange(n) % 3, 0]
+    if s > 1:
+        digits[:, -1] = 0
+    return PointSet.from_digits(digits, b)
 
 
 def _tie_heavy_sets():
-    """s = 1..5 sets in bases 2 and 3 with duplicated points, a coordinate of few
-    values and an all-zero coordinate; 70 base-2 digits take two limbs."""
+    """s = 1..5 tie-heavy sets in bases 2 and 3; 70 base-2 digits take two limbs."""
     rng = np.random.default_rng(5)
     for s in range(1, 6):
         for n, b, p in ((1, 2, 3), (2, 3, 4), (300, 2, 70), (257, 3, 6), (300, 2, 12)):
-            digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
-            digits[n - n // 4 :] = digits[: n // 4]
-            digits[:, 0] = digits[np.arange(n) % 3, 0]
-            if s > 1:
-                digits[:, -1] = 0
-            yield PointSet.from_digits(digits, b)
+            yield _tie_heavy(n, s, b, p, rng)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [dp_net(3, 14, 2)],
+        lambda: [dp_finite_pointset(2000, 3)],
+        lambda: list(_tie_heavy_sets()),
+        lambda: [_tie_heavy(4096, 3, 2, 70, np.random.default_rng(5))],
+        lambda: [_tie_heavy(4096, 4, 2, 70, np.random.default_rng(5))],
+        lambda: [_tie_heavy(4096, 5, 3, 12, np.random.default_rng(5))],
+    ],
+    ids=["dp_net-3-14-2", "dp_finite-s3-2000", "tie-heavy-s1-5", "tie-heavy-s3-k2", "tie-heavy-s4-k2", "tie-heavy-s5-b3"],
+)
+def test_l2_exact_peak_stays_within_its_preflight_estimate(make):
+    """The estimate bounds the tracemalloc peak, ties, two limbs and s = 4, 5 included."""
+    for ps in make():
+        tracemalloc.start()
+        try:
+            l2_exact(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= discrepancy._l2_work_bytes(len(ps), ps.s, ps.base, ps.precision)
 
 
 def test_l2_exact_is_exact_under_a_tiny_work_budget(monkeypatch):
