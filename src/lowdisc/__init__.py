@@ -27,7 +27,6 @@ from .constructions import (
 )
 from .discrepancy import (
     DiscrepancyReport,
-    append_index_coordinate,
     l2_exact,
     l2_exact_rational,
     trim_inequality_check,
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .field import (
     binomial_mod_p,
-    field_inverse,
     irreducible_polys_f2,
     is_prime,
     kernel_basis,
@@ -56,7 +54,6 @@ from .nets import (
     DualSpace,
     GeneratingMatrixSet,
     PointSet,
-    char_property_sum,
     char_property_sums,
     compute_t_value,
     dual_space,
@@ -66,12 +63,8 @@ from .nets import (
 )
 from .pointfile import read_point_file, write_point_file
 from .weights import (
-    hamming_weight,
     min_dual_weight,
-    mu_alpha,
-    nrt_weight,
     t_alpha,
-    vector_weight,
 )
 
 __version__ = "0.1.0"

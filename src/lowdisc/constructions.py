@@ -18,8 +18,6 @@ blocks of its matrices (Niederreiter, J. Number Theory 30 (1988)), so
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +57,10 @@ __all__ = [
     "van_der_corput_matrices",
     "van_der_corput",
 ]
+
+# Base-b digits kept of a coordinate whose expansion does not terminate (the trim's
+# rescaled first coordinate, Davenport's {n alpha} and n/M).
+_TAIL_DIGITS = 48
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +237,7 @@ def dp_finite_base(m: int, s: int) -> PointSet:
     return interlaced
 
 
-def dp_finite_pointset(N: int, s: int, precision: int | None = None) -> PointSet:
+def dp_finite_pointset(N: int, s: int) -> PointSet:
     """N-point set in [0,1)^s for arbitrary N >= 2.
 
     Trims dp_finite_base (with 2^(m-1) < N <= 2^m) to its first N points
@@ -246,7 +248,7 @@ def dp_finite_pointset(N: int, s: int, precision: int | None = None) -> PointSet
     if s < 1:
         raise ParameterError("need s >= 1")
     m = (N - 1).bit_length()
-    trimmed = arbitrary_n_trim(dp_finite_base(m, s), N, precision=precision)
+    trimmed = arbitrary_n_trim(dp_finite_base(m, s), N)
     return PointSet.from_digits(
         trimmed.digit_array(), 2, provenance={"family": "dp-finite", "N": N, "s": s}
     )
@@ -284,14 +286,14 @@ def dp_sequence(s: int, n_max: int) -> PointSet:
 # Arbitrary-N trim and Davenport's symmetrized set
 # ----------------------------------------------------------------------
 
-def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> PointSet:
+def arbitrary_n_trim(ps: PointSet, N: int) -> PointSet:
     """Keep the first N points along coordinate one and rescale by b^m/N.
 
     Requires b^(m-1) < N <= b^m where the input holds b^m points, and the
     hypothesis that the first coordinate hits every m-digit prefix exactly
     once (checked).  Rescaled first coordinates are generally not base-b
-    rationals of finite expansion, so they are truncated to `precision`
-    digits (default: at least 48).
+    rationals of finite expansion, so they are truncated to _TAIL_DIGITS
+    digits (or the input's precision, if larger).
     """
     b, count, m = ps.base, len(ps), _net_exponent(ps)
     if m == 0:
@@ -309,7 +311,7 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
     prov.update({"trimmed_to": N})
     if N == count:
         return PointSet.from_digits(ps.digit_array(), b, prov)
-    out_precision = max(ps.precision, 48 if precision is None else precision)
+    out_precision = max(ps.precision, _TAIL_DIGITS)
     keep = prefixes < N
     digits = np.pad(ps.digit_array()[keep], ((0, 0), (0, 0), (0, out_precision - ps.precision)))
     # x * b^m / N: the m-digit prefix over N, then the digits after it brought down
@@ -317,45 +319,27 @@ def arbitrary_n_trim(ps: PointSet, N: int, precision: int | None = None) -> Poin
     return PointSet.from_digits(digits, b, prov)
 
 
-GOLDEN_CF = "golden"
-
-
-def davenport_symmetrized(
-    M: int,
-    alpha_cf: Sequence[int] | None = None,
-    precision: int = 48,
-) -> PointSet:
+def davenport_symmetrized(M: int) -> PointSet:
     """The 2M points ({n*alpha}, n/M) and ({-n*alpha}, n/M), n = 1..M.
 
-    alpha is represented exactly by a continued-fraction convergent with
-    denominator above M^2 (default: the golden ratio), so the fractional
-    parts are exact rationals before digit truncation.  The n = M second
-    coordinate would be 1 and wraps to 0 to stay inside [0,1).
+    alpha is the golden ratio, represented exactly by its first Fibonacci
+    convergent with denominator above M^2, so the fractional parts are
+    exact rationals before truncation to _TAIL_DIGITS binary digits.  The
+    n = M second coordinate would be 1 and wraps to 0 to stay inside [0,1).
     """
-    if M < 1 or precision < 1:
+    if M < 1:
         raise ParameterError("need M >= 1 and precision >= 1")
-    check_capacity(2 * M, 2, precision)
-    quotients = repeat(1) if alpha_cf is None else iter(alpha_cf)  # golden ratio: all ones
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = next(quotients, 1), 1
-    for a in quotients:
-        if q_cur > M * M:
-            break
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    alpha = Fraction(p_cur, q_cur)
-    num, den = alpha.numerator % alpha.denominator, alpha.denominator
+    check_capacity(2 * M, 2, _TAIL_DIGITS)
+    num, den = 1, 1
+    while den <= M * M:
+        num, den = num + den, num
+    num %= den
     n = np.repeat(np.arange(1, M + 1, dtype=np.int64 if M * den < 2**63 else object), 2)
     x = (np.tile([1, -1], M) * n * num) % den  # {n alpha}, {-n alpha}, ... times den
     digits = np.stack(
-        [fraction_digits(x, den, 2, precision), fraction_digits(n % M, M, 2, precision)], axis=1
+        [fraction_digits(x, den, 2, _TAIL_DIGITS), fraction_digits(n % M, M, 2, _TAIL_DIGITS)], axis=1
     )
-    prov = {
-        "family": "davenport",
-        "M": M,
-        "alpha_cf": list(alpha_cf) if alpha_cf is not None else GOLDEN_CF,
-        "precision": precision,
-    }
+    prov = {"family": "davenport", "M": M, "alpha_cf": "golden", "precision": _TAIL_DIGITS}
     return PointSet.from_digits(digits, 2, prov)
 
 

@@ -39,8 +39,11 @@ _WORK_BYTES.  `l2_exact` estimates its working set before allocating and
 refuses one above MAX_L2_BYTES with CapacityError, as `lq_estimate` does
 for draws above MAX_DRAW_BYTES.
 
-Lower-bound comparators use the explicit Roth constant
-c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) * sqrt((s-1)!)).
+The lower bound is Roth's L2 bound c_s (log N)^((s-1)/2) / N with the
+explicit constant c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) *
+sqrt((s-1)!)); it bounds Lq for q >= 2 too, and no ratio is reported for
+q < 2.  Sequence profiles take the exact L2 of the prefixes of
+`dp_sequence`.
 """
 
 from __future__ import annotations
@@ -49,13 +52,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .constructions import arbitrary_n_trim
+from .constructions import arbitrary_n_trim, dp_sequence
 from .errors import CapacityError, ParameterError
-from .nets import PointSet, _exponent, fraction_digits
+from .nets import PointSet
 
 __all__ = [
     "DiscrepancyReport",
@@ -65,16 +68,13 @@ __all__ = [
     "lq_estimate",
     "roth_constant",
     "roth_lower_bound",
-    "RothBound",
     "sum_of_digits",
     "roth_sequence_ratio",
     "scaling_ratio",
-    "SequenceProfile",
     "ProfileRow",
     "sequence_profile",
     "profile_grid",
     "trim_inequality_check",
-    "append_index_coordinate",
 ]
 
 
@@ -675,11 +675,6 @@ def lq_estimate(
 # Lower-bound comparators
 # ----------------------------------------------------------------------
 
-class RothBound(NamedTuple):
-    value: float
-    constant_known: bool
-
-
 def roth_constant(s: int) -> float:
     """The explicit constant in the (log N)^((s-1)/2) / N lower bound."""
     if s < 1:
@@ -689,25 +684,21 @@ def roth_constant(s: int) -> float:
     )
 
 
-def roth_lower_bound(s: int, N: int, q: float = 2.0) -> RothBound:
-    """Universal lower bound on the Lq discrepancy of any N-point set.
+def roth_lower_bound(s: int, N: int) -> float:
+    """Universal lower bound on the L2 discrepancy of any N-point set in [0,1)^s.
 
-    For q >= 2 the explicit constant applies; for 1 <= q < 2 only the
-    shape is known, so the value is 0 with constant_known=False.
+    Lq >= L2 for q >= 2, so it bounds those norms too; for q < 2 no
+    explicit constant is known and no ratio is reported.
     """
     if N < 2:
         raise ParameterError("the bound needs N >= 2")
-    if q < 1:
-        raise ParameterError("need q >= 1")
-    if q < 2:
-        return RothBound(0.0, False)
-    return RothBound(roth_constant(s) * math.log(N) ** ((s - 1) / 2.0) / N, True)
+    return roth_constant(s) * math.log(N) ** ((s - 1) / 2.0) / N
 
 
 def _roth_ratio(n: int, s: int, value: float) -> float | None:
     if n < 2:
         return None
-    return value / roth_lower_bound(s, n).value
+    return value / roth_lower_bound(s, n)
 
 
 def sum_of_digits(N: int) -> int:
@@ -755,19 +746,6 @@ class ProfileRow:
     ratio_partition: float
 
 
-@dataclass(frozen=True)
-class SequenceProfile:
-    s: int
-    q: float
-    rows: tuple[ProfileRow, ...]
-
-    def csv(self) -> str:
-        lines = ["N,value,S_N,ratio_roth,ratio_partition"]
-        for r in self.rows:
-            lines.append(f"{r.N},{r.value!r},{r.s_n},{r.ratio_roth!r},{r.ratio_partition!r}")
-        return "\n".join(lines) + "\n"
-
-
 def profile_grid(n_max: int) -> list[int]:
     """All N <= 256, plus powers of two and (2^m - 1)-values up to n_max."""
     grid = set(range(2, min(n_max, 256) + 1))
@@ -782,73 +760,35 @@ def profile_grid(n_max: int) -> list[int]:
     return sorted(grid)
 
 
-def _partition_normalizer(N: int, s: int, q: float) -> float:
-    """r^(3/2 - 1/q) * sqrt(sum of m_v^(s-1)) for N = 2^m_1 + ... + 2^m_r."""
+def _partition_normalizer(N: int, s: int) -> float:
+    """r * sqrt(sum of m_v^(s-1)) for N = 2^m_1 + ... + 2^m_r: r^(3/2 - 1/q) at q = 2."""
     exponents = [i for i in range(N.bit_length()) if (N >> i) & 1]
-    r = len(exponents)
-    return r ** (1.5 - 1.0 / q) * math.sqrt(sum(float(m_v) ** (s - 1) for m_v in exponents))
+    return len(exponents) * math.sqrt(sum(float(m_v) ** (s - 1) for m_v in exponents))
 
 
-def sequence_profile(
-    family: Callable[[int, int], PointSet],
-    s: int,
-    n_max: int,
-    q: float = 2.0,
-    samples: int = 4096,
-    seed: int = 0,
-) -> SequenceProfile:
-    """Discrepancy of the first N points of a sequence across a grid of N.
+def sequence_profile(s: int, n_max: int) -> tuple[ProfileRow, ...]:
+    """Exact L2 discrepancy of the first N points of `dp_sequence` over `profile_grid(n_max)`.
 
-    `family(s, n_max)` must return the first n_max points of the sequence.
-    At q = 2 the exact formula is used; otherwise the Monte Carlo estimate.
-    Each row records N * Lq divided by the two normalizers of interest:
+    Each row records N * L2 divided by the two normalizers of interest:
     (log N)^((s-1)/2) * sqrt(S(N)), and the binary-partition quantity
-    r^(3/2-1/q) * sqrt(sum m_v^(s-1)).
+    r * sqrt(sum m_v^(s-1)).
     """
     if n_max < 2:
         raise ParameterError("need n_max >= 2")
-    full = family(s, n_max)
+    full = dp_sequence(s, n_max)
     rows = []
     for n in profile_grid(n_max):
-        ps = full.prefix(n)
-        if q == 2.0:
-            rep = l2_exact(ps)
-        else:
-            rep = lq_estimate(ps, q, samples, seed)
-        ratio_roth = roth_sequence_ratio(n, s, rep.value)
-        ratio_part = n * rep.value / _partition_normalizer(n, s, q)
-        rows.append(ProfileRow(n, rep.value, sum_of_digits(n), ratio_roth, ratio_part))
-    return SequenceProfile(s, q, tuple(rows))
+        value = l2_exact(full.prefix(n)).value
+        ratio_part = n * value / _partition_normalizer(n, s)
+        rows.append(ProfileRow(n, value, sum_of_digits(n), roth_sequence_ratio(n, s, value), ratio_part))
+    return tuple(rows)
 
 
-def trim_inequality_check(ps_full: PointSet, N: int, rel_tol: float = 1e-9) -> bool:
-    """Verify N * L2(trimmed) <= sqrt(b) * b^m * L2(full), up to a factor 1 + rel_tol.
+def trim_inequality_check(ps_full: PointSet, N: int) -> bool:
+    """Verify N * L2(trimmed) <= sqrt(b) * b^m * L2(full), up to a factor 1 + 1e-9.
 
-    Compared exactly on the squares: N^2 L2(trimmed)^2 <= b (b^m)^2 L2(full)^2 (1 + rel_tol)^2.
+    Compared exactly on the squares: N^2 L2(trimmed)^2 <= b (b^m)^2 L2(full)^2 (1 + 1e-9)^2.
     """
     trimmed = l2_exact(arbitrary_n_trim(ps_full, N)).exact
     full = l2_exact(ps_full).exact
-    return N * N * trimmed <= ps_full.base * len(ps_full) ** 2 * full * (1 + Fraction(rel_tol)) ** 2
-
-
-def append_index_coordinate(ps: PointSet, N: int, precision: int | None = None) -> PointSet:
-    """First N points with the extra coordinate k/N appended.
-
-    The device behind lifting sequence lower bounds to dimension s + 1;
-    with N a power of the base the new coordinate is digit-exact.
-    """
-    if len(ps) < N:
-        raise ParameterError(f"need at least N={N} points, got {len(ps)}")
-    if N < 1:
-        raise ParameterError("need N >= 1")
-    b = ps.base
-    exact_digits = _exponent(N, b)
-    if b**exact_digits == N:
-        out_precision = max(ps.precision, exact_digits, 1)
-    else:
-        out_precision = max(ps.precision, 48 if precision is None else precision)
-    digits = np.pad(ps.digit_array()[:N], ((0, 0), (0, 1), (0, out_precision - ps.precision)))
-    digits[:, ps.s] = fraction_digits(np.arange(N), N, b, out_precision)
-    prov = dict(ps.provenance) if ps.provenance else {}
-    prov["appended_index_coordinate"] = N
-    return PointSet.from_digits(digits, b, prov)
+    return N * N * trimmed <= ps_full.base * len(ps_full) ** 2 * full * (1 + Fraction(1e-9)) ** 2

@@ -30,7 +30,6 @@ from .errors import ParameterError
 
 __all__ = [
     "is_prime",
-    "field_inverse",
     "binomial_mod_p",
     "pack_rows",
     "reduce_row",
@@ -65,15 +64,6 @@ def is_prime(n: int) -> bool:
 def _require_prime(b: int) -> None:
     if not is_prime(b):
         raise ParameterError(f"base {b} is not prime")
-
-
-def field_inverse(a: int, b: int) -> int:
-    """Multiplicative inverse of a in F_b.  Raises for a == 0 (mod b)."""
-    _require_prime(b)
-    a %= b
-    if a == 0:
-        raise ParameterError("zero has no multiplicative inverse")
-    return pow(a, b - 2, b)
 
 
 def binomial_mod_p(i: int, j: int, b: int) -> int:

@@ -58,7 +58,6 @@ __all__ = [
     "geometric_net_check",
     "geometric_t_value",
     "dual_space",
-    "char_property_sum",
     "char_property_sums",
     "char_property_deviation",
 ]
@@ -681,11 +680,6 @@ def char_property_sums(ps: PointSet, kvecs: Sequence[Sequence[int]]) -> np.ndarr
         return ((counts[:, 0] - counts[:, 1]) / n).astype(complex)
     omega = np.exp(2j * np.pi * np.arange(b) / b)
     return np.array([np.dot(row, omega) / n for row in counts], dtype=complex)
-
-
-def char_property_sum(ps: PointSet, kvec: Sequence[int]) -> complex:
-    """The character sum of `char_property_sums` at the one index kvec."""
-    return complex(char_property_sums(ps, [kvec])[0])
 
 
 def char_property_deviation(ps: PointSet, dual: DualSpace, in_dual: int | None, drawn: int,

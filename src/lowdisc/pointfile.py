@@ -13,15 +13,19 @@ after the last.  Reading takes the same shortcut back: when the text after
 the header (and an optional provenance line 2) is exactly that layout, one
 vectorised check validates it and the digits are read from the reshaped
 bytes.  Anything else -- comments elsewhere, CRLF, extra whitespace, comma
-digits, non-ASCII text, every malformed file -- goes to the line parser,
-which is the fallback, the oracle the shortcut must agree with, and the
-only source of error messages.  It splits the lines into coordinate
-fields in Python and reads all their digits, comma-separated numbers
-included, in one vectorised pass.  The header is checked against the
-digit-array capacity before any body work, and `read_point_file` checks it
-before reading the body from disk.  `read_point_file` reads the file once,
-as bytes, and `loads_point_file` reads the canonical layout from them in
-place; only the line parser decodes a str copy.
+digits, every malformed file -- goes to the line parser, which is the
+fallback, the oracle the shortcut must agree with, and the only source of
+body error messages.  It splits the lines into coordinate fields in Python
+and reads all their digits, comma-separated numbers included, in one
+vectorised pass.  The header is checked against the digit-array capacity
+before any body work, and `read_point_file` checks it before reading the
+body from disk.
+
+Every read is of bytes: `read_point_file` reads the file once, as bytes,
+and `loads_point_file` reads a str as its UTF-8 bytes, so a text reads
+the same from a str and from a file.  Point files are ASCII; the first
+non-ASCII byte is refused, naming its line.  The canonical layout is read
+from the bytes in place; only the line parser decodes a str copy.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from .nets import PointSet, _exponent, check_capacity
 
 __all__ = ["write_point_file", "read_point_file", "dumps_point_file", "loads_point_file"]
 
-# the first line as str.splitlines() delimits it, in a str and in ASCII bytes
-_FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+# the first line as str.splitlines() delimits it in ASCII text
 _FIRST_ASCII_LINE = re.compile(b"[^\n\r\v\f\x1c\x1d\x1e]*")
 _PROVENANCE = b"# provenance: "
 _HEADER_CHARS = 4096  # the longest first line `read_point_file` checks before the body
@@ -128,10 +131,7 @@ def _digit_values(fields: list[str], base: int) -> tuple[np.ndarray, np.ndarray]
     """
     if not fields:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    text = " ".join(fields)
-    if base > 10 and not text.isascii():  # int() reads every Unicode decimal digit
-        text = text.translate({ord(c): str(int(c)) for c in set(text) if c.isdecimal()})
-    chars = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    chars = np.frombuffer(" ".join(fields).encode("ascii"), dtype=np.uint8)
     space = chars == ord(" ")
     digit = chars - np.uint8(ord("0"))  # characters below '0' wrap above 9
     is_digit = digit <= 9
@@ -197,38 +197,34 @@ def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int
 
 
 def loads_point_file(text: str | bytes) -> PointSet:
-    """The point set in point-file text: a str, or bytes, which must be ASCII
-    and are read in place (`read_point_file` passes a file's bytes)."""
-    raw = isinstance(text, bytes)
-    if raw and not text.isascii():
-        at = re.search(rb"[\x80-\xff]", text).start()
-        line = text.count(b"\n", 0, at) + 1
-        raise ParameterError(f"line {line}: byte {text[at]:#04x} is not ASCII")
-    if not text:
+    """The point set in point-file text: bytes, which must be ASCII and are
+    read in place (`read_point_file` passes a file's bytes), or a str, read
+    as its UTF-8 bytes."""
+    # a str is encoded now, as a temporary of the call: small objects allocated after a
+    # file-sized buffer can keep the allocator from reusing its pages
+    data = text.encode() if isinstance(text, str) else text
+    if not data.isascii():
+        at = re.search(rb"[\x80-\xff]", data).start()
+        line = data.count(b"\n", 0, at) + 1
+        raise ParameterError(f"line {line}: byte {data[at]:#04x} is not ASCII")
+    if not data:
         raise ParameterError("line 1: empty point file")
-    first = _FIRST_ASCII_LINE.match(text).group().decode("ascii") if raw else _FIRST_LINE.match(text).group()
+    first = _FIRST_ASCII_LINE.match(data).group().decode("ascii")
     base, s, precision, count = _header(first)
     check_capacity(count, s, precision)
-    parsed = None
-    if raw or text.isascii():
-        # a str is encoded now, as a temporary of the call: small objects allocated after a
-        # file-sized buffer can keep the allocator from reusing its pages
-        parsed = _canonical_body(text if raw else text.encode("ascii"), len(first), base, s, precision, count)
+    parsed = _canonical_body(data, len(first), base, s, precision, count)
     if parsed is None:
-        parsed = _parse_lines((text.decode("ascii") if raw else text).splitlines(), base, s, precision, count)
+        parsed = _parse_lines(data.decode("ascii").splitlines(), base, s, precision, count)
     digits, provenance = parsed
     return PointSet.from_digits(digits, base, provenance)
 
 
 def read_point_file(path) -> PointSet:
-    try:
-        # refuse a header above the capacity before the body is read
-        with open(path, encoding="ascii") as f:
-            head = f.readline(_HEADER_CHARS)
-    except UnicodeDecodeError:
-        head = ""  # loads_point_file names the line of the first non-ASCII byte
-    first = _FIRST_LINE.match(head).group()
-    if head and (len(first) < len(head) or len(head) < _HEADER_CHARS):  # `first` is all of line 1
-        _, s, precision, count = _header(first)
+    with open(path, "rb") as f:  # refuse a header above the capacity before the body is read
+        head = f.readline(_HEADER_CHARS)
+    first = _FIRST_ASCII_LINE.match(head).group()
+    # `first` is all of line 1; loads_point_file names the line of a non-ASCII byte
+    if head.isascii() and head and (len(first) < len(head) or len(head) < _HEADER_CHARS):
+        _, s, precision, count = _header(first.decode("ascii"))
         check_capacity(count, s, precision)
     return loads_point_file(Path(path).read_bytes())

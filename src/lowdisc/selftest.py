@@ -198,7 +198,7 @@ def criterion_06_roth_validity() -> tuple[bool, str]:
     for label, ps in _roth_family_sets():
         n = len(ps)
         rep = l2_exact(ps)
-        bound = roth_lower_bound(ps.s, n).value
+        bound = roth_lower_bound(ps.s, n)
         margin = n * rep.value - n * bound
         if margin < worst:
             worst, worst_label = margin, label
@@ -253,12 +253,12 @@ def criterion_09_trim_inequality() -> tuple[bool, str]:
 
 def criterion_10_sequence_ratio_bounded() -> tuple[bool, str]:
     """N * L2 / sqrt(S(N)) spread <= 8 for dp_sequence(s=1) up to 4096."""
-    prof = sequence_profile(dp_sequence, 1, 4096)
-    ns = {row.N for row in prof.rows}
+    prof = sequence_profile(1, 4096)
+    ns = {row.N for row in prof}
     missing = [2**m - 1 for m in range(2, 13) if 2**m - 1 not in ns]
     if missing:
         return False, f"grid misses worst-case values {missing}"
-    ratios = [row.ratio_roth for row in prof.rows]
+    ratios = [row.ratio_roth for row in prof]
     spread = max(ratios) / min(ratios)
     return spread <= 8.0, f"ratio spread max/min = {spread:.3f} over {len(ratios)} grid points"
 

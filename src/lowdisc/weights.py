@@ -1,85 +1,32 @@
-"""Weight functions on integers and dual spaces.
+"""Weights on dual spaces.
 
 Three weights drive the structural analysis of digital nets: the position
 of the most significant base-b digit ("nrt"), the count of nonzero digits
 ("hamming"), and the sum of the alpha highest nonzero digit positions
-("mu").  What a construction guarantees is always a floor on one of these
-weights over the nonzero dual space.  The minimum with a witness comes
-from the rank search `nets.min_dependent_support`; `min_dual_weight`
-gives the same answer by enumerating the dual, as the oracle, and
-`order_alpha_profile` runs the rank search stopped at the order-alpha
-floor.
+("mu"), each summed over the coordinates of a dual element.  What a
+construction guarantees is always a floor on one of these weights over
+the nonzero dual space.  The minimum with a witness comes from the rank
+search `nets.min_dependent_support`; `min_dual_weight` gives the same
+answer by enumerating the dual, as the oracle, and `order_alpha_profile`
+runs the rank search stopped at the order-alpha floor.  Weights are read
+from digit arrays, all elements at once (`_weight_matrix`); the scalar
+form on integers is kept in the tests as their oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .field import is_prime
 from .nets import KINDS, DualSpace, GeneratingMatrixSet, min_dependent_support
 
 __all__ = [
-    "nrt_weight",
-    "hamming_weight",
-    "mu_alpha",
-    "vector_weight",
     "min_dual_weight",
     "t_alpha",
     "order_alpha_profile",
 ]
-
-
-def _digit_positions(k: int, b: int) -> list[int]:
-    """1-based positions of nonzero base-b digits of k, descending."""
-    if k < 0:
-        raise ParameterError("weights are defined on nonnegative integers")
-    if not is_prime(b):
-        raise ParameterError(f"base {b} is not prime")
-    positions = []
-    pos = 1
-    while k > 0:
-        k, d = divmod(k, b)
-        if d:
-            positions.append(pos)
-        pos += 1
-    positions.reverse()
-    return positions
-
-
-def nrt_weight(k: int, b: int) -> int:
-    """Position of the most significant nonzero base-b digit; 0 for k = 0."""
-    positions = _digit_positions(k, b)
-    return positions[0] if positions else 0
-
-
-def hamming_weight(k: int, b: int) -> int:
-    """Number of nonzero base-b digits; 0 for k = 0."""
-    return len(_digit_positions(k, b))
-
-
-def mu_alpha(k: int, alpha: int, b: int) -> int:
-    """Sum of the alpha highest nonzero digit positions (all of them if fewer)."""
-    if alpha < 1:
-        raise ParameterError("alpha must be >= 1")
-    positions = _digit_positions(k, b)
-    return sum(positions[:alpha])
-
-
-def vector_weight(ks: Sequence[int], b: int, kind: str, alpha: int | None = None) -> int:
-    """Coordinatewise sum of the chosen weight over an integer vector."""
-    if kind == "nrt":
-        return sum(nrt_weight(k, b) for k in ks)
-    if kind == "hamming":
-        return sum(hamming_weight(k, b) for k in ks)
-    if kind == "mu":
-        if alpha is None:
-            raise ParameterError("kind 'mu' needs alpha")
-        return sum(mu_alpha(k, alpha, b) for k in ks)
-    raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
 
 
 def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarray:

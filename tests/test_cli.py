@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -51,6 +52,23 @@ def test_construct_logs_worked_example_matrices(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "C1 = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1], [0, 1, 2, 3]]" in err
     assert "C2 = [[1, 2, 4, 3], [0, 1, 4, 2], [1, 3, 4, 2], [0, 1, 1, 2]]" in err
+
+
+@pytest.mark.parametrize("argv, first_lines, digest", [
+    (("--family", "davenport", "--N", "37"),
+     ["2 7 2 48 74",
+      '# provenance: {"M": 37, "alpha_cf": "golden", "family": "davenport", "precision": 48}'],
+     "ee9dbbceea4b9b9a1113ed4edf48978a3c1a8bb1d623fd23c50dd019ce984c41"),
+    (("--family", "dp-finite", "--N", "13", "--s", "2"),
+     ["2 4 2 48 13", '# provenance: {"N": 13, "family": "dp-finite", "s": 2}'],
+     "bfde3e80e72ea3543fec40a3ea867124107f4db605e447931c76ad9954d54198"),
+], ids=["davenport-37", "dp-finite-13-2"])
+def test_construct_stdout_is_pinned(capsys, argv, first_lines, digest):
+    """The whole point file on stdout, provenance line included, pinned by its sha256."""
+    assert run("construct", *argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == first_lines
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_construct_dp_finite_count(tmp_path):

@@ -325,22 +325,9 @@ def test_davenport_symmetry():
         assert any(partners)
 
 
-def test_davenport_explicit_cf_prefix():
-    # sqrt(2) = [1; 2, 2, 2, ...]
-    ps = davenport_symmetrized(4, alpha_cf=[1, 2, 2, 2, 2, 2, 2])
-    assert len(ps) == 8
-
-
-# The convergent p/q that stands for alpha: the first with q > M^2, or the last
-# the partial quotients give.  sqrt(2) = [1; 2, 2, ...], pi = [3; 7, 15, 1, 292, ...]
-# and the golden ratio (None) = [1; 1, 1, ...].
-DAVENPORT_CONVERGENTS = [
-    ([], {1: Fraction(1), 4: Fraction(1), 50: Fraction(1)}),
-    ([1], {1: Fraction(1), 4: Fraction(1), 50: Fraction(1)}),
-    ([1, 2, 2, 2, 2, 2, 2], {1: Fraction(3, 2), 4: Fraction(41, 29), 50: Fraction(239, 169)}),
-    ([3, 7, 15, 1, 292], {1: Fraction(22, 7), 4: Fraction(333, 106), 50: Fraction(103993, 33102)}),
-    (None, {1: Fraction(3, 2), 4: Fraction(34, 21), 50: Fraction(4181, 2584)}),
-]
+# The convergent p/q that stands for the golden ratio [1; 1, 1, ...]: the first
+# with q > M^2.
+DAVENPORT_CONVERGENTS = {1: Fraction(3, 2), 4: Fraction(34, 21), 50: Fraction(4181, 2584)}
 
 
 def davenport_reference(M, alpha, precision=48):
@@ -359,11 +346,9 @@ def davenport_reference(M, alpha, precision=48):
     return np.array(rows, dtype=np.uint8)
 
 
-@pytest.mark.parametrize("alpha_cf, convergents", DAVENPORT_CONVERGENTS)
-def test_davenport_uses_the_expected_convergent(alpha_cf, convergents):
-    for M, alpha in convergents.items():
-        got = davenport_symmetrized(M, alpha_cf=alpha_cf).digit_array()
-        assert np.array_equal(got, davenport_reference(M, alpha))
+def test_davenport_uses_the_expected_convergent():
+    for M, alpha in DAVENPORT_CONVERGENTS.items():
+        assert np.array_equal(davenport_symmetrized(M).digit_array(), davenport_reference(M, alpha))
 
 
 def test_davenport_refuses_oversized_request_up_front():

@@ -17,7 +17,6 @@ from lowdisc.constructions import (
     van_der_corput,
 )
 from lowdisc.discrepancy import (
-    append_index_coordinate,
     l2_exact,
     l2_exact_rational,
     trim_inequality_check,
@@ -350,14 +349,10 @@ def test_roth_constant_values():
 
 
 def test_roth_lower_bound_values():
-    val, known = roth_lower_bound(1, 2, 2.0)
-    assert known and abs(val - 7 / 108) < 1e-16
-    val, known = roth_lower_bound(3, 100, 1.5)
-    assert not known and val == 0.0
+    assert abs(roth_lower_bound(1, 2) - 7 / 108) < 1e-16
+    assert roth_lower_bound(3, 100) == roth_constant(3) * math.log(100) / 100
     with pytest.raises(ParameterError):
         roth_lower_bound(1, 1)
-    with pytest.raises(ParameterError):
-        roth_lower_bound(1, 10, 0.5)
 
 
 def test_sum_of_digits():
@@ -382,19 +377,17 @@ def test_profile_grid_contract():
 
 
 def test_sequence_profile_exact_entry_and_positivity():
-    prof = sequence_profile(dp_sequence, 1, 32)
-    first = prof.rows[0]
+    prof = sequence_profile(1, 32)
+    first = prof[0]
     assert first.N == 2
     exact = math.sqrt(l2_exact_rational(dp_sequence(1, 2)))
     assert abs(first.value - exact) <= 1e-12
-    assert all(r.ratio_roth > 0 and r.ratio_partition > 0 for r in prof.rows)
-    assert 31 in [r.N for r in prof.rows]
-    csv = prof.csv()
-    assert csv.startswith("N,value,S_N,ratio_roth,ratio_partition")
+    assert all(r.ratio_roth > 0 and r.ratio_partition > 0 for r in prof)
+    assert [r.N for r in prof] == profile_grid(32)
 
 
 # ---------------------------------------------------------
-# Trim inequality and the index-coordinate device
+# Trim inequality
 # ---------------------------------------------------------
 
 def test_trim_inequality_full_size_is_trivially_true():
@@ -414,28 +407,6 @@ def test_trim_inequality_exact_rational_small_case():
 def test_trim_inequality_more_sizes():
     for n in (5, 6, 7, 8):
         assert trim_inequality_check(van_der_corput(2, 3), n)
-
-
-def test_append_index_coordinate():
-    one = append_index_coordinate(ORIGIN_1D, 1)
-    assert one.s == 2 and one.fractions(0)[1] == 0
-    vdc = van_der_corput(2, 2)
-    ham = append_index_coordinate(vdc, 4)
-    assert [ham.fractions(k)[1] for k in range(4)] == [
-        Fraction(0),
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(3, 4),
-    ]
-    assert [ham.fractions(k)[0] for k in range(4)] == [vdc.fractions(k)[0] for k in range(4)]
-    with pytest.raises(ParameterError):
-        append_index_coordinate(vdc, 5)
-
-
-def test_append_index_coordinate_non_power():
-    ps = append_index_coordinate(van_der_corput(2, 3), 6)
-    for k in range(6):
-        assert abs(ps.fractions(k)[1] - Fraction(k, 6)) <= Fraction(1, 2**47)
 
 
 # ---------------------------------------------------------

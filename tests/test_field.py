@@ -6,7 +6,6 @@ import pytest
 from lowdisc.errors import ParameterError
 from lowdisc.field import (
     binomial_mod_p,
-    field_inverse,
     irreducible_polys_f2,
     is_irreducible_f2,
     is_prime,
@@ -16,33 +15,6 @@ from lowdisc.field import (
     poly_divmod,
     poly_mul,
 )
-
-# ---------------------------------------------------------
-# Inverses
-# ---------------------------------------------------------
-
-def test_inverse_known_values():
-    assert field_inverse(1, 5) == 1
-    assert field_inverse(2, 5) == 3  # 2*3 = 6 = 1 mod 5
-    # frozen from exhaustive search over F_7
-    assert field_inverse(4, 7) == 2
-
-
-def test_inverse_rejects_zero_and_composite_base():
-    with pytest.raises(ParameterError):
-        field_inverse(0, 5)
-    with pytest.raises(ParameterError):
-        field_inverse(5, 5)
-    with pytest.raises(ParameterError):
-        field_inverse(2, 6)
-
-
-def test_inverse_is_an_involution():
-    for b in (2, 3, 5, 11, 13):
-        for a in range(1, b):
-            assert field_inverse(field_inverse(a, b), b) == a
-            assert (a * field_inverse(a, b)) % b == 1
-
 
 # ---------------------------------------------------------
 # Binomials mod b

@@ -15,7 +15,7 @@ from lowdisc.nets import (
     _candidate_trie,
     _net_digits,
     PointSet,
-    char_property_sum,
+    char_property_sums,
     compute_t_value,
     dual_space,
     fraction_digits,
@@ -255,7 +255,7 @@ def test_dual_cs_size_and_membership():
     with pytest.raises(ParameterError, match="nonnegative"):
         dual.contains((0, -1))
     with pytest.raises(ParameterError, match="nonnegative"):
-        char_property_sum(generate_net_points(gm), (-1, 0))
+        char_property_sums(generate_net_points(gm), [(-1, 0)])[0]
 
 
 def test_dual_elements_resubstitute_to_zero():
@@ -288,7 +288,7 @@ def test_unbounded_dual_enumerates_in_order_past_int64_powers():
 
 def test_char_sum_zero_index_is_one():
     ps = van_der_corput(2, 3)
-    assert char_property_sum(ps, (0,)) == 1.0
+    assert char_property_sums(ps, [(0,)])[0] == 1.0
 
 
 def test_char_sum_on_cs_net():
@@ -296,8 +296,8 @@ def test_char_sum_on_cs_net():
     ps = generate_net_points(gm)
     dual = dual_space(gm, cap=1000)
     for k in dual.elements()[:20]:
-        assert abs(char_property_sum(ps, k) - 1.0) <= 1e-9
-    assert abs(char_property_sum(ps, (1, 0))) <= 1e-9  # (1,0) is not dual
+        assert abs(char_property_sums(ps, [k])[0] - 1.0) <= 1e-9
+    assert abs(char_property_sums(ps, [(1, 0)])[0]) <= 1e-9  # (1,0) is not dual
 
 
 def test_char_sum_indicator_small_nets():
@@ -309,7 +309,7 @@ def test_char_sum_indicator_small_nets():
     for k1 in range(9):
         for k2 in range(9):
             expect = 1.0 if (k1, k2) in members else 0.0
-            assert abs(char_property_sum(ps, (k1, k2)) - expect) <= 1e-9
+            assert abs(char_property_sums(ps, [(k1, k2)])[0] - expect) <= 1e-9
 
 
 # ---------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lowdisc.constructions import davenport_symmetrized, dp_finite_pointset, van_der_corput
+from lowdisc.constructions import davenport_symmetrized, dp_finite_pointset, faure_matrices, van_der_corput
 from lowdisc import pointfile
 from lowdisc.errors import CapacityError, ParameterError
-from lowdisc.nets import PointSet
+from lowdisc.nets import PointSet, generate_net_points
 from lowdisc.pointfile import (
     dumps_point_file,
     loads_point_file,
@@ -77,6 +77,19 @@ def test_provenance_must_be_a_json_object():
         loads_point_file("2 1 1 2 1\n# provenance: 5\n01\n")
 
 
+def test_str_and_bytes_refuse_non_ascii_text_alike(tmp_path):
+    """A Unicode decimal digit is refused in a str as in bytes and in a file, not read as its value."""
+    lines = dumps_point_file(generate_net_points(faure_matrices(11, 1, 2))).split("\n")
+    assert lines[2] == "1 1"
+    lines[2] = "\u0661 1"  # ARABIC-INDIC DIGIT ONE
+    text = "\n".join(lines)
+    path = tmp_path / "p.txt"
+    path.write_bytes(text.encode())
+    for load, source in ((loads_point_file, text), (loads_point_file, text.encode()), (read_point_file, path)):
+        with pytest.raises(ParameterError, match=r"^line 3: byte 0xd9 is not ASCII$"):
+            load(source)
+
+
 def test_header_above_the_digit_limit_is_refused_before_the_body(monkeypatch):
     def body_work(*args):
         raise AssertionError("the preflight must refuse before reading the body")
@@ -94,7 +107,7 @@ def test_read_refuses_an_oversized_header_before_reading_the_body(tmp_path, monk
     def read_body(*args, **kwargs):
         raise AssertionError("the header must be refused before the body is read")
 
-    monkeypatch.setattr(pointfile.Path, "read_text", read_body)
+    monkeypatch.setattr(pointfile.Path, "read_bytes", read_body)
     with pytest.raises(CapacityError, match="digit limit"):
         read_point_file(path)
 

@@ -2,7 +2,8 @@
 
 Each fast path is compared with an independent slow one: the rank engine
 with dual enumeration, its trie walk with the per-support search (weight,
-witness and capacity refusal), the batched Walsh sums with the dual
+witness and capacity refusal), the vectorised dual weights with the
+scalar per-integer ones, the batched Walsh sums with the dual
 membership test, the t-value with row reduction over compositions,
 the incremental kernel basis with the one read off the echelon form,
 the vectorised box count with a per-point loop, point-level interlacing
@@ -50,7 +51,6 @@ from lowdisc.nets import (  # noqa: E402
     PointSet,
     _net_digits,
     _compositions,
-    char_property_sum,
     char_property_sums,
     compute_t_value,
     dual_space,
@@ -68,7 +68,7 @@ from lowdisc.pointfile import (  # noqa: E402
     dumps_point_file,
     loads_point_file,
 )
-from lowdisc.weights import min_dual_weight, vector_weight  # noqa: E402
+from lowdisc.weights import _weight_matrix, min_dual_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
@@ -77,6 +77,7 @@ from pointfile_reference import digit_values_reference  # noqa: E402
 from rank_reference import min_dependent_support as per_support_search  # noqa: E402
 from rank_reference import rref, rref_kernel_basis  # noqa: E402
 from sequence_reference import dp_finite_base_reference, dp_sequence_reference  # noqa: E402
+from weight_reference import vector_weight  # noqa: E402
 
 # largest s * p per base, so that every dual (at most b^(s p) elements) stays small
 MAX_POOLED = {2: 12, 3: 7, 5: 5}
@@ -150,6 +151,30 @@ def test_rank_engine_matches_enumeration(gm):
             assert vector_weight(witness, gm.base, kind, alpha) == weight
 
 
+@st.composite
+def weight_duals(draw):
+    """Random matrices over F_b, b in {2, 3, 5}, with at least 2 rows and at most
+    2^8, 3^6 or 5^5 digit vectors (s * rows), so that every dual element is checked;
+    and an alpha below the row count or at or above it."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    size = {2: 8, 3: 6, 5: 5}[b]
+    s = draw(st.integers(1, size // 2))
+    p = draw(st.integers(2, size // s))
+    m = draw(st.integers(1, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.integers(1, p - 1) | st.integers(p, p + 2))
+    return GeneratingMatrixSet(b, rng.integers(0, b, (s, p, m))), alpha
+
+
+@given(weight_duals(), st.sampled_from(["nrt", "hamming", "mu"]))
+def test_weight_matrix_equals_the_scalar_reference(case, kind):
+    gm, alpha = case
+    alpha = alpha if kind == "mu" else None
+    dual = dual_space(gm, None)
+    weights = _weight_matrix(dual.element_digits(), kind, alpha).sum(axis=1)
+    assert weights.tolist() == [vector_weight(k, gm.base, kind, alpha) for k in dual.elements()]
+
+
 @given(nets(), st.integers(0, 12))
 def test_floor_stops_the_search(gm, floor):
     exact = min_dependent_support(gm, "mu", 2)
@@ -217,7 +242,7 @@ def test_batched_walsh_sums_are_the_character_property(gm, seed):
             assert value == expected
         else:
             assert abs(value - expected) <= 1e-12
-        assert value == char_property_sum(ps, k)
+        assert value == char_property_sums(ps, [k])[0]
 
 
 @given(nets(max_m=5))
@@ -404,24 +429,31 @@ PERTURBATIONS = [
 ]
 
 
+def non_ascii_refusal(text):
+    """The refusal of a text with a non-ASCII character: the line and first UTF-8 byte of the first."""
+    i = next(i for i, c in enumerate(text) if not c.isascii())
+    return f"line {text.count(chr(10), 0, i) + 1}: byte {text[i].encode()[0]:#04x} is not ASCII"
+
+
 @given(digit_sets(), st.sampled_from(PERTURBATIONS), st.integers(0, 10**6))
 def test_perturbed_text_reads_like_the_line_parser(ps, perturb, pos):
     text = perturb(dumps_point_file(ps), pos)
-    assert outcome(loads_point_file, text) == outcome(line_parser, text)
+    expected = outcome(line_parser, text) if text.isascii() else non_ascii_refusal(text)
+    assert outcome(loads_point_file, text) == expected
 
 
 @st.composite
 def digit_fields(draw):
     """Coordinate fields of a point-file line and a header base: comma-separated
     numbers for bases above 10 (leading zeros, the base and its neighbours,
-    numbers far above it, empty and signed tokens, non-ASCII decimal and
-    non-decimal characters), characters for the others."""
+    numbers far above it, empty and signed tokens, non-decimal characters),
+    characters for the others.  All ASCII: the line parser sees no other text."""
     base = draw(st.sampled_from([2, 7, 10, 11, 13, 251, 1000, 10**20 + 39]))
-    odd = st.sampled_from(["", "+1", "-1", "1_0", "x", "1.0", "\u0663", "\u0967\u0968", "\xb2", "\xe9", "\uff10"])
+    odd = st.sampled_from(["", "+1", "-1", "1_0", "x", "1.0"])
     number = st.builds(lambda zeros, v: "0" * zeros + str(v), st.integers(0, 25),
                        st.sampled_from([0, 1, base - 1, base, base + 1]) | st.integers(0, 10**30))
     if base <= 10:
-        field = st.text(alphabet="0123456789a\u0663\xb2", min_size=1, max_size=8)
+        field = st.text(alphabet="0123456789a", min_size=1, max_size=8)
     else:
         field = st.lists(number | odd, min_size=1, max_size=6).map(",".join).filter(len)
     return draw(st.lists(field, max_size=12)), base
@@ -459,19 +491,19 @@ def stratified_sets(draw):
     """b^m points whose first coordinate hits every m-digit prefix exactly once."""
     b, m = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (5, 2), (11, 1)]))
     count, s = b**m, draw(st.integers(1, 3))
-    precision = m + draw(st.integers(0, 3))
+    precision = m + draw(st.integers(0, 3) | st.integers(45, 50))  # below and above the 48 tail digits
     digits = draw(arrays(np.uint8, (count, s, precision), elements=st.integers(0, b - 1)))
     order = draw(st.permutations(range(count)))
     powers = b ** np.arange(m - 1, -1, -1)
     digits[:, 0, :m] = (np.array(order)[:, None] // powers) % b
     N = draw(st.integers(b ** (m - 1) + 1, count))
-    return PointSet.from_digits(digits, b), N, draw(st.none() | st.integers(1, 60))
+    return PointSet.from_digits(digits, b), N
 
 
-def trim_oracle(ps, N, precision):
+def trim_oracle(ps, N):
     """The trim as a loop over exact rationals: x_1 * b^m / N truncated to the output precision."""
     b, m = ps.base, round(np.log(len(ps)) / np.log(ps.base))
-    out_precision = max(ps.precision, 48 if precision is None else precision)
+    out_precision = max(ps.precision, 48)
     rows = []
     for n in range(len(ps)):
         first = ps.fractions(n)[0]
@@ -485,11 +517,11 @@ def trim_oracle(ps, N, precision):
 
 @given(stratified_sets())
 def test_trim_keeps_n_points_inside_the_cube(case):
-    ps, N, precision = case
-    trimmed = arbitrary_n_trim(ps, N, precision=precision)
+    ps, N = case
+    trimmed = arbitrary_n_trim(ps, N)
     assert len(trimmed) == N
     assert all(0 <= trimmed.fractions(n)[0] < 1 for n in range(N))
-    oracle = trim_oracle(ps, N, precision)
+    oracle = trim_oracle(ps, N)
     if N == len(ps):
         oracle = ps  # nothing is cut, so nothing is rescaled
     assert np.array_equal(trimmed.digit_array(), oracle.digit_array())

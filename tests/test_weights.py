@@ -9,17 +9,18 @@ from lowdisc.constructions import (
 )
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.field import matrix_rank
-from lowdisc.nets import DualSpace, GeneratingMatrixSet, compute_t_value, dual_space, min_dependent_support
-from lowdisc.selftest import _random_full_rank_net
-from lowdisc.weights import (
-    hamming_weight,
-    min_dual_weight,
-    mu_alpha,
-    nrt_weight,
-    order_alpha_profile,
-    t_alpha,
-    vector_weight,
+from lowdisc.nets import (
+    DualSpace,
+    GeneratingMatrixSet,
+    compute_t_value,
+    dual_space,
+    index_digits,
+    min_dependent_support,
 )
+from lowdisc.selftest import _random_full_rank_net
+from lowdisc.weights import _weight_matrix, min_dual_weight, order_alpha_profile, t_alpha
+
+from weight_reference import vector_weight
 
 
 def minimum(found):
@@ -39,52 +40,69 @@ def digit_positions(k, b):
     return sorted(positions, reverse=True)
 
 
+def matrix_weights(vectors, b, kind, alpha=None, p=20):
+    """The weights of integer vectors as `min_dual_weight` reads them: the
+    vectors' lowest p digits (`nets.index_digits`) weighed by `_weight_matrix`."""
+    s = len(vectors[0])
+    digits = index_digits([k for ks in vectors for k in ks], b, p).reshape(len(vectors), s, p)
+    return _weight_matrix(digits, kind, alpha).sum(axis=1).tolist()
+
+
+def weight(ks, b, kind, alpha=None):
+    """The weight of one integer vector by the scalar reference, checked against `_weight_matrix`."""
+    expected = vector_weight(ks, b, kind, alpha)
+    assert matrix_weights([ks], b, kind, alpha) == [expected]
+    return expected
+
+
 # ---------------------------------------------------------
-# Scalar weights
+# Weights of integer vectors
 # ---------------------------------------------------------
 
 def test_nrt_examples():
-    assert nrt_weight(0, 2) == 0
-    assert nrt_weight(6, 2) == 3  # 110 in base 2
+    assert weight((0,), 2, "nrt") == 0
+    assert weight((6,), 2, "nrt") == 3  # 110 in base 2
     for b in (2, 3, 5):
-        assert nrt_weight(1, b) == 1
+        assert weight((1,), b, "nrt") == 1
 
 
 def test_hamming_examples():
-    assert hamming_weight(0, 5) == 0
-    assert hamming_weight(5, 2) == 2  # 101
-    assert hamming_weight(50, 5) == 1  # 200 in base 5
+    assert weight((0,), 5, "hamming") == 0
+    assert weight((5,), 2, "hamming") == 2  # 101
+    assert weight((50,), 5, "hamming") == 1  # 200 in base 5
 
 
 def test_mu_examples():
-    assert mu_alpha(6, 2, 2) == 5  # positions 3 and 2
-    assert mu_alpha(4, 3, 2) == 3  # single digit, min(nu, alpha) = 1
+    assert weight((6,), 2, "mu", 2) == 5  # positions 3 and 2
+    assert weight((4,), 2, "mu", 3) == 3  # single digit, min(nu, alpha) = 1
     for b in (2, 5):
-        for k in range(1024):
-            assert mu_alpha(k, 1, b) == nrt_weight(k, b)
-    with pytest.raises(ParameterError):
-        mu_alpha(3, 0, 2)
+        ks = [(k,) for k in range(1024)]
+        nrt = matrix_weights(ks, b, "nrt")
+        assert matrix_weights(ks, b, "mu", 1) == nrt
+        assert [vector_weight(k, b, "mu", 1) for k in ks] == nrt
 
 
 def test_vector_weight_examples():
-    assert vector_weight((0, 0, 0), 2, "nrt") == 0
-    assert vector_weight((5, 5), 2, "hamming") == 4
-    assert vector_weight((6, 1), 2, "mu", alpha=2) == 6
-    with pytest.raises(ParameterError):
-        vector_weight((1,), 2, "mu")
-    with pytest.raises(ParameterError):
-        vector_weight((1,), 2, "nope")
+    assert weight((0, 0, 0), 2, "nrt") == 0
+    assert weight((5, 5), 2, "hamming") == 4
+    assert weight((6, 1), 2, "mu", 2) == 6
+    digits = index_digits([1], 2, 4).reshape(1, 1, 4)
+    with pytest.raises(ParameterError, match="kind 'mu' needs alpha"):
+        _weight_matrix(digits, "mu", None)
+    with pytest.raises(ParameterError, match="unknown weight kind 'nope'"):
+        _weight_matrix(digits, "nope", None)
 
 
 def test_weight_orderings():
     """mu is monotone in alpha and pinched between hamming/nrt multiples."""
     for b in (2, 5):
+        mu3 = matrix_weights([(k,) for k in range(1 << 16)], b, "mu", 3)
         for k in range(1 << 16):
             positions = digit_positions(k, b)
             mus = [sum(positions[:a]) for a in range(1, 7)]
             for a in range(5):
                 assert mus[a] <= mus[a + 1]
-            assert mu_alpha(k, 3, b) == mus[2]
+            assert mu3[k] == mus[2]
             kappa = len(positions)
             mu1 = positions[0] if positions else 0
             if k:
