@@ -153,9 +153,9 @@ def test_rank_engine_matches_enumeration(gm):
 
 @st.composite
 def weight_duals(draw):
-    """Random matrices over F_b, b in {2, 3, 5}, with at least 2 rows and at most
-    2^8, 3^6 or 5^5 digit vectors (s * rows), so that every dual element is checked;
-    and an alpha below the row count or at or above it."""
+    """Random matrices over F_b, b in {2, 3, 5}, with at least 2 rows and s * rows
+    at most 8, 6 or 5, so that the dual has at most 2^8, 3^6 or 5^5 elements and
+    every one is checked; and an alpha below the row count or at or above it."""
     b = draw(st.sampled_from([2, 3, 5]))
     size = {2: 8, 3: 6, 5: 5}[b]
     s = draw(st.integers(1, size // 2))
