@@ -346,9 +346,9 @@ def davenport_reference(M, alpha, precision=48):
     return np.array(rows, dtype=np.uint8)
 
 
-def test_davenport_uses_the_expected_convergent():
-    for M, alpha in DAVENPORT_CONVERGENTS.items():
-        assert np.array_equal(davenport_symmetrized(M).digit_array(), davenport_reference(M, alpha))
+@pytest.mark.parametrize("M, alpha", DAVENPORT_CONVERGENTS.items())
+def test_davenport_uses_the_expected_convergent(M, alpha):
+    assert np.array_equal(davenport_symmetrized(M).digit_array(), davenport_reference(M, alpha))
 
 
 def test_davenport_refuses_oversized_request_up_front():

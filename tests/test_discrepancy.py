@@ -303,6 +303,13 @@ def test_lq_rejects_bad_arguments():
         lq_estimate(ORIGIN_1D, 0.5, 100)
 
 
+def test_lq_reports_a_roth_ratio_only_for_q_at_least_two():
+    # Lq >= L2 bounds the norm only for q >= 2; below that no ratio is reported
+    assert lq_estimate(TWO_1D, 1.5, 1000, seed=5).roth_ratio is None
+    rep = lq_estimate(TWO_1D, 2.0, 1000, seed=5)
+    assert rep.roth_ratio == rep.value / roth_lower_bound(1, 2)
+
+
 def test_lq_deterministic_for_fixed_seed():
     a = lq_estimate(TWO_1D, 3.0, 1000, seed=5)
     b = lq_estimate(TWO_1D, 3.0, 1000, seed=5)

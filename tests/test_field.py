@@ -14,6 +14,7 @@ from lowdisc.field import (
     poly_degree,
     poly_divmod,
     poly_mul,
+    reduce_row,
 )
 
 # ---------------------------------------------------------
@@ -38,6 +39,42 @@ def test_binomial_large_indices():
     # digit-by-digit reduction agrees with the full integer binomial
     assert binomial_mod_p(200, 77, 5) == math.comb(200, 77) % 5
     assert binomial_mod_p(10**6, 3, 11) == math.comb(10**6, 3) % 11
+
+
+# ---------------------------------------------------------
+# Pivot inverses in reduce_row
+# ---------------------------------------------------------
+
+def test_reduce_row_scales_the_pivot_by_its_inverse():
+    basis = {}
+    assert reduce_row([2, 1], 0, basis, 5) is None
+    assert basis == {0: [1, 3]}  # 2^-1 = 3 mod 5
+    basis = {}
+    reduce_row([0, 4, 1], 0, basis, 7)
+    assert basis == {1: [0, 1, 2]}  # 4^-1 = 2 mod 7, lead column 1
+
+
+def test_reduce_row_pivot_inverses_over_small_primes():
+    for b in (3, 5, 11, 13):
+        for a in range(1, b):
+            basis = {}
+            reduce_row([a, 1], 0, basis, b)
+            lead, inv = basis[0]
+            assert lead == 1 and (a * inv) % b == 1
+            again = {}
+            reduce_row([inv, 1], 0, again, b)
+            assert again[0] == [1, a]
+
+
+def test_zero_rows_get_no_pivot_and_composite_bases_are_refused():
+    basis = {}
+    assert reduce_row([0, 5, 10], 0, basis, 5) == [0, 0, 0]
+    assert basis == {}
+    for b in (1, 4, 6):
+        with pytest.raises(ParameterError):
+            matrix_rank([[1, 1]], b)
+        with pytest.raises(ParameterError):
+            kernel_basis([[1, 1]], b)
 
 
 # ---------------------------------------------------------
