@@ -1,0 +1,91 @@
+"""Digest the CLI's behaviour on a fixed corpus of commands.
+
+    PYTHONPATH=src python3 scripts/cli_digest.py > digest.txt
+
+Runs each command of `CORPUS` in-process through `lowdisc.cli.main` and
+prints one line per command: the exit code, the sha256 of stdout + NUL +
+stderr, and the argv.  The corpus covers every family with `construct`,
+`verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
+bad size, plus the missing-flag, wrong-family and out-of-range-flag
+errors.  Run it on two checkouts (each with its own `src` on PYTHONPATH)
+and `diff` the outputs: an empty diff means the commands behave
+byte-identically.  An exception escaping `main` prints its type in place
+of the exit code.  The corpus runs in about a second.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+
+from lowdisc.cli import main
+
+# each family's flags for a small instance, with the size flag last
+FAMILY_ARGS = {
+    "van-der-corput": ("--b", "3", "--m", "3"),
+    "faure": ("--b", "3", "--s", "2", "--m", "2"),
+    "chen-skriganov": ("--b", "5", "--alpha", "2", "--s", "2", "--m", "1"),
+    "niederreiter": ("--s", "3", "--m", "4"),
+    "dp-net": ("--alpha", "2", "--s", "2", "--m", "3"),
+    "dp-finite": ("--s", "2", "--N", "13"),
+    "dp-sequence": ("--s", "2", "--N", "20"),
+    "davenport": ("--N", "10"),
+}
+NETS = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
+# scaling grids with one size that cannot be measured
+GRIDS = {
+    "dp-finite": "1:4",
+    "dp-sequence": "1,2,5",
+    "davenport": "0,2,4",
+}
+
+
+def corpus() -> list[tuple[str, ...]]:
+    commands = []
+    for family, args in FAMILY_ARGS.items():
+        fam = ("--family", family)
+        commands.append(("construct", *fam, *args))
+        if family in NETS:
+            for check in ("all", "t-value", "order", "hamming"):
+                commands.append(("verify", check, *fam, *args))
+        else:
+            commands.append(("verify", "t-value", *fam, *args))
+        size = args[-2]
+        commands.append(("scaling", *fam, *args[:-1], GRIDS.get(family, "0:2")))
+        commands.append(("construct", *fam))  # the first missing flag
+        if len(args) > 2:
+            commands.append(("construct", *fam, *args[:-2]))  # only the size missing
+            commands.append(("scaling", *fam, size, args[-1]))  # per-row missing flags
+    commands += [
+        ("construct",),
+        ("verify", "all"),
+        ("scaling", "--m", "2"),
+        ("verify", "all", "--family", "faure", "--b", "2", "--s", "2", "--m", "2", "--alpha", "2"),
+        ("verify", "hamming", "--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--s", "2",
+         "--m", "2", "--cap", "10"),
+        ("verify", "hamming", "--family", "faure", "--b", "3", "--m", "2", "--s", "2", "--alpha", "-3"),
+        ("verify", "hamming", "--family", "faure", "--b", "3", "--m", "2", "--s", "2", "--alpha", "0"),
+        ("construct", "--family", "dp-net", "--alpha", "0", "--s", "2", "--m", "2"),
+        ("scaling", "--family", "dp-net", "--alpha", "0", "--s", "2", "--m", "2"),
+        ("construct", "--family", "chen-skriganov", "--b", "3", "--alpha", "2", "--s", "2", "--m", "1"),
+        ("construct", "--family", "mystery"),
+    ]
+    return commands
+
+
+def run(argv: tuple[str, ...]) -> tuple[str, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(main(list(argv)))
+        except Exception as exc:  # a traceback is behaviour too: record its type
+            code = type(exc).__name__
+    return code, out.getvalue().encode() + b"\0" + err.getvalue().encode()
+
+
+if __name__ == "__main__":
+    for argv in corpus():
+        code, captured = run(argv)
+        print(code, hashlib.sha256(captured).hexdigest(), shlex.join(argv))

@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import selftest as selftest_mod
 from .constructions import (
     cs_matrices,
     davenport_symmetrized,
@@ -28,7 +30,7 @@ from .constructions import (
     niederreiter_t_bound,
     van_der_corput_matrices,
 )
-from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, scaling_ratio
+from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, roth_sequence_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .nets import (
     GeneratingMatrixSet,
@@ -43,8 +45,53 @@ from .nets import (
 from .pointfile import dumps_point_file, read_point_file, write_point_file
 from .weights import order_alpha_profile, t_alpha
 
-MATRIX_FAMILIES = ("van-der-corput", "faure", "chen-skriganov", "niederreiter", "dp-net")
-POINT_FAMILIES = MATRIX_FAMILIES + ("dp-finite", "dp-sequence", "davenport")
+
+@dataclass(frozen=True)
+class Family:
+    """One construction family: every decision the subcommands make by family."""
+
+    build: Callable  # the constructor, called with the values of `flags`
+    flags: tuple[str, ...]  # its arguments in order; the size is "m" (a b^m-point net) or "N"
+    ratio: Callable[[int, int, float, int], float]  # (N, s, value, size) -> `scaling` ratio column
+    t: Callable[..., int] | None = None  # a net's guaranteed t from `build`'s arguments; None: no net
+    dual_check: str | None = None  # the dual-weight check `verify all` adds
+    sequence: bool = False  # its point sets are the prefixes of one sequence
+
+    @property
+    def size(self) -> str:
+        return "m" if "m" in self.flags else "N"
+
+
+def _net_ratio(n: int, s: int, value: float, m: int) -> float:
+    """N * value over a b^m-point net's order m^((s-1)/2)."""
+    return n * value / float(m) ** ((s - 1) / 2.0)
+
+
+def _zero_t(*args) -> int:
+    return 0
+
+
+# The constructors are called through this module's names, so that a wrapper
+# installed on those names (a tracer) sees every call.
+FAMILIES: dict[str, Family] = {
+    "van-der-corput": Family(lambda b, m: van_der_corput_matrices(b, m), ("b", "m"), _net_ratio, _zero_t),
+    "faure": Family(lambda b, m, s: faure_matrices(b, m, s), ("b", "m", "s"), _net_ratio, _zero_t, "hamming"),
+    "chen-skriganov": Family(lambda b, alpha, m, s: cs_matrices(b, alpha, m, s), ("b", "alpha", "m", "s"),
+                             _net_ratio, _zero_t, "hamming"),
+    "niederreiter": Family(lambda s, m: niederreiter_net_matrices(s, m), ("s", "m"), _net_ratio,
+                           lambda s, m: min(niederreiter_t_bound(s), m)),
+    # the quality of the underlying sequence, folded through interlacing
+    "dp-net": Family(lambda alpha, m, s: dp_net_matrices(alpha, m, s), ("alpha", "m", "s"), _net_ratio,
+                     lambda alpha, m, s: min(t_alpha(alpha, niederreiter_t_bound(alpha * s), s), m),
+                     "order"),
+    "dp-finite": Family(lambda N, s: dp_finite_pointset(N, s), ("N", "s"),
+                        lambda n, s, value, N: n * value / math.log(n) ** ((s - 1) / 2.0)),
+    "dp-sequence": Family(lambda s, N: dp_sequence(s, N), ("s", "N"),
+                          lambda n, s, value, N: roth_sequence_ratio(n, s, value), sequence=True),
+    "davenport": Family(lambda M: davenport_symmetrized(M), ("N",),
+                        lambda n, s, value, M: n * value / math.sqrt(math.log(n))),
+}
+MATRIX_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.t is not None)
 CHECKS = ("t-value", "geometric", "mu1", "hamming", "order", "char", "all")
 
 
@@ -70,64 +117,42 @@ def _single(text: str | None, flag: str) -> int:
     return grid[0]
 
 
-def _need(cfg: argparse.Namespace, *names: str):
-    values = []
-    for name in names:
-        value = getattr(cfg, name)
-        if value is None:
-            raise ParameterError(f"family {cfg.family!r} needs --{name}")
-        values.append(value)
-    return values
+def _arguments(cfg: argparse.Namespace, row: Family, size: int | None = None) -> dict:
+    """The constructor's arguments by flag; `size`, when given, replaces the size flag's value."""
+    for flag in row.flags:
+        if flag != row.size and getattr(cfg, flag) is None:
+            raise ParameterError(f"family {cfg.family!r} needs --{flag}")
+    if size is None:
+        size = _single(getattr(cfg, row.size), row.size)
+    return {flag: size if flag == row.size else getattr(cfg, flag) for flag in row.flags}
 
 
 def build_matrices(cfg: argparse.Namespace) -> GeneratingMatrixSet:
-    family = cfg.family
-    if family == "van-der-corput":
-        b, = _need(cfg, "b")
-        return van_der_corput_matrices(b, _single(cfg.m, "m"))
-    if family == "faure":
-        b, s = _need(cfg, "b", "s")
-        return faure_matrices(b, _single(cfg.m, "m"), s)
-    if family == "chen-skriganov":
-        b, alpha, s = _need(cfg, "b", "alpha", "s")
-        return cs_matrices(b, alpha, _single(cfg.m, "m"), s)
-    if family == "niederreiter":
-        s, = _need(cfg, "s")
-        return niederreiter_net_matrices(s, _single(cfg.m, "m"))
-    if family == "dp-net":
-        alpha, s = _need(cfg, "alpha", "s")
-        return dp_net_matrices(alpha, _single(cfg.m, "m"), s)
-    raise ParameterError(
-        f"family {family!r} has no single generating-matrix set; "
-        f"matrix families are {MATRIX_FAMILIES}"
-    )
+    if cfg.family not in MATRIX_FAMILIES:
+        raise ParameterError(
+            f"family {cfg.family!r} has no single generating-matrix set; "
+            f"matrix families are {MATRIX_FAMILIES}"
+        )
+    row = FAMILIES[cfg.family]
+    return row.build(*_arguments(cfg, row).values())
 
 
-def _provenance(cfg: argparse.Namespace, **extra) -> dict:
-    prov = {"family": cfg.family}
-    for key in ("b", "alpha", "s"):
-        if getattr(cfg, key) is not None:
-            prov[key] = getattr(cfg, key)
-    prov.update(extra)
-    return prov
+def _points(cfg: argparse.Namespace, row: Family, size: int | None = None,
+            gm: GeneratingMatrixSet | None = None):
+    """The family's point set of the given size (default: the size flag's); a net reuses `gm`."""
+    args = _arguments(cfg, row, size)
+    if cfg.family not in MATRIX_FAMILIES:
+        return row.build(*args.values())
+    if gm is None:
+        gm = row.build(*args.values())
+    return generate_net_points(gm, provenance={"family": cfg.family, **args})
 
 
 def build_points(cfg: argparse.Namespace, gm: GeneratingMatrixSet | None = None):
     """The family's point set; matrix families reuse `gm` when given."""
-    family = cfg.family
-    if family in MATRIX_FAMILIES:
-        if gm is None:
-            gm = build_matrices(cfg)
-        return generate_net_points(gm, provenance=_provenance(cfg, m=_single(cfg.m, "m")))
-    if family == "dp-finite":
-        s, = _need(cfg, "s")
-        return dp_finite_pointset(_single(cfg.N, "N"), s)
-    if family == "dp-sequence":
-        s, = _need(cfg, "s")
-        return dp_sequence(s, _single(cfg.N, "N"))
-    if family == "davenport":
-        return davenport_symmetrized(_single(cfg.N, "N"))
-    raise ParameterError(f"unknown family {family!r}; choose one of {POINT_FAMILIES}")
+    if cfg.family not in FAMILIES:
+        raise ParameterError(f"unknown family {cfg.family!r}; choose one of {tuple(FAMILIES)}")
+    return _points(cfg, FAMILIES[cfg.family], gm=gm)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,18 +179,6 @@ def cmd_construct(cfg: argparse.Namespace) -> int:
     else:
         sys.stdout.write(dumps_point_file(ps))
     return 0
-
-
-def _family_t_bound(cfg: argparse.Namespace, gm: GeneratingMatrixSet) -> int:
-    if cfg.family in ("faure", "chen-skriganov", "van-der-corput"):
-        return 0
-    if cfg.family == "niederreiter":
-        return min(niederreiter_t_bound(gm.s), gm.cols)
-    if cfg.family == "dp-net":
-        # quality of the underlying sequence, folded through interlacing
-        alpha = cfg.alpha or 1
-        return min(t_alpha(alpha, niederreiter_t_bound(alpha * gm.s), gm.s), gm.cols)
-    return gm.cols
 
 
 def _report_witness(name: str, found: tuple | None, gm: GeneratingMatrixSet) -> None:
@@ -204,8 +217,10 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
         return 0 if ok else 3
 
     gm = build_matrices(cfg)
+    row = FAMILIES[cfg.family]
     rows = ["check,family,params,value,expected,pass"]
     params = f"b={gm.base};m={gm.cols};s={gm.s};alpha={cfg.alpha or ''}"
+    alpha = cfg.alpha or 1
     failed = False
 
     def add(name: str, value, expected, ok: bool, found: tuple | None = None):
@@ -215,7 +230,10 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
             _report_witness(name, found, gm)
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
-    selected = CHECKS[:-1] if check == "all" else (check,)
+    if check == "all":  # with only the dual-weight check that is the family's guarantee
+        selected = [c for c in CHECKS[:-1] if c not in ("hamming", "order") or c == row.dual_check]
+    else:
+        selected = [check]
     if {"t-value", "geometric", "mu1"} & set(selected):
         # one nrt search gives both the t-value and the mu1 row; --cap bounds it only for mu1
         nrt = min_dependent_support(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
@@ -223,7 +241,7 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
     ps = generate_net_points(gm) if {"geometric", "char"} & set(selected) else None
     for sel in selected:
         if sel == "t-value":
-            bound = _family_t_bound(cfg, gm)
+            bound = row.t(*_arguments(cfg, row).values())
             add("t-value", t_val, f"<={bound}", t_val <= bound)
         elif sel == "geometric":
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
@@ -232,25 +250,18 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
             value = "inf" if nrt is None else nrt[0]
             add("mu1", value, want, nrt is None or nrt[0] == want, nrt)
         elif sel == "hamming":
-            if check == "all" and cfg.family not in ("chen-skriganov", "faure"):
-                continue  # the dual Hamming floor is this family's guarantee
-            alpha = cfg.alpha or 1
             found = min_dependent_support(gm, "hamming", cap=cfg.cap)
             value = "inf" if found is None else found[0]
             add("hamming", value, f">={alpha + 1}", found is None or found[0] > alpha, found)
         elif sel == "order":
-            if cfg.family != "dp-net":
-                if check != "all":
-                    raise ParameterError("the order check applies to --family dp-net")
-                continue
-            alpha = cfg.alpha or 1
+            if row.dual_check != "order":
+                order_families = [name for name, r in FAMILIES.items() if r.dual_check == "order"]
+                raise ParameterError(f"the order check applies to --family {' or '.join(order_families)}")
             found = order_alpha_profile(gm, alpha, niederreiter_t_bound(alpha * gm.s), cfg.cap)
             add("order", str(found is None).lower(), "true", found is None, found)
-        elif sel == "char":
+        else:  # char
             worst = char_property_deviation(ps, dual_space(gm, None), 64, 20, cfg.seed)  # reads 64: no cap
             add("char", f"{worst:.3e}", "<=1e-9", worst <= 1e-9)
-        else:
-            raise ParameterError(f"unknown check {sel!r}; choose one of {CHECKS}")
     _emit("\n".join(rows) + "\n", cfg.out)
     return 3 if failed else 0
 
@@ -272,23 +283,22 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
     family = cfg.family
     if family is None:
         raise ParameterError("scaling needs --family")
+    row = FAMILIES[family]
     rows = ["family,params,N,s,value,n_times_value,ratio"]
-    axis = "m" if family in MATRIX_FAMILIES else "N"
+    axis = row.size
     grid = _parse_grid(getattr(cfg, axis), axis)
     full_sequence = None
     for v in grid:
         try:
-            if family == "dp-sequence":
-                # one sequence, growing prefixes
+            if row.sequence:  # one sequence, growing prefixes
                 if full_sequence is None:
-                    full_sequence = dp_sequence(*_need(cfg, "s"), max(grid))
+                    full_sequence = _points(cfg, row, max(grid))
                 ps = full_sequence.prefix(v)
             else:
-                ps = build_points(argparse.Namespace(**{**vars(cfg), axis: str(v)}))
+                ps = _points(cfg, row, v)
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
-            m = v if axis == "m" else None
-            ratio = scaling_ratio(family, n, s, rep.value, m)
+            ratio = row.ratio(n, s, rep.value, v)
             rows.append(
                 f"{family},{axis}={v},{n},{s},{rep.value!r},{n * rep.value!r},{ratio!r}"
             )
@@ -299,7 +309,9 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
 
 
 def cmd_selftest(cfg: argparse.Namespace) -> int:
-    results = selftest_mod.run_all()
+    from . import selftest  # selftest reads FAMILIES, so it imports this module
+
+    results = selftest.run_all()
     return 0 if all(ok for _, ok, _ in results) else 3
 
 
@@ -312,12 +324,12 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _int_or_none(minimum: int):
-    """A flag type: an int of at least `minimum`, or 'none' (a config file's null) for None."""
+def _at_least(minimum: int):
+    """A flag type: an int of at least `minimum`."""
 
-    def parse(text: str) -> int | None:
-        value = None if text == "none" else int(text)
-        if value is not None and value < minimum:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
@@ -325,18 +337,23 @@ def _int_or_none(minimum: int):
     return parse
 
 
+def _none_or(parse):
+    """The flag type `parse`, reading 'none' (a config file's null) as None."""
+    return functools.wraps(parse)(lambda text: None if text == "none" else parse(text))
+
+
 # The flags every subcommand takes, after --config; a config file may set exactly these.
 FLAGS = {
-    "family": dict(choices=POINT_FAMILIES),
+    "family": dict(choices=tuple(FAMILIES)),
     "b": dict(type=int, help="prime base"),
     "m": dict(help="digit count; grids allow a:b or comma lists"),
     "s": dict(type=int, help="dimension"),
-    "alpha": dict(type=int, help="interlacing factor"),
+    "alpha": dict(type=_at_least(1), help="interlacing factor"),
     "N": dict(help="point count (davenport: the parameter M); grids allowed"),
     "q": dict(type=float, default=2.0, help="discrepancy norm exponent (default 2)"),
     "samples": dict(type=int, default=4096, help="Monte Carlo samples (default 4096)"),
-    "seed": dict(type=_int_or_none(0), default=0, help="random seed (default 0)"),
-    "cap": dict(type=_int_or_none(0), default=1 << 21, help="work cap (default 2^21): candidate "
+    "seed": dict(type=_none_or(_at_least(0)), default=0, help="random seed (default 0)"),
+    "cap": dict(type=_none_or(_at_least(0)), default=1 << 21, help="work cap (default 2^21): candidate "
                 "supports rank-checked by the mu1, hamming and order checks, up to the weight "
                 "searched"),
     "out": dict(help="output path (default stdout)"),
@@ -414,9 +431,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_discrepancy(args.path, args)
         if args.command == "scaling":
             return cmd_scaling(args)
-        if args.command == "selftest":
-            return cmd_selftest(args)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return cmd_selftest(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2

@@ -70,7 +70,6 @@ __all__ = [
     "roth_lower_bound",
     "sum_of_digits",
     "roth_sequence_ratio",
-    "scaling_ratio",
     "ProfileRow",
     "sequence_profile",
     "profile_grid",
@@ -716,21 +715,6 @@ def roth_sequence_ratio(N: int, s: int, value: float) -> float:
     if s >= 2 and N < 2:
         raise ParameterError(f"the sequence ratio needs N >= 2 in dimension s = {s}")
     return N * value / (math.log(N) ** ((s - 1) / 2.0) * math.sqrt(sum_of_digits(N)))
-
-
-def scaling_ratio(family: str, n: int, s: int, value: float, m: int | None) -> float:
-    """n * value over the family's normaliser, the `scaling` ratio column.
-
-    sqrt(log n) for davenport, the sequence normaliser for dp-sequence,
-    (log n)^((s-1)/2) for dp-finite, and m^((s-1)/2) for a b^m-point net.
-    """
-    if family == "davenport":
-        return n * value / math.sqrt(math.log(n))
-    if family == "dp-sequence":
-        return roth_sequence_ratio(n, s, value)
-    if family == "dp-finite":
-        return n * value / math.log(n) ** ((s - 1) / 2.0)
-    return n * value / float(m) ** ((s - 1) / 2.0)
 
 
 # ----------------------------------------------------------------------

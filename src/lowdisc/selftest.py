@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cli import FAMILIES
 from .constructions import (
     cs_matrices,
     davenport_symmetrized,
@@ -33,7 +34,6 @@ from .discrepancy import (
     trim_inequality_check,
     lq_estimate,
     roth_lower_bound,
-    scaling_ratio,
     sequence_profile,
 )
 from .field import matrix_rank
@@ -228,7 +228,7 @@ def criterion_08_net_ratio_bounded() -> tuple[bool, str]:
     ratios = []
     for m in range(6, 14):
         ps = dp_net(3, m, 2)
-        ratios.append(scaling_ratio("dp-net", len(ps), ps.s, l2_exact(ps).value, m))
+        ratios.append(FAMILIES["dp-net"].ratio(len(ps), ps.s, l2_exact(ps).value, m))
     spread = max(ratios) / min(ratios)
     return spread <= 4.0, f"ratio spread max/min = {spread:.3f} over m = 6..13"
 
@@ -268,7 +268,7 @@ def criterion_11_davenport_ratio_bounded() -> tuple[bool, str]:
     ratios = []
     for k in range(2, 11):
         ps = davenport_symmetrized(2**k)
-        ratios.append(scaling_ratio("davenport", len(ps), ps.s, l2_exact(ps).value, None))
+        ratios.append(FAMILIES["davenport"].ratio(len(ps), ps.s, l2_exact(ps).value, 2**k))
     spread = max(ratios) / min(ratios)
     return spread <= 4.0, f"ratio spread max/min = {spread:.3f} over 9 doublings"
 
@@ -317,7 +317,7 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(stream=None) -> list[tuple[str, bool, str]]:
+def run_all() -> list[tuple[str, bool, str]]:
     """Run every criterion, printing one pass/fail line each; returns results."""
     results = []
     for name, fn in CRITERIA:
@@ -325,9 +325,6 @@ def run_all(stream=None) -> list[tuple[str, bool, str]]:
         passed, detail = fn()
         elapsed = time.time() - start
         line = f"[{name}] {'PASS' if passed else 'FAIL'}: {detail} ({elapsed:.1f}s)"
-        if stream is not None:
-            print(line, file=stream, flush=True)
-        else:
-            print(line, flush=True)
+        print(line, flush=True)
         results.append((name, passed, detail))
     return results

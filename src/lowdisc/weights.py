@@ -39,8 +39,8 @@ def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarr
     if kind == "nrt":
         return marked.max(axis=2)
     if kind == "mu":
-        if alpha is None:
-            raise ParameterError("kind 'mu' needs alpha")
+        if alpha is None or alpha < 1:
+            raise ParameterError("kind 'mu' needs alpha >= 1")
         if alpha >= p:
             return marked.sum(axis=2)
         ordered = np.sort(marked, axis=2)

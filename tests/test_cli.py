@@ -62,13 +62,71 @@ def test_construct_logs_worked_example_matrices(tmp_path, capsys):
     (("--family", "dp-finite", "--N", "13", "--s", "2"),
      ["2 4 2 48 13", '# provenance: {"N": 13, "family": "dp-finite", "s": 2}'],
      "bfde3e80e72ea3543fec40a3ea867124107f4db605e447931c76ad9954d54198"),
-], ids=["davenport-37", "dp-finite-13-2"])
+    (("--family", "van-der-corput", "--b", "3", "--m", "3"),
+     ["3 3 1 3 27", '# provenance: {"b": 3, "family": "van-der-corput", "m": 3}'],
+     "d699ff3ac894c227599a0155b42e03ca59ad5ef8086390689e83184b3e66a0a5"),
+    (("--family", "faure", "--b", "3", "--m", "2", "--s", "2"),
+     ["3 2 2 2 9", '# provenance: {"b": 3, "family": "faure", "m": 2, "s": 2}'],
+     "fdc04f7d73f99cde818768296f0608c31317a72cfa00521f5faa3e7940c919e8"),
+    (("--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--m", "1", "--s", "2"),
+     ["5 2 2 2 25", '# provenance: {"alpha": 2, "b": 5, "family": "chen-skriganov", "m": 1, "s": 2}'],
+     "89e112245774cf00a693fdb3241db2f9be0d0e4ad1cd5c9cf89cf5a498ff9a6a"),
+    (("--family", "niederreiter", "--s", "3", "--m", "4"),
+     ["2 4 3 4 16", '# provenance: {"family": "niederreiter", "m": 4, "s": 3}'],
+     "3cae34c09f6af30bed279f73196b56714f4ac513d8c55f914d4976693496791b"),
+    (("--family", "dp-net", "--alpha", "2", "--s", "2", "--m", "3"),
+     ["2 3 2 6 8", '# provenance: {"alpha": 2, "family": "dp-net", "m": 3, "s": 2}'],
+     "fa7377511e24843232dc4c7299a3b2f5abdefc16df0158f39443267ba65f98cc"),
+    (("--family", "dp-sequence", "--s", "2", "--N", "20"),
+     ["2 5 2 25 20", '# provenance: {"family": "dp-sequence", "n_max": 20, "s": 2}'],
+     "77896fadf6f27aa4c076678e5518a48d99e017a6185fb400ea0ad380d48081f8"),
+], ids=["davenport-37", "dp-finite-13-2", "van-der-corput-3-3", "faure-3-2-2", "chen-skriganov-5-2-1-2",
+        "niederreiter-3-4", "dp-net-2-2-3", "dp-sequence-2-20"])
 def test_construct_stdout_is_pinned(capsys, argv, first_lines, digest):
     """The whole point file on stdout, provenance line included, pinned by its sha256."""
     assert run("construct", *argv) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[:2] == first_lines
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_construct_provenance_records_only_the_familys_flags(capsys):
+    """A flag the family does not take is not a parameter of the set: a one-dimensional
+    van der Corput set records no s, a Faure net no alpha."""
+    assert run("construct", "--family", "van-der-corput", "--b", "3", "--m", "2", "--s", "4") == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        '# provenance: {"b": 3, "family": "van-der-corput", "m": 2}'
+    )
+    assert run("construct", "--family", "faure", "--b", "3", "--m", "2", "--s", "2", "--alpha", "2") == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        '# provenance: {"b": 3, "family": "faure", "m": 2, "s": 2}'
+    )
+
+
+FIRST_MISSING_FLAG = {
+    "van-der-corput": "family 'van-der-corput' needs --b",
+    "faure": "family 'faure' needs --b",
+    "chen-skriganov": "family 'chen-skriganov' needs --b",
+    "niederreiter": "family 'niederreiter' needs --s",
+    "dp-net": "family 'dp-net' needs --alpha",
+    "dp-finite": "family 'dp-finite' needs --s",
+    "dp-sequence": "family 'dp-sequence' needs --s",
+    "davenport": "--N is required here",
+}
+
+
+@pytest.mark.parametrize("family", FIRST_MISSING_FLAG)
+def test_construct_names_the_first_missing_flag(family, capsys):
+    assert run("construct", "--family", family) == 1
+    assert capsys.readouterr().err == f"error: {FIRST_MISSING_FLAG[family]}\n"
+
+
+def test_construct_without_a_family(capsys):
+    assert run("construct") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown family None; choose one of ('van-der-corput', 'faure', 'chen-skriganov', "
+        "'niederreiter', 'dp-net', 'dp-finite', 'dp-sequence', 'davenport')\n"
+    )
 
 
 def test_construct_dp_finite_count(tmp_path):
@@ -446,6 +504,60 @@ def test_scaling_rows_refuse_bad_sizes(capsys):
     assert lines[2].startswith("dp-sequence,N=4,4,2,")
 
 
+# each family's grid, whose first size gives an error row: flags, that row, sha256 of stdout
+SCALING_PINS = {
+    "van-der-corput": (
+        ("--b", "2", "--m", "0:3"),
+        "van-der-corput,m=0,,,error: need m >= 1,,",
+        "e9c4e39dddc4a32454860e9a21b1ac7eda5bc19c5af20f1460c4860055ee0ddc",
+    ),
+    "faure": (
+        ("--b", "3", "--s", "2", "--m", "0:2"),
+        "faure,m=0,,,error: alpha, m, s must be positive,,",
+        "00fe126c2314c330fd17d20e08bdbe37b19e93e110d044c0f9a63a80c11dcd2c",
+    ),
+    "chen-skriganov": (
+        ("--b", "5", "--alpha", "2", "--s", "2", "--m", "0:1"),
+        "chen-skriganov,m=0,,,error: alpha, m, s must be positive,,",
+        "eb1deee544e2313f24f7712a38da35cc2325a34fdb2be27d454f8ea7ed01c014",
+    ),
+    "niederreiter": (
+        ("--s", "2", "--m", "0:3"),
+        "niederreiter,m=0,,,error: need m >= 1,,",
+        "2426d2262200209a37cf3b22545e30feaa35a85124d393798b704f83feac48f4",
+    ),
+    "dp-net": (
+        ("--alpha", "2", "--s", "2", "--m", "0:3"),
+        "dp-net,m=0,,,error: alpha, m, s must be positive,,",
+        "1e2aef1c22025fbae76a2aa64acefee2a1581b863b4c23149fdd44c377a92462",
+    ),
+    "dp-finite": (
+        ("--s", "2", "--N", "1:4"),
+        "dp-finite,N=1,,,error: need N >= 2,,",
+        "2dbd26c3200f0e8ba20bead6b9c0724482f2bf560c5f0fe21c983fff7c180e0a",
+    ),
+    "dp-sequence": (
+        ("--s", "2", "--N", "1,2,5"),
+        "dp-sequence,N=1,,,error: the sequence ratio needs N >= 2 in dimension s = 2,,",
+        "9fce2d9c2689653c1a46df538c62cb99eac178f85da0ffdf84d40fa2920023a0",
+    ),
+    "davenport": (
+        ("--N", "0,2,4"),
+        "davenport,N=0,,,error: need M >= 1 and precision >= 1,,",
+        "67b921850a8507e068776d92a99cd47861c4645da15c8b3f89116297728574d1",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", SCALING_PINS)
+def test_scaling_stdout_is_pinned(family, capsys):
+    flags, error_row, digest = SCALING_PINS[family]
+    assert run("scaling", "--family", family, *flags) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == error_row
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_scaling_byte_identical_across_runs(capsys):
     args = ("scaling", "--family", "dp-sequence", "--s", "1", "--N", "16,31,32")
     assert run(*args) == 0
@@ -511,6 +623,22 @@ def test_negative_seed_or_cap_exits_one(flag, check, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: argument --{flag}: must be >= 0, got -5\n"
     # the file's value is parsed like a flag, so it is refused even where a flag overrides it
     assert run("verify", check, *faure, "--config", str(cfg), f"--{flag}", "0") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "hamming", "--family", "faure", "--b", "3", "--m", "2", "--s", "2"),
+    ("construct", "--family", "dp-net", "--s", "2", "--m", "2"),
+    ("scaling", "--family", "dp-net", "--s", "2", "--m", "2"),
+], ids=lambda command: command[0])
+def test_alpha_below_one_exits_one(command, tmp_path, capsys):
+    """A Hamming floor of alpha + 1 <= 1 cannot fail, and no interlacing factor is below 1."""
+    for alpha in ("0", "-3"):
+        assert run(*command, "--alpha", alpha) == 1
+        assert capsys.readouterr() == ("", f"error: argument --alpha: must be >= 1, got {alpha}\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 0}))
+    assert run(*command, "--config", str(cfg)) == 1
+    assert capsys.readouterr() == ("", "error: argument --alpha: must be >= 1, got 0\n")
 
 
 def test_config_file_not_utf8_exits_one(tmp_path, capsys):

@@ -87,8 +87,11 @@ def test_vector_weight_examples():
     assert weight((5, 5), 2, "hamming") == 4
     assert weight((6, 1), 2, "mu", 2) == 6
     digits = index_digits([1], 2, 4).reshape(1, 1, 4)
-    with pytest.raises(ParameterError, match="kind 'mu' needs alpha"):
-        _weight_matrix(digits, "mu", None)
+    for alpha in (None, 0):
+        with pytest.raises(ParameterError, match="kind 'mu' needs alpha >= 1"):
+            _weight_matrix(digits, "mu", alpha)
+    with pytest.raises(ParameterError, match="kind 'mu' needs alpha >= 1"):
+        min_dual_weight(dual_space(cs_matrices(5, 2, 2, 2), 1000), "mu", alpha=0)
     with pytest.raises(ParameterError, match="unknown weight kind 'nope'"):
         _weight_matrix(digits, "nope", None)
 
