@@ -6,9 +6,10 @@ Runs each command of `CORPUS` in-process through `lowdisc.cli.main` and
 prints one line per command: the exit code, the sha256 of stdout + NUL +
 stderr, and the argv.  The corpus covers every family with `construct`,
 `verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
-bad size, plus the missing-flag, wrong-family and out-of-range-flag
-errors.  Run it on two checkouts (each with its own `src` on PYTHONPATH)
-and `diff` the outputs: an empty diff means the commands behave
+bad size, the missing-flag, wrong-family and out-of-range-flag errors,
+and the char check on the paper's alpha = 5 nets and on a b > 2 net.
+Run it on two checkouts (each with its own `src` on PYTHONPATH) and
+`diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
 of the exit code.  The corpus runs in about a second.
 """
@@ -71,6 +72,11 @@ def corpus() -> list[tuple[str, ...]]:
         ("scaling", "--family", "dp-net", "--alpha", "0", "--s", "2", "--m", "2"),
         ("construct", "--family", "chen-skriganov", "--b", "3", "--alpha", "2", "--s", "2", "--m", "1"),
         ("construct", "--family", "mystery"),
+        # the paper's interlacing factor 5: 65 index digits per coordinate, beyond int64
+        ("verify", "all", "--family", "dp-net", "--alpha", "5", "--s", "2", "--m", "13"),
+        ("verify", "char", "--family", "dp-net", "--alpha", "5", "--s", "1", "--m", "13"),
+        # b > 2: the char residue depends on the drawn indices
+        ("verify", "char", "--family", "faure", "--b", "5", "--m", "2", "--s", "3"),
     ]
     return commands
 

@@ -36,6 +36,7 @@ from .nets import (
     PointSet,
     _net_exponent,
     check_capacity,
+    check_matrix_capacity,
     fraction_digits,
     generate_net_points,
 )
@@ -102,6 +103,7 @@ def cs_matrices(
     if len(set(flat)) != len(flat):
         raise ParameterError("beta values must be pairwise distinct")
     n = alpha * m
+    check_matrix_capacity(s, n, n)
     binom = [[binomial_mod_p(k, j, b) for k in range(n)] for j in range(m)]  # C(k, j) mod b
     arr = np.zeros((s, n, n), dtype=np.int64)
     for i in range(s):
@@ -141,6 +143,7 @@ def niederreiter_net_matrices(s: int, m: int) -> GeneratingMatrixSet:
         raise ParameterError("dimension must be >= 1")
     if m < 1:
         raise ParameterError("need m >= 1")
+    check_matrix_capacity(s, m, m)
     quotients = []  # row k of every C_j, C_1's first, as an m-bit integer
     for p in irreducible_polys_f2(s):
         e = poly_degree(p)
@@ -347,6 +350,7 @@ def van_der_corput_matrices(b: int, m: int) -> GeneratingMatrixSet:
     """The m x m identity over F_b: the generating matrix of the radical-inverse net."""
     if m < 1:
         raise ParameterError("need m >= 1")
+    check_matrix_capacity(1, m, m)
     return GeneratingMatrixSet(b, np.eye(m, dtype=np.int64)[None])
 
 

@@ -7,10 +7,10 @@ elimination, `dependencies`, serves every linear-algebra question: it
 reduces rows one at a time and yields the dependency of each row that
 reduces to zero, so the rank is the rows minus the dependencies, the
 kernel basis is the dependencies among the columns, and a first
-dependency among the rows of the C_j on a support is a dual element
-(`nets.row_dependency`).  Its one step, `reduce_row`, is undoable, so the
-rank search of `nets.min_dependent_support` resumes it along a walk over
-row supports.  Base 2 reduces rows packed into Python ints by XOR;
+dependency among the rows of the C_j on a support is a dual element,
+the witness of `nets.min_dependent_support`.  Its one step, `reduce_row`,
+is undoable, so that rank search resumes it along a walk over row
+supports.  Base 2 reduces rows packed into Python ints by XOR;
 other bases reduce lists of ints.
 
 Binary polynomials are represented as integers whose bit i is the

@@ -31,8 +31,10 @@ pooled row index, so each support resumes the elimination of the prefix
 it shares with others (`field.reduce_row`, undone on backtrack) instead
 of starting over (Pirsic & Schmid, J. Complexity 17 (2001)), and the
 first dependent support of least weight in that order is the witness.
-The character property is checked for many Walsh indices in one pass
-over the digit array (`char_property_sums`).
+A dual element or Walsh index is an (s, p) array of base-b digits, exact
+at any b^p; only a witness is reported as integers.  The character property
+is checked for many Walsh indices in one pass over the digit array
+(`char_property_sums`).
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ def check_capacity(count: int, s: int, precision: int) -> None:
     if count * s * precision > MAX_DIGIT_BYTES:
         raise CapacityError(f"{count} points x {s} coordinates x {precision} digits "
                             f"exceed the {MAX_DIGIT_BYTES}-byte digit limit")
+
+
+def check_matrix_capacity(s: int, rows: int, cols: int) -> None:
+    """Refuse s int64 generating matrices of rows x cols above MAX_DIGIT_BYTES, before building them."""
+    if s * rows * cols * 8 > MAX_DIGIT_BYTES:
+        raise CapacityError(f"generating matrices of {s} x {rows} x {cols} int64 entries exceed the "
+                            f"{MAX_DIGIT_BYTES}-byte limit")
 
 
 class PointSet:
@@ -300,17 +309,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def row_dependency(rows: Sequence, b: int) -> list[int] | None:
-    """Coefficients c, not all zero, with sum_i c_i rows[i] = 0 over F_b.
-
-    The first dependency of `field.dependencies`; None when the rows are
-    linearly independent.  `rows` come from `field.pack_rows`.  A
-    dependency among the rows of the C_j indexed by a support is exactly a
-    dual element whose support lies inside it.
-    """
-    return next(dependencies(rows, b), None)
-
-
 def _prefix_weight(r: int, alpha: int) -> int:
     """mu_alpha weight of the first r rows of one coordinate."""
     return sum(range(max(r - alpha, 0) + 1, r + 1))
@@ -497,8 +495,8 @@ def min_dependent_support(
         if refused is not None:
             raise CapacityError(refused)
         return None
-    k = [0] * s
-    for i, c in zip(support, row_dependency([rows[i] for i in support], b)):
+    k = [0] * s  # the first dependency among the support's rows is a dual element on it
+    for i, c in zip(support, next(dependencies([rows[i] for i in support], b))):
         k[i // p] += c * b ** (i % p)
     return weight, tuple(k)
 
@@ -580,8 +578,8 @@ def geometric_t_value(ps: PointSet) -> int:
 class DualSpace:
     """The dual of a digital net: all k with C_1^T k_1 + ... + C_s^T k_s = 0.
 
-    Each coordinate k_j is read digit-wise (least significant first) as a
-    vector in F_b^p, so enumeration covers exactly k in {0, ..., b^p - 1}^s.
+    An element is an (s, p) array whose row j holds the base-b digits of
+    k_j, least significant first, as a vector in F_b^p, exact at any b^p.
     Enumeration spans the kernel of the stacked m x (s p) system instead of
     filtering all b^(s p) candidates.
     """
@@ -616,23 +614,11 @@ class DualSpace:
             out[start : start + len(coeffs)] = (coeffs @ self.basis[:used]) % b
         return out.reshape(n, s, p)
 
-    def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
-        """The first `limit` dual elements (all if None) as integer vectors (k_1, ..., k_s)."""
-        b, p = self.gm.base, self.gm.rows
-        dtype = np.int64 if b**p < 2**62 else object
-        powers = np.array([b**i for i in range(p)], dtype=dtype)
-        return [tuple(row) for row in (self.element_digits(limit).astype(dtype) @ powers).tolist()]
-
-    def contains(self, kvec: Sequence[int]) -> bool:
-        """Membership by direct substitution into the stacked system."""
-        b, p = self.gm.base, self.gm.rows
-        if len(kvec) != self.gm.s:
-            raise ParameterError("dual membership needs one component per dimension")
-        if min(kvec) < 0:
-            raise ParameterError("dual components are nonnegative integers")
-        if max(kvec) >= b**p:
-            return False
-        return not np.any((self.stacked @ index_digits(kvec, b, p).ravel()) % b)
+    def contains(self, digits: np.ndarray) -> bool:
+        """Membership of one (s, p) digit array by direct substitution into the stacked system."""
+        if np.shape(digits) != (self.gm.s, self.gm.rows):
+            raise ParameterError(f"dual membership needs ({self.gm.s}, {self.gm.rows}) digits")
+        return not np.any((self.stacked @ np.ravel(digits)) % self.gm.base)
 
 
 def dual_space(gm: GeneratingMatrixSet, cap: int | None = 1 << 21) -> DualSpace:
@@ -648,10 +634,12 @@ def dual_space(gm: GeneratingMatrixSet, cap: int | None = 1 << 21) -> DualSpace:
 _WALSH_BLOCK = 1 << 12
 
 
-def char_property_sums(ps: PointSet, kvecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """(1/N) sum over the net of the product Walsh function at each index of kvecs.
+def char_property_sums(ps: PointSet, kdigits: np.ndarray) -> np.ndarray:
+    """(1/N) sum over the net of the product Walsh function at each index of kdigits.
 
-    For a digital net this is exactly 1 when the index lies in the dual
+    `kdigits` holds the indices as `DualSpace.element_digits` gives them:
+    (n, s, precision) base-b digits, least significant first.  For a
+    digital net the sum is exactly 1 when the index lies in the dual
     space and exactly 0 otherwise; for b > 2 the complex rounding noise
     stays far below the 1e-9 tolerances used by the verification suite.
     One pass over the digit array serves every index: blocks of points
@@ -659,18 +647,19 @@ def char_property_sums(ps: PointSet, kvecs: Sequence[Sequence[int]]) -> np.ndarr
     of each residue, so temporaries stay within _WALSH_BLOCK entries.
     """
     b, p, n = ps.base, ps.precision, len(ps)
-    for kvec in kvecs:
-        if len(kvec) != ps.s:
-            raise ParameterError("need one Walsh index per coordinate")
-        if min(kvec) < 0:
-            raise ParameterError("Walsh index must be nonnegative")
+    kdig = np.asarray(kdigits, dtype=np.int64)
+    if kdig.shape[1:] != (ps.s, p):
+        raise ParameterError(f"Walsh index digits of shape {kdig.shape} are not (n, {ps.s}, {p})")
+    if kdig.size and (kdig.min() < 0 or kdig.max() >= b):
+        raise ParameterError(f"Walsh index digit out of range for base {b}")
     if n == 0:
         raise ParameterError("empty point set")
-    kdig = index_digits([k for kvec in kvecs for k in kvec], b, p).reshape(len(kvecs), ps.s * p).T
+    count = len(kdig)
+    kdig = kdig.reshape(count, ps.s * p).T
     digits = ps.digit_array().reshape(n, ps.s * p)
-    counts = np.zeros((len(kvecs), b), dtype=np.int64)  # index -> points per exponent
-    offsets = b * np.arange(len(kvecs), dtype=np.int64)
-    step = max(1, _WALSH_BLOCK // max(len(kvecs), 1))
+    counts = np.zeros((count, b), dtype=np.int64)  # index -> points per exponent
+    offsets = b * np.arange(count, dtype=np.int64)
+    step = max(1, _WALSH_BLOCK // max(count, 1))
     for start in range(0, n, step):
         exponents = digits[start : start + step] @ kdig
         np.remainder(exponents, b, out=exponents)
@@ -688,19 +677,20 @@ def char_property_deviation(ps: PointSet, dual: DualSpace, in_dual: int | None, 
 
     The sums are compared with 1 at the first `in_dual` dual elements (all
     of them if None) and with 0 at `drawn` indices outside the dual, drawn
-    uniformly from {0, ..., b^p - 1}^s with `seed` by rejecting dual members.
+    digit by digit, uniformly from F_b^(s p), with `seed` by rejecting dual
+    members.  A dual that holds every index leaves none to draw and is refused.
     """
     gm = dual.gm
-    limit = gm.base**gm.rows
-    if limit > 2**63:
-        raise CapacityError(f"the char check draws Walsh indices below {gm.base}^{gm.rows}, "
-                            "beyond the int64 range")
-    indices = dual.elements(in_dual)
-    count = len(indices)
+    if drawn > 0 and dual.kernel_dim == gm.s * gm.rows:
+        raise ParameterError("every Walsh index is in the dual, so none can be drawn outside it")
+    inside = dual.element_digits(in_dual)
     rng = np.random.default_rng(seed)
-    while len(indices) < count + drawn:
-        k = tuple(int(v) for v in rng.integers(0, limit, size=gm.s))
+    outside = []
+    while len(outside) < drawn:
+        k = rng.integers(0, gm.base, size=(gm.s, gm.rows))
         if not dual.contains(k):
-            indices.append(k)
-    sums = [complex(v) for v in char_property_sums(ps, indices)]
+            outside.append(k)
+    outside = np.array(outside, dtype=np.int64).reshape(-1, gm.s, gm.rows)
+    sums = [complex(v) for v in char_property_sums(ps, np.concatenate([inside, outside]))]
+    count = len(inside)
     return max([0.0] + [abs(v - 1.0) for v in sums[:count]] + [abs(v) for v in sums[count:]])

@@ -21,8 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from lowdisc.errors import CapacityError
-from lowdisc.field import pack_rows
-from lowdisc.nets import GeneratingMatrixSet, _prefix_weight, row_dependency
+from lowdisc.field import dependencies, pack_rows
+from lowdisc.nets import GeneratingMatrixSet, _prefix_weight
 
 
 def rref(arr, b):
@@ -185,7 +185,7 @@ def min_dependent_support(
         for support in supports(w):
             if w == full and len(support) <= m:
                 continue  # a larger support of this weight is dependent anyway
-            dep = row_dependency([rows[i] for i in support], b)
+            dep = next(dependencies([rows[i] for i in support], b), None)
             if dep is not None:
                 k = [0] * s
                 for i, c in zip(support, dep):

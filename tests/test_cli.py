@@ -217,10 +217,19 @@ def test_verify_all_char_reads_a_dual_above_the_cap(capsys):
     assert all(row.endswith(",true") for row in rows)
 
 
-def test_verify_char_refuses_walsh_indices_beyond_int64(capsys):
-    # 65 rows in base 2: random Walsh indices below 2^65 cannot be drawn in int64
-    assert run("verify", "char", "--family", "dp-net", "--alpha", "5", "--s", "1", "--m", "13") == 2
-    assert "beyond the int64 range" in capsys.readouterr().err
+def test_verify_char_draws_walsh_indices_beyond_int64(capsys):
+    """65 rows in base 2: the drawn Walsh indices lie below 2^65, beyond int64,
+    and are drawn digit by digit."""
+    assert run("verify", "char", "--family", "dp-net", "--alpha", "5", "--s", "1", "--m", "13") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["char"] and rows[0].endswith(",true")
+
+
+def test_verify_all_on_the_papers_alpha_5_net(capsys):
+    assert run("verify", "all", "--family", "dp-net", "--alpha", "5", "--s", "2", "--m", "13") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["t-value", "geometric", "mu1", "order", "char"]
+    assert all(row.endswith(",true") for row in rows)
 
 
 def test_construct_builds_matrices_once(tmp_path, monkeypatch):
@@ -245,6 +254,42 @@ def test_construct_oversized_exits_two_before_allocating(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("capacity error: 1099511627776 points x 1 coordinates x 40 digits exceed")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("construct", "--family", "van-der-corput", "--b", "2", "--m", "20"), "1 x 20 x 20"),
+    (("verify", "t-value", "--family", "van-der-corput", "--b", "2", "--m", "20"), "1 x 20 x 20"),
+    (("construct", "--family", "faure", "--b", "3", "--m", "20", "--s", "2"), "2 x 20 x 20"),
+    (("construct", "--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--s", "2", "--m", "10"),
+     "2 x 20 x 20"),
+    (("construct", "--family", "niederreiter", "--s", "2", "--m", "20"), "2 x 20 x 20"),
+    (("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "20"), "6 x 20 x 20"),
+    (("construct", "--family", "dp-finite", "--s", "2", "--N", str(1 << 20)), "5 x 20 x 20"),
+    (("construct", "--family", "dp-sequence", "--s", "2", "--N", str(1 << 20)), "10 x 20 x 20"),
+])
+def test_oversized_matrices_exit_two_before_building(argv, shape, monkeypatch, capsys):
+    from lowdisc import constructions, nets
+
+    def building(*args):
+        raise AssertionError("the preflight must refuse before the matrices are built")
+
+    monkeypatch.setattr(nets, "MAX_DIGIT_BYTES", 1024)
+    for name in ("GeneratingMatrixSet", "binomial_mod_p", "irreducible_polys_f2"):
+        monkeypatch.setattr(constructions, name, building)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"capacity error: generating matrices of {shape} int64 entries exceed the 1024-byte limit\n"
+
+
+def test_scaling_row_of_oversized_matrices_is_an_error_row(monkeypatch, capsys):
+    from lowdisc import nets
+
+    monkeypatch.setattr(nets, "MAX_DIGIT_BYTES", 1024)
+    assert run("scaling", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "1,20") == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("dp-net,m=1,2,2,")
+    assert rows[2] == ("dp-net,m=20,,,error: generating matrices of 6 x 20 x 20 int64 entries "
+                       "exceed the 1024-byte limit,,")
 
 
 def test_discrepancy_of_an_oversized_point_file_exits_two(tmp_path, capsys):

@@ -15,6 +15,7 @@ from lowdisc.nets import (
     _candidate_trie,
     _net_digits,
     PointSet,
+    char_property_deviation,
     char_property_sums,
     compute_t_value,
     dual_space,
@@ -25,7 +26,7 @@ from lowdisc.nets import (
     index_digits,
 )
 
-from net_reference import net_digits_reference
+from net_reference import digit_ints, net_digits_reference
 from rank_reference import _closed_sets
 
 
@@ -234,28 +235,38 @@ def test_generating_matrix_set_is_one_reduced_read_only_array():
 
 def test_dual_trivial_for_invertible_single_matrix():
     dual = dual_space(identity_net(2, 3, 1), cap=100)
-    assert dual.elements() == [(0,)]
+    assert digit_ints(dual.element_digits(), 2) == [(0,)]
 
 
 def test_dual_two_copies_base2():
     gm = GeneratingMatrixSet(2, np.ones((2, 1, 1), dtype=np.int64))
     dual = dual_space(gm, cap=100)
-    assert sorted(dual.elements()) == [(0, 0), (1, 1)]
+    assert sorted(digit_ints(dual.element_digits(), 2)) == [(0, 0), (1, 1)]
 
 
 def test_dual_cs_size_and_membership():
     gm = cs_matrices(5, 2, 2, 2)
     dual = dual_space(gm, cap=1000)
-    elements = dual.elements()
-    assert len(elements) == 625  # kernel dimension 4 over F_5
+    elements = dual.element_digits()
+    assert elements.shape == (625, 2, 4)  # kernel dimension 4 over F_5
     for k in elements[:50]:
         assert dual.contains(k)
-    assert not dual.contains((1, 0))
-    assert not dual.contains((0, 5**2))  # beyond the precision
-    with pytest.raises(ParameterError, match="nonnegative"):
-        dual.contains((0, -1))
-    with pytest.raises(ParameterError, match="nonnegative"):
-        char_property_sums(generate_net_points(gm), [(-1, 0)])[0]
+    assert not dual.contains(index_digits((1, 0), 5, 4))
+    assert not dual.contains(index_digits((0, 5**2), 5, 4))
+    for shape in ((1, 4), (4, 2), (8,), (1, 2, 4)):
+        with pytest.raises(ParameterError, match=r"needs \(2, 4\) digits"):
+            dual.contains(np.zeros(shape, dtype=np.uint8))
+
+
+def test_char_sums_refuse_a_misshapen_index_array_or_digit():
+    ps = generate_net_points(cs_matrices(5, 2, 2, 2))  # s = 2, precision 4
+    assert char_property_sums(ps, np.zeros((0, 2, 4), dtype=np.uint8)).shape == (0,)
+    for shape in ((2, 4), (1, 2, 3), (1, 3, 4), (1, 1, 2, 4)):
+        with pytest.raises(ParameterError, match=r"of shape \(.*\) are not \(n, 2, 4\)"):
+            char_property_sums(ps, np.zeros(shape, dtype=np.uint8))
+    for digit in (5, -1):
+        with pytest.raises(ParameterError, match="Walsh index digit out of range for base 5"):
+            char_property_sums(ps, np.full((1, 2, 4), digit))
 
 
 def test_dual_elements_resubstitute_to_zero():
@@ -276,9 +287,10 @@ def test_unbounded_dual_enumerates_in_order_past_int64_powers():
     # 13^23, the top enumeration power of this 24-dimensional kernel, exceeds int64
     dual = dual_space(faure_matrices(13, 2, 13), cap=None)
     assert dual.kernel_dim == 24
-    elements = dual.elements(limit=14)
+    elements = dual.element_digits(limit=14)
     for n, vec in ((1, dual.basis[0]), (13, dual.basis[1]), (2, 2 * dual.basis[0] % 13)):
-        assert elements[n] == tuple(int(lo + 13 * hi) for lo, hi in vec.reshape(13, 2))
+        want = tuple(int(lo + 13 * hi) for lo, hi in vec.reshape(13, 2))
+        assert digit_ints(elements[n : n + 1], 13) == [want]
     assert all(dual.contains(k) for k in elements)
 
 
@@ -288,16 +300,16 @@ def test_unbounded_dual_enumerates_in_order_past_int64_powers():
 
 def test_char_sum_zero_index_is_one():
     ps = van_der_corput(2, 3)
-    assert char_property_sums(ps, [(0,)])[0] == 1.0
+    assert char_property_sums(ps, np.zeros((1, 1, 3), dtype=np.uint8))[0] == 1.0
 
 
 def test_char_sum_on_cs_net():
     gm = cs_matrices(5, 2, 2, 2)
     ps = generate_net_points(gm)
     dual = dual_space(gm, cap=1000)
-    for k in dual.elements()[:20]:
-        assert abs(char_property_sums(ps, [k])[0] - 1.0) <= 1e-9
-    assert abs(char_property_sums(ps, [(1, 0)])[0]) <= 1e-9  # (1,0) is not dual
+    for k in dual.element_digits(20):
+        assert abs(char_property_sums(ps, k[None])[0] - 1.0) <= 1e-9
+    assert abs(char_property_sums(ps, index_digits((1, 0), 5, 4)[None])[0]) <= 1e-9  # (1,0) is not dual
 
 
 def test_char_sum_indicator_small_nets():
@@ -305,11 +317,21 @@ def test_char_sum_indicator_small_nets():
     gm = faure_matrices(3, 2, 2)
     ps = generate_net_points(gm)
     dual = dual_space(gm, cap=10000)
-    members = set(dual.elements())
+    members = set(digit_ints(dual.element_digits(), 3))
     for k1 in range(9):
         for k2 in range(9):
             expect = 1.0 if (k1, k2) in members else 0.0
-            assert abs(char_property_sums(ps, [(k1, k2)])[0] - expect) <= 1e-9
+            assert abs(char_property_sums(ps, index_digits((k1, k2), 3, 2)[None])[0] - expect) <= 1e-9
+
+
+def test_char_check_refuses_a_dual_of_every_index(monkeypatch):
+    """Rank-0 matrices put every Walsh index in the dual, so none can be drawn outside it."""
+    gm = GeneratingMatrixSet(2, np.zeros((1, 1, 1), dtype=np.int64))
+    ps, dual = generate_net_points(gm), dual_space(gm, None)
+    assert dual.kernel_dim == 1 and char_property_deviation(ps, dual, None, 0, 5) == 0.0
+    monkeypatch.setattr(dual, "contains", lambda k: pytest.fail("an index was drawn"))
+    with pytest.raises(ParameterError, match="every Walsh index is in the dual"):
+        char_property_deviation(ps, dual, 64, 20, 5)
 
 
 # ---------------------------------------------------------

@@ -58,6 +58,7 @@ from lowdisc.nets import (  # noqa: E402
     generate_net_points,
     geometric_net_check,
     geometric_t_value,
+    index_digits,
     min_dependent_support,
 )
 from lowdisc.pointfile import (  # noqa: E402
@@ -72,7 +73,7 @@ from lowdisc.weights import _weight_matrix, min_dual_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
-from net_reference import net_digits_reference  # noqa: E402
+from net_reference import digit_ints, net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
 from rank_reference import min_dependent_support as per_support_search  # noqa: E402
 from rank_reference import rref, rref_kernel_basis  # noqa: E402
@@ -147,7 +148,7 @@ def test_rank_engine_matches_enumeration(gm):
         if fast is not None:
             weight, witness = fast
             assert weight == slow[0]
-            assert dual.contains(witness)
+            assert dual.contains(index_digits(witness, gm.base, gm.rows))
             assert vector_weight(witness, gm.base, kind, alpha) == weight
 
 
@@ -172,7 +173,8 @@ def test_weight_matrix_equals_the_scalar_reference(case, kind):
     alpha = alpha if kind == "mu" else None
     dual = dual_space(gm, None)
     weights = _weight_matrix(dual.element_digits(), kind, alpha).sum(axis=1)
-    assert weights.tolist() == [vector_weight(k, gm.base, kind, alpha) for k in dual.elements()]
+    elements = digit_ints(dual.element_digits(), gm.base)
+    assert weights.tolist() == [vector_weight(k, gm.base, kind, alpha) for k in elements]
 
 
 @given(nets(), st.integers(0, 12))
@@ -233,8 +235,8 @@ def test_batched_walsh_sums_are_the_character_property(gm, seed):
     ps = generate_net_points(gm)
     dual = dual_space(gm, 1 << 14)
     rng = np.random.default_rng(seed)
-    drawn = [tuple(int(v) for v in rng.integers(0, gm.base**gm.rows, gm.s)) for _ in range(16)]
-    indices = dual.elements(limit=32) + drawn
+    drawn = rng.integers(0, gm.base, (16, gm.s, gm.rows))
+    indices = np.concatenate([dual.element_digits(32), drawn])
     sums = char_property_sums(ps, indices)
     for k, value in zip(indices, sums):
         expected = 1.0 if dual.contains(k) else 0.0
@@ -242,7 +244,7 @@ def test_batched_walsh_sums_are_the_character_property(gm, seed):
             assert value == expected
         else:
             assert abs(value - expected) <= 1e-12
-        assert value == char_property_sums(ps, [k])[0]
+        assert value == char_property_sums(ps, k[None])[0]
 
 
 @given(nets(max_m=5))
@@ -276,7 +278,6 @@ def test_kernel_basis_equals_the_echelon_basis(case):
 @given(nets(), st.integers(0, 70))
 def test_dual_elements_limit_is_a_prefix(gm, k):
     dual = dual_space(gm, 1 << 14)
-    assert dual.elements(limit=k) == dual.elements()[:k]
     assert np.array_equal(dual.element_digits(k), dual.element_digits()[:k])
 
 

@@ -20,6 +20,7 @@ from lowdisc.nets import (
 from lowdisc.selftest import _random_full_rank_net
 from lowdisc.weights import _weight_matrix, min_dual_weight, order_alpha_profile, t_alpha
 
+from net_reference import digit_ints
 from weight_reference import vector_weight
 
 
@@ -155,12 +156,12 @@ def test_min_dual_weight_witness_attains_minimum():
     dual = dual_space(gm, 1000)
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2)):
         weight, witness = min_dual_weight(dual, kind, alpha=alpha)
-        assert dual.contains(witness)
+        assert dual.contains(index_digits(witness, gm.base, gm.rows))
         assert vector_weight(witness, gm.base, kind, alpha) == weight
         # brute force over the enumerated dual agrees
         best = min(
             vector_weight(k, gm.base, kind, alpha)
-            for k in dual.elements()
+            for k in digit_ints(dual.element_digits(), gm.base)
             if any(k)
         )
         assert best == weight
@@ -195,7 +196,7 @@ def test_rank_engine_matches_enumeration_on_criterion_nets(gm):
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2), ("mu", 3)):
         weight, witness = min_dependent_support(gm, kind, alpha)
         assert weight == minimum(min_dual_weight(dual, kind, alpha=alpha))
-        assert dual.contains(witness)
+        assert dual.contains(index_digits(witness, gm.base, gm.rows))
         assert vector_weight(witness, gm.base, kind, alpha) == weight
 
 
@@ -232,7 +233,7 @@ def test_order_engine_matches_enumeration_through_m8(alpha, s, m):
         assert found is None
     else:
         weight, witness = found
-        assert weight == exact and dual.contains(witness)
+        assert weight == exact and dual.contains(index_digits(witness, gm.base, gm.rows))
         assert vector_weight(witness, gm.base, "mu", alpha) == exact
 
 
@@ -293,6 +294,6 @@ def test_order_alpha_profile_witness_is_below_the_floor():
     floor = 2 * gm.cols - t_alpha(2, niederreiter_t_bound(2), 1)
     weight, witness = order_alpha_profile(scrambled, 2, niederreiter_t_bound(2))
     assert weight < floor
-    assert dual_space(scrambled, 1 << 10).contains(witness)
+    assert dual_space(scrambled, 1 << 10).contains(index_digits(witness, 2, scrambled.rows))
     assert vector_weight(witness, 2, "mu", 2) == weight
     assert order_alpha_profile(gm, 2, niederreiter_t_bound(2)) is None
