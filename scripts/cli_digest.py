@@ -7,7 +7,8 @@ prints one line per command: the exit code, the sha256 of stdout + NUL +
 stderr, and the argv.  The corpus covers every family with `construct`,
 `verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
 bad size, the missing-flag, wrong-family and out-of-range-flag errors,
-and the char check on the paper's alpha = 5 nets and on a b > 2 net.
+the char check on the paper's alpha = 5 nets and on a b > 2 net, the
+witness lines of two b > 2 nets and the refusal of an oversized net.
 Run it on two checkouts (each with its own `src` on PYTHONPATH) and
 `diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
@@ -77,6 +78,11 @@ def corpus() -> list[tuple[str, ...]]:
         ("verify", "char", "--family", "dp-net", "--alpha", "5", "--s", "1", "--m", "13"),
         # b > 2: the char residue depends on the drawn indices
         ("verify", "char", "--family", "faure", "--b", "5", "--m", "2", "--s", "3"),
+        # witness lines: (20, 5, 0) in base 5, and (65792, 257) with the digit 256
+        ("verify", "hamming", "--family", "faure", "--b", "5", "--m", "2", "--s", "3", "--alpha", "3"),
+        ("verify", "hamming", "--family", "faure", "--b", "257", "--m", "2", "--s", "2", "--alpha", "2"),
+        # a net of 3^1000 points, refused with exit 2
+        ("construct", "--family", "faure", "--b", "3", "--m", "1000", "--s", "2"),
     ]
     return commands
 

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import nets
 from .constructions import (
     cs_matrices,
     davenport_symmetrized,
@@ -39,7 +40,6 @@ from .nets import (
     generate_net_points,
     geometric_net_check,
     geometric_t_value,
-    index_digits,
     min_dependent_support,
 )
 from .pointfile import dumps_point_file, read_point_file, write_point_file
@@ -137,6 +137,16 @@ def build_matrices(cfg: argparse.Namespace) -> GeneratingMatrixSet:
     return row.build(*_arguments(cfg, row).values())
 
 
+def _check_net_points(cfg: argparse.Namespace, size: int | None = None) -> None:
+    """Refuse a matrix family's b^m points from its flags (b = 2, s = alpha = 1 where it has none)
+    before building; where m x m int64 matrices exceed the limit, the constructor refuses at once."""
+    if cfg.family in MATRIX_FAMILIES:
+        args = _arguments(cfg, FAMILIES[cfg.family], size)
+        m = args["m"]
+        if m >= 1 and 8 * m * m <= nets.MAX_DIGIT_BYTES:  # so b^m is never computed for a huge m
+            nets.check_capacity(args.get("b", 2) ** m, args.get("s", 1), args.get("alpha", 1) * m)
+
+
 def _points(cfg: argparse.Namespace, row: Family, size: int | None = None,
             gm: GeneratingMatrixSet | None = None):
     """The family's point set of the given size (default: the size flag's); a net reuses `gm`."""
@@ -144,6 +154,7 @@ def _points(cfg: argparse.Namespace, row: Family, size: int | None = None,
     if cfg.family not in MATRIX_FAMILIES:
         return row.build(*args.values())
     if gm is None:
+        _check_net_points(cfg, size)
         gm = row.build(*args.values())
     return generate_net_points(gm, provenance={"family": cfg.family, **args})
 
@@ -168,6 +179,7 @@ def _emit(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_construct(cfg: argparse.Namespace) -> int:
+    _check_net_points(cfg)
     gm = build_matrices(cfg) if cfg.family in MATRIX_FAMILIES else None
     ps = build_points(cfg, gm)
     if gm is not None:
@@ -185,14 +197,12 @@ def _report_witness(name: str, found: tuple | None, gm: GeneratingMatrixSet) -> 
     """Print a failed check's witness dual element, if any, and its support to stderr."""
     if found is None:
         return
-    weight, witness = found
-    support = []
-    for j, digits in enumerate(index_digits(witness, gm.base, gm.rows), start=1):
-        rows = np.flatnonzero(digits).tolist()
-        if rows:
-            support.append(f"C{j} rows {rows}")
+    weight, witness = found  # witness: the (s, p) digit array of (k_1, ..., k_s)
+    ks = tuple(sum(d * gm.base**i for i, d in enumerate(row)) for row in witness.tolist())
+    support = [f"C{j} rows {np.flatnonzero(row).tolist()}"
+               for j, row in enumerate(witness, start=1) if row.any()]
     print(
-        f"{name} witness: dual element {witness} of weight {weight}, "
+        f"{name} witness: dual element {ks} of weight {weight}, "
         f"support {'; '.join(support)}",
         file=sys.stderr,
     )
@@ -216,6 +226,8 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
         )
         return 0 if ok else 3
 
+    if check in ("geometric", "char", "all"):  # the checks that generate the points
+        _check_net_points(cfg)
     gm = build_matrices(cfg)
     row = FAMILIES[cfg.family]
     rows = ["check,family,params,value,expected,pass"]

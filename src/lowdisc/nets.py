@@ -31,10 +31,10 @@ pooled row index, so each support resumes the elimination of the prefix
 it shares with others (`field.reduce_row`, undone on backtrack) instead
 of starting over (Pirsic & Schmid, J. Complexity 17 (2001)), and the
 first dependent support of least weight in that order is the witness.
-A dual element or Walsh index is an (s, p) array of base-b digits, exact
-at any b^p; only a witness is reported as integers.  The character property
-is checked for many Walsh indices in one pass over the digit array
-(`char_property_sums`).
+A dual element, witnesses included, or a Walsh index is an (s, p) array
+of base-b digits, exact at any b^p; the integers k_j are only printed.
+The character property is checked for many Walsh indices in one pass over
+the digit array (`char_property_sums`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from decimal import Decimal
+from typing import Iterator
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "GeneratingMatrixSet",
     "PointSet",
     "DualSpace",
-    "index_digits",
     "generate_net_points",
     "min_dependent_support",
     "compute_t_value",
@@ -76,7 +76,8 @@ MAX_DIGIT_BYTES = 1 << 28
 def check_capacity(count: int, s: int, precision: int) -> None:
     """Refuse a (count, s, precision) digit array larger than MAX_DIGIT_BYTES."""
     if count * s * precision > MAX_DIGIT_BYTES:
-        raise CapacityError(f"{count} points x {s} coordinates x {precision} digits "
+        points = count if count < 10**18 else f"about {Decimal(count):.2e}"  # exact, past float range
+        raise CapacityError(f"{points} points x {s} coordinates x {precision} digits "
                             f"exceed the {MAX_DIGIT_BYTES}-byte digit limit")
 
 
@@ -210,31 +211,18 @@ class GeneratingMatrixSet:
         )
 
 
-def index_digits(indices: Sequence[int], base: int, precision: int) -> np.ndarray:
-    """The lowest `precision` base-b digits of each index k >= 0, least significant first.
-
-    A (len(indices), precision) int64 array; the indices are Python ints of any size.
-    """
-    digits = []
-    for k in indices:
-        for _ in range(precision):
-            k, d = divmod(k, base)
-            digits.append(d)
-    return np.array(digits, dtype=np.int64).reshape(len(indices), precision)
-
-
 # Largest table of low-index digit vectors that _net_digits builds, in indices;
 # 4096 rows keep the table and each block's adds in cache.
 _TABLE_ROWS = 1 << 12
 
 
-def _net_digits(n_from: int, n_to: int, b: int, matrices: np.ndarray) -> np.ndarray:
-    """(n_to - n_from, s, rows) uint8 digits of points n_from..n_to-1.
+def _net_digits(count: int, b: int, matrices: np.ndarray) -> np.ndarray:
+    """(count, s, rows) uint8 digits of points 0..count-1.
 
     Point n is sum_i d_i c_i mod b, over the base-b digits d_i of n and the
     columns c_i of the stacked C_j, so it is computed by a digit recurrence
     instead of a matrix product.  Indices split as n = h b^k + l with b^k at
-    most _TABLE_ROWS and at most the range.  A table of the points of
+    most _TABLE_ROWS and at most count.  A table of the points of
     l = 0..b^k-1 is built digit by digit: rows a b^i .. (a+1) b^i - 1 are
     rows 0 .. b^i - 1 plus a c_i mod b.  Each block of b^k consecutive
     indices adds its one high-digit vector (from h's digits) to the table
@@ -245,7 +233,7 @@ def _net_digits(n_from: int, n_to: int, b: int, matrices: np.ndarray) -> np.ndar
     s, rows, cols = matrices.shape
     columns = np.moveaxis(matrices.astype(np.int64) % b, 2, 0)  # columns[i]: (s, rows)
     k = 0
-    while k < cols and b ** (k + 1) <= min(_TABLE_ROWS, n_to - n_from):
+    while k < cols and b ** (k + 1) <= min(_TABLE_ROWS, count):
         k += 1
     size = b**k
     wide = np.uint8 if b <= 128 else np.uint16
@@ -257,17 +245,15 @@ def _net_digits(n_from: int, n_to: int, b: int, matrices: np.ndarray) -> np.ndar
         grown = table[step : b * step].reshape(b - 1, step, s, rows)
         np.add(table[:step], multiples[:, None], out=grown)
         np.minimum(grown, grown - wide(b), out=grown)
-    out = np.empty((n_to - n_from, s, rows), dtype=np.uint8)
-    for h in range(n_from // size, (n_to - 1) // size + 1):
+    out = np.empty((count, s, rows), dtype=np.uint8)
+    for h in range((count + size - 1) // size):
         high = np.zeros((s, rows), dtype=np.int64)
         rest = h
         for i in range(k, cols):
             rest, d = divmod(rest, b)
             high += d * columns[i]
-        lo, hi = max(n_from, h * size), min(n_to, (h + 1) * size)
-        dest = out[lo - n_from : hi - n_from]
-        summed = np.add(table[lo - h * size : hi - h * size], (high % b).astype(wide),
-                        out=dest if wide is np.uint8 else None)
+        dest = out[h * size : (h + 1) * size]
+        summed = np.add(table[: len(dest)], (high % b).astype(wide), out=dest if wide is np.uint8 else None)
         np.minimum(summed, summed - wide(b), out=dest, casting="unsafe")
     return out
 
@@ -287,7 +273,7 @@ def generate_net_points(
     if not 0 <= count <= full:
         raise ParameterError(f"point count {count} is not in 0..{full}, the size of the net")
     check_capacity(count, gm.s, gm.rows)
-    digits = _net_digits(0, count, gm.base, gm.array)
+    digits = _net_digits(count, gm.base, gm.array)
     return PointSet.from_digits(digits, gm.base, provenance)
 
 
@@ -418,7 +404,7 @@ def min_dependent_support(
     alpha: int | None = None,
     floor: int | None = None,
     cap: int | None = None,
-) -> tuple[int, tuple[int, ...]] | None:
+) -> tuple[int, np.ndarray] | None:
     """Smallest weight of a row support with dependent rows, and a dual element on it.
 
     A dual element with support inside a row set S exists iff the rows of
@@ -429,8 +415,8 @@ def min_dependent_support(
     support maximal for its weight -- has dependent rows: row prefixes per
     coordinate for "nrt", the sets of `_candidate_trie` for "mu", and any
     W pooled rows for "hamming".  More than m rows are always dependent and
-    skip the rank check.  Returns (W, k) with k a dual element of weight W
-    (the dependency among the rows), or None when no support is dependent.
+    skip the rank check.  Returns (W, k), k an int64 (s, p) dual element of
+    weight W (the rows' dependency), or None when no support is dependent.
 
     The candidates form a trie -- per coordinate `_candidate_trie` for
     "nrt" and "mu", the combinations of pooled rows for "hamming" -- and
@@ -495,10 +481,10 @@ def min_dependent_support(
         if refused is not None:
             raise CapacityError(refused)
         return None
-    k = [0] * s  # the first dependency among the support's rows is a dual element on it
+    k = np.zeros((s, p), dtype=np.int64)  # the support's first row dependency is a dual element on it
     for i, c in zip(support, next(dependencies([rows[i] for i in support], b))):
-        k[i // p] += c * b ** (i % p)
-    return weight, tuple(k)
+        k[i // p, i % p] = c
+    return weight, k
 
 
 def compute_t_value(gm: GeneratingMatrixSet) -> int:
@@ -598,12 +584,14 @@ class DualSpace:
         self.basis = np.array(basis, dtype=np.int64).reshape(-1, gm.s * p)
 
     def element_digits(self, limit: int | None = None) -> np.ndarray:
-        """The first `limit` dual elements (all if None) as an (n, s, p) uint8 digit array.
+        """The first `limit` dual elements (all if None) as an (n, s, p) uint8 digit array, b <= 256.
 
         Element i weights the kernel basis by the base-b digits of i, so
         element 0 is zero; chunks keep the int64 products small.
         """
         b, s, p = self.gm.base, self.gm.s, self.gm.rows
+        if b > 256:
+            raise ParameterError(f"base {b} does not fit the uint8 digit array")
         n = self.size if limit is None else min(max(limit, 0), self.size)
         used = _exponent(n, b)  # coefficients of b^used and above are 0 below n
         powers = b ** np.arange(used, dtype=np.int64)

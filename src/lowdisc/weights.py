@@ -8,9 +8,10 @@ construction guarantees is always a floor on one of these weights over
 the nonzero dual space.  The minimum with a witness comes from the rank
 search `nets.min_dependent_support`; `min_dual_weight` gives the same
 answer by enumerating the dual, as the oracle, and `order_alpha_profile`
-runs the rank search stopped at the order-alpha floor.  Weights are read
-from digit arrays, all elements at once (`_weight_matrix`); the scalar
-form on integers is kept in the tests as their oracle.
+runs the rank search stopped at the order-alpha floor.  Witnesses are
+int64 (s, p) digit arrays, and weights are read from digit arrays, all
+elements at once (`_weight_matrix`); the scalar form on integers is kept
+in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -50,21 +51,19 @@ def _weight_matrix(digits: np.ndarray, kind: str, alpha: int | None) -> np.ndarr
 
 def min_dual_weight(
     dual: DualSpace, kind: str, alpha: int | None = None
-) -> tuple[int, tuple[int, ...]] | None:
+) -> tuple[int, np.ndarray] | None:
     """Exhaustive minimum of a weight over the nonzero dual elements.
 
     The answer of `nets.min_dependent_support`, by enumeration: (W, k) with
-    k a dual element attaining the minimum W, or None when the dual has no
-    nonzero element (e.g. a one-dimensional net with invertible matrix).
+    k an int64 (s, p) dual element attaining the minimum W, or None when the
+    dual has no nonzero element (e.g. a 1-dimensional invertible matrix).
     """
-    b = dual.gm.base
     digits = dual.element_digits()
     weights = _weight_matrix(digits, kind, alpha).sum(axis=1)
     if len(weights) == 1:  # only the zero element
         return None
     best = 1 + int(np.argmin(weights[1:]))  # element 0 is zero
-    witness = tuple(sum(int(d) * b**i for i, d in enumerate(row)) for row in digits[best])
-    return int(weights[best]), witness
+    return int(weights[best]), digits[best].astype(np.int64)
 
 
 def t_alpha(alpha: int, t: int, s: int) -> int:
@@ -79,7 +78,7 @@ def order_alpha_profile(
     alpha: int,
     t_base: int,
     cap: int = 1 << 21,
-) -> tuple[int, tuple[int, ...]] | None:
+) -> tuple[int, np.ndarray] | None:
     """The mu_alpha search for the higher-order dual condition, stopped at its floor.
 
     The condition min mu_alpha >= alpha*m - t_alpha holds iff the answer is

@@ -2,22 +2,37 @@
 
 Stacks the base-b digit vectors of the indices as an int64 matrix D and
 takes (D @ C_j^T) mod b per coordinate, the direct form of the definition
-that `nets._net_digits` must equal.  `digit_ints` reads (n, s, p) index
-digits, least significant first, as integer vectors (k_1, ..., k_s), the
-form in which witnesses are reported.
+that `nets._net_digits` must equal.  Dual elements are (s, p) digit
+arrays, least significant digit first; `index_digits` and `digit_ints`
+convert between them and the integer vectors (k_1, ..., k_s) in which
+tests write them and the CLI prints witnesses.
 """
 
 import numpy as np
 
 
-def net_digits_reference(n_from, n_to, b, matrices):
+def net_digits_reference(count, b, matrices):
+    """(count, s, rows) digits of points 0..count-1 of the net of `matrices`."""
     rows, cols = matrices[0].shape
-    n = np.arange(n_from, n_to, dtype=np.int64)
+    n = np.arange(count, dtype=np.int64)
     D = (n[:, None] // b ** np.arange(cols, dtype=np.int64)[None, :]) % b
-    out = np.empty((n_to - n_from, len(matrices), rows), dtype=np.uint8)
+    out = np.empty((count, len(matrices), rows), dtype=np.uint8)
     for j, mat in enumerate(matrices):
         out[:, j] = (D @ np.asarray(mat, dtype=np.int64).T) % b
     return out
+
+
+def index_digits(indices, base, precision):
+    """The lowest `precision` base-b digits of each index k >= 0, least significant first.
+
+    A (len(indices), precision) int64 array; the indices are Python ints of any size.
+    """
+    digits = []
+    for k in indices:
+        for _ in range(precision):
+            k, d = divmod(k, base)
+            digits.append(d)
+    return np.array(digits, dtype=np.int64).reshape(len(indices), precision)
 
 
 def digit_ints(digits, b):

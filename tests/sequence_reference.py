@@ -40,7 +40,7 @@ def niederreiter_matrix_reference(p, m):
 def sequence_digits_reference(dim, count, m):
     """(count, dim, m) digits of the first `count` points of the dim-dimensional sequence."""
     matrices = [niederreiter_matrix_reference(p, m) for p in irreducible_polys_f2(dim)]
-    return net_digits_reference(0, count, 2, matrices)
+    return net_digits_reference(count, 2, matrices)
 
 
 def dp_sequence_reference(s, n_max):

@@ -256,14 +256,16 @@ def test_construct_oversized_exits_two_before_allocating(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+# `construct` checks a net's points before its matrices, so the matrix families' cases
+# go through `verify t-value`, which builds no points
 @pytest.mark.parametrize("argv, shape", [
     (("construct", "--family", "van-der-corput", "--b", "2", "--m", "20"), "1 x 20 x 20"),
     (("verify", "t-value", "--family", "van-der-corput", "--b", "2", "--m", "20"), "1 x 20 x 20"),
-    (("construct", "--family", "faure", "--b", "3", "--m", "20", "--s", "2"), "2 x 20 x 20"),
-    (("construct", "--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--s", "2", "--m", "10"),
-     "2 x 20 x 20"),
-    (("construct", "--family", "niederreiter", "--s", "2", "--m", "20"), "2 x 20 x 20"),
-    (("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "20"), "6 x 20 x 20"),
+    (("verify", "t-value", "--family", "faure", "--b", "3", "--m", "20", "--s", "2"), "2 x 20 x 20"),
+    (("verify", "t-value", "--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--s", "2",
+      "--m", "10"), "2 x 20 x 20"),
+    (("verify", "t-value", "--family", "niederreiter", "--s", "2", "--m", "20"), "2 x 20 x 20"),
+    (("verify", "t-value", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "20"), "6 x 20 x 20"),
     (("construct", "--family", "dp-finite", "--s", "2", "--N", str(1 << 20)), "5 x 20 x 20"),
     (("construct", "--family", "dp-sequence", "--s", "2", "--N", str(1 << 20)), "10 x 20 x 20"),
 ])
@@ -290,6 +292,53 @@ def test_scaling_row_of_oversized_matrices_is_an_error_row(monkeypatch, capsys):
     assert rows[1].startswith("dp-net,m=1,2,2,")
     assert rows[2] == ("dp-net,m=20,,,error: generating matrices of 6 x 20 x 20 int64 entries "
                        "exceed the 1024-byte limit,,")
+
+
+FAURE_B3_M1000 = ("--family", "faure", "--b", "3", "--m", "1000", "--s", "2")
+FAURE_B3_M1000_REFUSAL = ("about 1.32e+477 points x 2 coordinates x 1000 digits exceed the "
+                          "268435456-byte digit limit")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("construct", *FAURE_B3_M1000), FAURE_B3_M1000_REFUSAL),
+    (("verify", "geometric", *FAURE_B3_M1000), FAURE_B3_M1000_REFUSAL),
+    (("verify", "char", *FAURE_B3_M1000), FAURE_B3_M1000_REFUSAL),
+    (("verify", "all", *FAURE_B3_M1000), FAURE_B3_M1000_REFUSAL),
+    (("construct", "--family", "van-der-corput", "--b", "2", "--m", "40"),
+     "1099511627776 points x 1 coordinates x 40 digits"),
+    (("construct", "--family", "van-der-corput", "--b", "11", "--m", "5000"),  # beyond int-to-str's 4300 digits
+     "about 9.19e+5206 points x 1 coordinates x 5000 digits"),
+    (("construct", "--family", "chen-skriganov", "--b", "5", "--alpha", "2", "--s", "2", "--m", "30"),
+     "about 9.31e+20 points x 2 coordinates x 60 digits"),
+    (("construct", "--family", "niederreiter", "--s", "2", "--m", "40"),
+     "1099511627776 points x 2 coordinates x 40 digits"),
+    (("verify", "geometric", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "40"),
+     "1099511627776 points x 2 coordinates x 120 digits"),
+])
+def test_oversized_net_points_exit_two_before_building(argv, refusal, monkeypatch, capsys):
+    from lowdisc import cli
+
+    def building(*args):
+        raise AssertionError("the point preflight must refuse before the matrices are built")
+
+    for name in ("van_der_corput_matrices", "faure_matrices", "cs_matrices", "niederreiter_net_matrices",
+                 "dp_net_matrices"):
+        monkeypatch.setattr(cli, name, building)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"capacity error: {refusal}")
+    assert len(err.rstrip("\n")) <= 160 and err.count("\n") == 1
+
+
+def test_scaling_row_of_oversized_net_points_is_an_error_row(monkeypatch, capsys):
+    from lowdisc import cli
+
+    def building(*args):
+        raise AssertionError("the point preflight must refuse before the matrices are built")
+
+    monkeypatch.setattr(cli, "faure_matrices", building)
+    assert run("scaling", *FAURE_B3_M1000) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"faure,m=1000,,,error: {FAURE_B3_M1000_REFUSAL},,"
 
 
 def test_discrepancy_of_an_oversized_point_file_exits_two(tmp_path, capsys):

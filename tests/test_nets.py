@@ -11,6 +11,7 @@ from lowdisc.constructions import cs_matrices, dp_net_matrices, faure_matrices, 
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import (
     _TABLE_ROWS,
+    DualSpace,
     GeneratingMatrixSet,
     _candidate_trie,
     _net_digits,
@@ -23,10 +24,11 @@ from lowdisc.nets import (
     generate_net_points,
     geometric_net_check,
     geometric_t_value,
-    index_digits,
+    min_dependent_support,
 )
+from lowdisc.weights import min_dual_weight
 
-from net_reference import digit_ints, net_digits_reference
+from net_reference import digit_ints, index_digits, net_digits_reference
 from rank_reference import _closed_sets
 
 
@@ -86,22 +88,22 @@ def test_point_zero_is_origin():
 
 
 @pytest.mark.parametrize(
-    "b, cols, rows, n_from, n_to",
+    "b, cols, rows, short, count",
     [
         (2, 14, 16, 0, 1 << 14),  # four full tables
-        (2, 14, 15, 4090, 12300),  # partial first and last blocks around table edges
-        (3, 9, 9, 2180, 2200),  # a short range across one edge, small table
+        (2, 14, 15, 4090, 12300),  # partial last blocks
+        (3, 9, 9, 2180, 2200),  # prefixes ending within one block, small table
         (251, 2, 3, 200, 1500),  # uint16 sums, blocks of 251
         (131, 2, 2, 0, 131 * 131),
-        (5, 3, 4, 7, 7),  # empty
+        (5, 3, 4, 7, 7),  # shorter than one table
     ],
 )
-def test_net_digits_recurrence_matches_matrix_product(b, cols, rows, n_from, n_to):
-    rng = np.random.default_rng(b * 1000 + n_from)
+def test_net_digits_recurrence_matches_matrix_product(b, cols, rows, short, count):
+    """The empty prefix and two prefixes of the net, each against the matrix product."""
+    rng = np.random.default_rng(b * 1000 + short)
     matrices = np.stack([rng.integers(0, b, (rows, cols)) for _ in range(3)])
-    assert np.array_equal(
-        _net_digits(n_from, n_to, b, matrices), net_digits_reference(n_from, n_to, b, matrices)
-    )
+    for n in (0, short, count):
+        assert np.array_equal(_net_digits(n, b, matrices), net_digits_reference(n, b, matrices))
 
 
 def test_net_generation_temporaries_stay_within_the_table():
@@ -276,6 +278,19 @@ def test_dual_elements_resubstitute_to_zero():
         b, p = gm.base, gm.rows
         for row in dual.element_digits():
             assert not np.any((stacked @ row.reshape(-1).astype(np.int64)) % b)
+
+
+def test_dual_of_a_base_above_256_is_refused_only_for_enumeration():
+    """Digit 256 does not fit the uint8 element array; membership and the rank search need no array."""
+    gm = GeneratingMatrixSet(257, [[[1]], [[1]]])
+    dual = DualSpace(gm, None)
+    assert (dual.size, dual.kernel_dim) == (257, 1)
+    assert dual.contains(np.array([[256], [1]])) and not dual.contains(np.array([[1], [0]]))
+    for enumerate_dual in (dual.element_digits, lambda: min_dual_weight(dual, "hamming")):
+        with pytest.raises(ParameterError, match="base 257 does not fit the uint8 digit array"):
+            enumerate_dual()
+    weight, witness = min_dependent_support(gm, "hamming")
+    assert weight == 2 and witness.tolist() == [[256], [1]]
 
 
 def test_dual_cap_is_enforced():

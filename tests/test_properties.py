@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from lowdisc.constructions import (  # noqa: E402
@@ -58,7 +58,6 @@ from lowdisc.nets import (  # noqa: E402
     generate_net_points,
     geometric_net_check,
     geometric_t_value,
-    index_digits,
     min_dependent_support,
 )
 from lowdisc.pointfile import (  # noqa: E402
@@ -148,8 +147,8 @@ def test_rank_engine_matches_enumeration(gm):
         if fast is not None:
             weight, witness = fast
             assert weight == slow[0]
-            assert dual.contains(index_digits(witness, gm.base, gm.rows))
-            assert vector_weight(witness, gm.base, kind, alpha) == weight
+            assert dual.contains(witness)
+            assert vector_weight(digit_ints([witness], gm.base)[0], gm.base, kind, alpha) == weight
 
 
 @st.composite
@@ -182,7 +181,7 @@ def test_floor_stops_the_search(gm, floor):
     exact = min_dependent_support(gm, "mu", 2)
     stopped = min_dependent_support(gm, "mu", 2, floor=floor)
     if exact is not None and exact[0] < floor:
-        assert stopped == exact
+        assert stopped[0] == exact[0] and np.array_equal(stopped[1], exact[1])
     else:
         assert stopped is None
 
@@ -193,11 +192,11 @@ def test_t_value_matches_composition_oracle(gm):
 
 
 @st.composite
-def rank_nets(draw):
-    """Random matrices over F_b, b in {2, 3, 5, 7}, s <= 4, m <= 6, with m or m + 1
+def rank_nets(draw, bases=(2, 3, 5, 7)):
+    """Random matrices over F_b, b in `bases`, s <= 4, m <= 6, with m or m + 1
     rows; a drawn share of the entries is zeroed, so that light supports are
     often dependent and the witness order matters."""
-    b = draw(st.sampled_from([2, 3, 5, 7]))
+    b = draw(st.sampled_from(bases))
     s, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     p = draw(st.integers(m, m + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -206,6 +205,12 @@ def rank_nets(draw):
 
 
 RANK_KINDS = [("nrt", None), ("hamming", None), ("mu", 1), ("mu", 2), ("mu", 3)]
+
+
+def integer_witness_search(gm, kind, alpha, floor, cap):
+    """`min_dependent_support` with its witness as the integers (k_1, ..., k_s), as the oracle gives it."""
+    found = min_dependent_support(gm, kind, alpha, floor, cap)
+    return None if found is None else (found[0], digit_ints([found[1]], gm.base)[0])
 
 
 def rank_search(search, gm, kind, alpha, floor, cap):
@@ -219,15 +224,29 @@ def rank_search(search, gm, kind, alpha, floor, cap):
 @given(st.one_of(nets(), rank_nets()), st.one_of(st.none(), st.integers(0, 14)))
 def test_trie_walk_matches_per_support_search(gm, floor):
     for kind, alpha in RANK_KINDS:
-        walk = rank_search(min_dependent_support, gm, kind, alpha, floor, None)
+        walk = rank_search(integer_witness_search, gm, kind, alpha, floor, None)
         assert walk == rank_search(per_support_search, gm, kind, alpha, floor, None)
 
 
 @given(st.one_of(nets(), rank_nets()), st.one_of(st.none(), st.integers(0, 14)), st.integers(0, 120))
 def test_trie_walk_refuses_like_per_support_search(gm, floor, cap):
     for kind, alpha in RANK_KINDS:
-        walk = rank_search(min_dependent_support, gm, kind, alpha, floor, cap)
+        walk = rank_search(integer_witness_search, gm, kind, alpha, floor, cap)
         assert walk == rank_search(per_support_search, gm, kind, alpha, floor, cap)
+
+
+@given(st.one_of(rank_nets(), rank_nets(bases=(257,))))
+@example(GeneratingMatrixSet(257, [[[1]], [[1]]]))  # the witness (256, 1): a digit beyond uint8
+def test_witness_is_an_int64_digit_array_in_the_dual(gm):
+    dual = dual_space(gm, None)
+    for kind, alpha in RANK_KINDS:
+        found = min_dependent_support(gm, kind, alpha)
+        if found is not None:
+            weight, witness = found
+            assert witness.dtype == np.int64 and witness.shape == (gm.s, gm.rows)
+            assert witness.any() and witness.min() >= 0 and witness.max() < gm.base
+            assert dual.contains(witness)
+            assert vector_weight(digit_ints([witness], gm.base)[0], gm.base, kind, alpha) == weight
 
 
 @given(nets(), st.integers(0, 2**32 - 1))
@@ -282,24 +301,20 @@ def test_dual_elements_limit_is_a_prefix(gm, k):
 
 
 @st.composite
-def net_ranges(draw):
-    """Random matrices over F_b and an index range n_from <= n_to below b^cols,
-    up to a few tables long, so that most ranges cross a block edge."""
+def net_prefixes(draw):
+    """Random matrices over F_b and a point count up to b^cols and a few tables,
+    so that most prefixes end inside a block."""
     b = draw(st.sampled_from([2, 3, 5, 13, 251]))
     cols = draw(st.integers(1, {2: 14, 3: 9, 5: 6, 13: 4, 251: 2}[b]))
     rows, s = draw(st.integers(cols, cols + 3)), draw(st.integers(1, 3))
     matrices = draw(arrays(np.int64, (s, rows, cols), elements=st.integers(0, b - 1)))
-    n_from = draw(st.integers(0, b**cols))
-    n_to = draw(st.integers(n_from, min(b**cols, n_from + 3 * _TABLE_ROWS)))
-    return b, matrices, n_from, n_to
+    return b, matrices, draw(st.integers(0, min(b**cols, 3 * _TABLE_ROWS)))
 
 
-@given(net_ranges())
+@given(net_prefixes())
 def test_net_digit_recurrence_equals_matrix_product(case):
-    b, matrices, n_from, n_to = case
-    assert np.array_equal(
-        _net_digits(n_from, n_to, b, matrices), net_digits_reference(n_from, n_to, b, matrices)
-    )
+    b, matrices, count = case
+    assert np.array_equal(_net_digits(count, b, matrices), net_digits_reference(count, b, matrices))
 
 
 @st.composite

@@ -14,19 +14,23 @@ from lowdisc.nets import (
     GeneratingMatrixSet,
     compute_t_value,
     dual_space,
-    index_digits,
     min_dependent_support,
 )
 from lowdisc.selftest import _random_full_rank_net
 from lowdisc.weights import _weight_matrix, min_dual_weight, order_alpha_profile, t_alpha
 
-from net_reference import digit_ints
+from net_reference import digit_ints, index_digits
 from weight_reference import vector_weight
 
 
 def minimum(found):
     """The weight of a (weight, witness) search answer; None for no answer."""
     return None if found is None else found[0]
+
+
+def ints(witness, b):
+    """The integer vector (k_1, ..., k_s) of an (s, p) witness digit array."""
+    return digit_ints([witness], b)[0]
 
 
 def digit_positions(k, b):
@@ -43,7 +47,7 @@ def digit_positions(k, b):
 
 def matrix_weights(vectors, b, kind, alpha=None, p=20):
     """The weights of integer vectors as `min_dual_weight` reads them: the
-    vectors' lowest p digits (`nets.index_digits`) weighed by `_weight_matrix`."""
+    vectors' lowest p digits (`index_digits`) weighed by `_weight_matrix`."""
     s = len(vectors[0])
     digits = index_digits([k for ks in vectors for k in ks], b, p).reshape(len(vectors), s, p)
     return _weight_matrix(digits, kind, alpha).sum(axis=1).tolist()
@@ -156,8 +160,8 @@ def test_min_dual_weight_witness_attains_minimum():
     dual = dual_space(gm, 1000)
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2)):
         weight, witness = min_dual_weight(dual, kind, alpha=alpha)
-        assert dual.contains(index_digits(witness, gm.base, gm.rows))
-        assert vector_weight(witness, gm.base, kind, alpha) == weight
+        assert dual.contains(witness)
+        assert vector_weight(ints(witness, gm.base), gm.base, kind, alpha) == weight
         # brute force over the enumerated dual agrees
         best = min(
             vector_weight(k, gm.base, kind, alpha)
@@ -196,8 +200,8 @@ def test_rank_engine_matches_enumeration_on_criterion_nets(gm):
     for kind, alpha in (("nrt", None), ("hamming", None), ("mu", 2), ("mu", 3)):
         weight, witness = min_dependent_support(gm, kind, alpha)
         assert weight == minimum(min_dual_weight(dual, kind, alpha=alpha))
-        assert dual.contains(index_digits(witness, gm.base, gm.rows))
-        assert vector_weight(witness, gm.base, kind, alpha) == weight
+        assert dual.contains(witness)
+        assert vector_weight(ints(witness, gm.base), gm.base, kind, alpha) == weight
 
 
 # the interlaced nets of acceptance criterion 04
@@ -233,8 +237,8 @@ def test_order_engine_matches_enumeration_through_m8(alpha, s, m):
         assert found is None
     else:
         weight, witness = found
-        assert weight == exact and dual.contains(index_digits(witness, gm.base, gm.rows))
-        assert vector_weight(witness, gm.base, "mu", alpha) == exact
+        assert weight == exact and dual.contains(witness)
+        assert vector_weight(ints(witness, gm.base), gm.base, "mu", alpha) == exact
 
 
 def test_rank_engine_infinite_profile():
@@ -250,10 +254,10 @@ def test_rank_engine_beyond_enumeration():
     weight, witness = min_dependent_support(gm, "nrt")
     assert DualSpace(gm, None).size == 11**12
     assert weight == gm.cols - compute_t_value(gm) + 1 == 4
-    assert vector_weight(witness, 11, "nrt") == 4
+    assert vector_weight(ints(witness, 11), 11, "nrt") == 4
+    assert witness.dtype == np.int64 and witness.shape == (gm.s, gm.rows)
     stacked = np.hstack([mat.T for mat in gm.array])
-    digits = [(k // 11**i) % 11 for k in witness for i in range(gm.rows)]
-    assert not np.any((stacked @ np.array(digits)) % 11)
+    assert not np.any((stacked @ witness.ravel()) % 11)
 
 
 def test_rank_engine_cap_counts_candidate_supports():
@@ -294,6 +298,6 @@ def test_order_alpha_profile_witness_is_below_the_floor():
     floor = 2 * gm.cols - t_alpha(2, niederreiter_t_bound(2), 1)
     weight, witness = order_alpha_profile(scrambled, 2, niederreiter_t_bound(2))
     assert weight < floor
-    assert dual_space(scrambled, 1 << 10).contains(index_digits(witness, 2, scrambled.rows))
-    assert vector_weight(witness, 2, "mu", 2) == weight
+    assert dual_space(scrambled, 1 << 10).contains(witness)
+    assert vector_weight(ints(witness, 2), 2, "mu", 2) == weight
     assert order_alpha_profile(gm, 2, niederreiter_t_bound(2)) is None
