@@ -17,9 +17,11 @@ subprocess, one at a time:
   3)`, each with the sha256 of its digit array, so that the two sides can
   be checked equal; best
   of 3 timings of `l2_exact` on that net (with its tracemalloc peak), on
-  dp-finite N = 8000, s = 3, and on random base-2 sets of N = 1024 points
-  with 32 digits for s = 3, 4 and 5 (seed 0); and the exact squared
-  values, so that the two sides can be checked equal; best of 3 timings
+  dp-finite N = 8000 and N = 2004, s = 3, on `dp_sequence(2, 2047)` (two
+  limbs), on random base-2 sets of N = 1024 points with 32 digits for
+  s = 3, 4 and 5 and of N = 4096 points in s = 3 with 32 and with 60
+  digits (seed 0); and the exact squared values, so that the two sides
+  can be checked equal; best of 3 timings
   of `compute_t_value` on Faure b 13, m 5, s 13, on Faure b 13, m 7,
   s 13, on Faure b 17, m 6, s 17 and on the base-2 Niederreiter net s 6,
   m 14, each with the t it found, and of the mu_3 search
@@ -28,9 +30,11 @@ subprocess, one at a time:
   calls of one more run, a count that does not drift with the load of
   the machine as times do;
 - fresh rungs: `l2_exact` on dp-net alpha 3, s 2, m 18 and m 20 (N = 2^18
-  and 2^20), each once in a fresh subprocess per checkout, recording the
+  and 2^20), and on dp-net alpha 3, s 3, m 20 (2^20 points of 60
+  digits), each once in a fresh subprocess per checkout, recording the
   wall time of the call, the process's `ru_maxrss` before the call (the
-  point set built) and after it, and the exact squared value;
+  point set built) and after it, and the exact squared value, or the
+  message of a `CapacityError` refusal;
 - `rerun`: the layer and fresh rungs once more with the change's side
   first, since each side runs them after the other, not in pairs.
 
@@ -99,9 +103,12 @@ l2_exact(ps)
 out["l2_exact_dp_net_m16_peak_bytes"] = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 rng = np.random.default_rng(0)
-sets = {"dp_net_m16": ps, "dp_finite_8000_s3": dp_finite_pointset(8000, 3)}
+sets = {"dp_net_m16": ps, "dp_finite_8000_s3": dp_finite_pointset(8000, 3),
+        "dp_finite_2004_s3": dp_finite_pointset(2004, 3), "dp_sequence_s2_2047": dp_sequence(2, 2047)}
 for s in (3, 4, 5):
     sets[f"random_b2_1024_s{s}"] = PointSet.from_digits(rng.integers(0, 2, (1024, s, 32), dtype=np.uint8), 2)
+for p in (32, 60):
+    sets[f"random_b2_4096_s3_p{p}"] = PointSet.from_digits(rng.integers(0, 2, (4096, 3, p), dtype=np.uint8), 2)
 for name, points in sets.items():
     out[f"l2_exact_{name}_s"] = best(lambda: l2_exact(points), repeat=3)
     out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
@@ -134,15 +141,19 @@ FRESH = """
 import json, resource, sys, time
 from lowdisc.constructions import dp_net
 from lowdisc.discrepancy import l2_exact
-ps = dp_net(3, int(sys.argv[1]), 2)
+from lowdisc.errors import CapacityError
+ps = dp_net(3, int(sys.argv[1]), int(sys.argv[2]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
-exact = l2_exact(ps).exact
+try:
+    result = {"exact": str(l2_exact(ps).exact)}
+except CapacityError as exc:
+    result = {"refused": str(exc)}
 seconds = time.perf_counter() - start
 print(json.dumps({"s": seconds, "ru_maxrss_kb_before": before,
-                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "exact": str(exact)}))
+                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, **result}))
 """
-FRESH_M = (18, 20)
+FRESH_RUNGS = {"l2_exact_dp_net_m18": (18, 2), "l2_exact_dp_net_m20": (20, 2), "l2_exact_dp_net_m20_s3": (20, 3)}
 
 
 def _env(root: Path) -> dict:
@@ -172,8 +183,8 @@ def layers(root: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def fresh(root: Path, m: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", FRESH, str(m)], cwd=root, env=_env(root),
+def fresh(root: Path, m: int, s: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", FRESH, str(m), str(s)], cwd=root, env=_env(root),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -233,15 +244,16 @@ def main() -> int:
         }
     for side, root in sides.items():
         record["layers"][side] = layers(root)
-    record["fresh"] = {"what": "l2_exact on dp-net alpha=3 s=2, one fresh subprocess per rung and side"}
-    for m in FRESH_M:
-        record["fresh"][f"l2_exact_dp_net_m{m}"] = {side: fresh(root, m) for side, root in sides.items()}
+    record["fresh"] = {"what": "l2_exact on dp-net alpha=3, m and s as named (s=2 unless named), "
+                               "one fresh subprocess per rung and side"}
+    for name, (m, s) in FRESH_RUNGS.items():
+        record["fresh"][name] = {side: fresh(root, m, s) for side, root in sides.items()}
     reverse = {side: sides[side] for side in ("change", "parent")}
     rerun = {"order": "change first, then parent (the reverse of the first run)", "layers": {}, "fresh": {}}
     for side, root in reverse.items():
         rerun["layers"][side] = layers(root)
-    for m in FRESH_M:
-        rerun["fresh"][f"l2_exact_dp_net_m{m}"] = {side: fresh(root, m) for side, root in reverse.items()}
+    for name, (m, s) in FRESH_RUNGS.items():
+        rerun["fresh"][name] = {side: fresh(root, m, s) for side, root in reverse.items()}
     record["rerun"] = rerun
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

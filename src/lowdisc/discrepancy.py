@@ -9,13 +9,21 @@ pairwise form
 Points are digit-exact, x_jn = X_jn / P with P = b^precision, so
 `l2_exact` evaluates it exactly in integers.  The pair term
 sum prod_j min(P - X_jn, P - X_jn') is a closed form for s = 1.  For
-s >= 2, Heinrich's divide and conquer (S. Heinrich, Math. Comp. 65
-(1996) 1621-1633; Bentley's multidimensional divide and conquer, CACM 23
-(1980)) halves on rank in the first s - 2 coordinates, and one plane
-kernel takes the last two: it halves on rank in the first of them, sorts
-each level's blocks by rank in the second, and keeps two uint64 sums per
-point across all levels, with one modular product per point at the end.
-That is O(N log^2 N) for s = 2 and O(N log^s N) for s >= 3.  Integer
+s = 2 and s = 3 it is one exact sweep (Bentley's multidimensional divide
+and conquer, CACM 23 (1980)): halve on rank in one coordinate, with the
+blocks aligned power-of-two ranges of a position, and sort each block by
+rank in the next, each level's order a merge of the sorted runs of the
+level before.  At s = 2 the halving runs on rank in x and the blocks are
+sorted by y; at s = 3 a first sweep halves on coordinate 1 into A and B
+halves, each group's items placed by rank in coordinate 2, and a second
+sweep runs inside each group.  Each pair's product goes to the item whose
+own factors multiply it, so every per-item sum is a count or an exact
+uint64 sum of coordinates; the sums are added per point over all levels
+and taken modulo the moduli once per point.  That is O(N log^2 N) for
+s = 2 and O(N log^3 N) for s = 3.  For s >= 4, Heinrich's recursion
+(S. Heinrich, Math. Comp. 65 (1996) 1621-1633) halves on rank in the
+first s - 2 coordinates, carrying each item's weight as residues, down
+to a weighted plane kernel for the last two, O(N log^s N).  Integer
 sums are carried modulo coprime moduli below 2^32 and recovered by the
 Chinese remainder theorem; the squared value is kept as a Fraction on the
 report.  `l2_exact_rational` is the same formula with
@@ -28,16 +36,16 @@ about samples * N * s / 64 word operations plus N log N per coordinate.
 Memory.  `l2_exact` keeps each u_j = P - X_j exactly, as k uint64 limbs
 of w base-b digits with b^w N <= 2^64 (k = 1 for most sets; 2 for the
 55-digit dp-sequence prefixes or a 60-digit net of 2^20 points), and one
-int64 rank per point and coordinate.  Residues modulo the r moduli are
-formed from the limbs where they are needed, one batch at a time.  The
-unit-weight plane sweep that opens every s = 2 sum keeps its per-point
-sums as limbs too, exact in uint64, and reduces them once at the end.  So
-the working set is O(N) words, about s (14 + 4k) per point, plus 2 (s + 1)
-per modulus for the weight rows of the halving levels when s >= 3; every
-other temporary of `l2_exact` and of the Lq counter is a batch of at most
-_WORK_BYTES.  `l2_exact` estimates its working set before allocating and
-refuses one above MAX_L2_BYTES with CapacityError, as `lq_estimate` does
-for draws above MAX_DRAW_BYTES.
+int64 rank per point and coordinate.  The s = 2 and s = 3 sweeps keep
+their per-point sums as limbs too, exact in uint64, and reduce them
+modulo the r moduli once at the end; residues are formed from the limbs
+where they are needed, one batch at a time.  So the working set is O(N)
+words, about s (14 + 4k) per point, plus 2 (s + 1) per modulus for the
+weight rows of the halving levels when s >= 4; every other temporary of
+`l2_exact` and of the Lq counter is a batch of at most _WORK_BYTES.
+`l2_exact` estimates its working set before allocating and refuses one
+above MAX_L2_BYTES with CapacityError, as `lq_estimate` does for draws
+above MAX_DRAW_BYTES.
 
 The lower bound is Roth's L2 bound c_s (log N)^((s-1)/2) / N with the
 explicit constant c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) *
@@ -261,19 +269,182 @@ def _pair_term(co: _Coordinates, diagonal: np.ndarray) -> np.ndarray:
     The diagonal (from `_point_sums`) plus twice the pairs a < b in rank
     order of the first coordinate, whose minimum there is u_1a: a closed
     form for s = 1 (folded into the diagonal's factors, see `_l2_squared`),
-    the plane kernel for s = 2, and halving on that rank (Heinrich's
-    recursion) down to the plane kernel for s >= 3.
+    the exact sweeps `_plane_pairs` for s = 2 and `_space_pairs` for s = 3,
+    whose per-point sums are counts and uint64 limbs, and for s >= 4
+    halving on that rank with weight residues (Heinrich's recursion,
+    `_halve`) down to the weighted plane kernel.
     """
     q = co.q[:, 0]
     s, n = co.rank.shape
     if s == 1:
         return diagonal
-    group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
     if s == 2:
-        off = _plane_sum(group, None, point, None, (0, 1), co)
+        off = _plane_pairs(co)
+    elif s == 3:
+        off = _space_pairs(co)
     else:
+        group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
         off = _halve(group, None, point, np.ones((len(q), n), dtype=np.uint64), tuple(range(s)), co)
     return (diagonal + 2 * off) % q
+
+
+def _sweep(state: np.ndarray, levels: int):
+    """The level loop of the exact sweeps: halve on a position, sort each block by a key.
+
+    Row 0 of the uint64 `state` holds each item's position, the positions
+    being 0..n-1, and row 1 its key, distinct across items; further rows
+    ride along.  At level l the blocks are the aligned ranges of 2^(l+1)
+    positions, each a lower and an upper half of 2^l.  For l = 0 ..
+    levels - 1 this sorts the columns of `state` in place by (block, key),
+    so that the items of a block fill the columns start..stop-1 of its own
+    range, and yields (upper, start, stop), `upper` 1 for the items of
+    upper halves.  Each level's order is a stable sort of the one before,
+    which merges the sorted runs of its halves instead of sorting afresh,
+    and the rows go through it in batches.  Rows the caller updates in
+    place carry into the next level.
+    """
+    n = state.shape[1]
+    step = _batch(8 * n)  # rows permuted through one temporary
+    for level in range(levels):
+        key = state[0] >> (level + 1)
+        key *= n
+        key += state[1]
+        order = np.argsort(key, kind="stable")
+        del key
+        for first in range(0, len(state), step):
+            state[first : first + step] = np.take(state[first : first + step], order, axis=1)
+        del order
+        start = state[0] >> (level + 1) << (level + 1)
+        yield (state[0] >> level) & 1, start, np.minimum(start + (1 << (level + 1)), n)
+
+
+def _plane_pairs(co: _Coordinates) -> np.ndarray:
+    """sum_{a < b} u_xa min(u_ya, u_yb) over the pairs in rank order of x, for s = 2,
+    modulo each modulus.
+
+    Halving on rank in x (`_sweep`), a pair across the halves of a block
+    has u_x of its lower item L, and u_y of whichever of L and its upper
+    item U ranks lower in y.  So every item keeps two sums: `below`, the
+    count of its upper partners that rank above it in y, and `above`, sum
+    u_x of its lower partners that rank above it in y; the pair sum is
+    the sum over items of u_y (above + u_x below).  Both are exact: the
+    limbs of `above` and the count are whole-level cumulative sums, which
+    may wrap modulo 2^64, differenced at each block's end.  An item meets
+    each partner once, so each limb of above + u_x below stays below
+    (N - 1) radix, and it is reduced modulo each modulus once.
+    """
+    q = co.q
+    n, k = co.rank.shape[1], co.limbs.shape[1]
+    point = np.argsort(co.rank[0])
+    state = np.zeros((3 + 2 * k, n), dtype=np.uint64)  # x rank, y rank, u_x, above, below
+    state[0] = np.arange(n)
+    state[1] = co.rank[1, point]
+    state[2 : 2 + k] = co.limbs[0][:, point]
+    for upper, _, stop in _sweep(state, (n - 1).bit_length()):
+        cum = np.zeros((k + 1, n + 1), dtype=np.uint64)  # u_x of the lower items, and the upper items
+        np.multiply(state[2 : 2 + k], 1 - upper, out=cum[:k, 1:])
+        cum[k, 1:] = upper
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+        sums = np.take(cum, stop, axis=1)  # over each item and those above it in its block
+        sums -= cum[:, :-1]
+        del cum
+        sums[:k] *= upper
+        sums[k] *= 1 - upper
+        state[2 + k :] += sums
+        del sums
+    point = point[state[0]]
+    above = state[2 + k : 2 + 2 * k]
+    above += state[2 : 2 + k] * state[2 + 2 * k]
+    total = np.zeros(len(q), dtype=np.uint64)
+    size = _batch(8 * len(q))
+    for first in range(0, n, size):
+        part = slice(first, first + size)
+        sums = _residues(above[:, part], co.radix, q)
+        sums *= _u(co, 1, point[part])
+        sums %= q
+        total += sums.sum(axis=1) % q[:, 0]
+    return total % q[:, 0]
+
+
+def _space_pairs(co: _Coordinates) -> np.ndarray:
+    """sum_{a < b} u_1a min(u_2a, u_2b) min(u_3a, u_3b) over the pairs in rank order of
+    coordinate 1, for s = 3, modulo each modulus.
+
+    One `_sweep` halves on rank in coordinate 1: at level l each block of
+    2^(l+1) ranks is a group, its lower half A and its upper half B.  The
+    items of a group take its positions by rank in coordinate 2, the order
+    that sweep yields, and a second `_sweep` halves them on that position,
+    x, with the blocks sorted by rank in coordinate 3, y.  A pair (a in A,
+    b in B) across the x-halves of a block adds u_1a min(u_2) min(u_3),
+    which goes to the item whose own factors multiply it:
+
+    - A in the lower x-half: the count of its B partners above it in y
+      (times u_1 u_2 u_3) and sum u_3 of those below it (times u_1 u_2);
+    - A in the upper x-half: sum u_2 of its B partners above it in y
+      (times u_1 u_3);
+    - B in the lower x-half: sum u_1 of its A partners above it in y
+      (times u_2 u_3).
+
+    Each sum is a count or exact uint64 limbs (k rows, see `_plane_pairs`),
+    added per point over all levels; an item meets each partner once, so
+    each stays below (N - 1) radix.  They are reduced modulo each modulus
+    once per point, at the end.
+    """
+    q = co.q
+    n, k = co.rank.shape[1], co.limbs.shape[1]
+    point = np.argsort(co.rank[0])
+    outer = np.empty((3, n), dtype=np.uint64)  # rank in coordinate 1, rank in coordinate 2, point
+    outer[0] = np.arange(n)
+    outer[1] = co.rank[1, point]
+    outer[2] = point
+    sums = np.zeros((1 + 3 * k, n), dtype=np.uint64)  # per point: count, sum u_3, sum u_2, sum u_1
+    for level, (colour, _, _) in enumerate(_sweep(outer, (n - 1).bit_length())):
+        point = outer[2]
+        state = np.zeros((4 + 5 * k, n), dtype=np.uint64)  # x, y, colour B, u_1 or u_2, u_3, then `sums`' rows
+        state[0] = np.arange(n)
+        state[1] = co.rank[2, point]
+        state[2] = colour
+        state[3 : 3 + k] = np.where(state[2] == 1, co.limbs[1][:, point], co.limbs[0][:, point])
+        state[3 + k : 3 + 2 * k] = co.limbs[2][:, point]
+        for upper, start, stop in _sweep(state, level + 1):
+            b_up = state[2] & upper
+            b_low = state[2] - b_up
+            a_up = upper - b_up
+            cum = np.zeros((1 + 3 * k, n + 1), dtype=np.uint64)  # B upper: 1 and u_3; B lower: u_2; A upper: u_1
+            cum[0, 1:] = b_up
+            np.multiply(state[3 + k : 3 + 2 * k], b_up, out=cum[1 : 1 + k, 1:])
+            np.multiply(state[3 : 3 + k], b_low, out=cum[1 + k : 1 + 2 * k, 1:])
+            np.multiply(state[3 : 3 + k], a_up, out=cum[1 + 2 * k :, 1:])
+            np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+            part = np.take(cum, stop, axis=1)  # over each item and those above it in its block
+            part -= cum[:, :-1]
+            part[1 : 1 + k] = cum[1 : 1 + k, :-1] - np.take(cum[1 : 1 + k], start, axis=1)  # u_3 below it
+            del cum
+            part[: 1 + k] *= 1 - (state[2] | upper)  # taken by A lower
+            part[1 + k : 1 + 2 * k] *= a_up
+            part[1 + 2 * k :] *= b_low
+            state[3 + 2 * k :] += part
+            del b_up, b_low, a_up, part
+        where = np.empty(n, dtype=np.int64)  # each point's column in `state`
+        where[point[state[0]]] = np.arange(n)
+        sums += np.take(state[3 + 2 * k :], where, axis=1)
+        del where, state
+    total = np.zeros(len(q), dtype=np.uint64)
+    size = _batch(8 * len(q))
+    for first in range(0, n, size):
+        part = slice(first, first + size)
+        u = [_residues(co.limbs[j][:, part], co.radix, q) for j in range(3)]
+        term = u[2] * sums[0, part] % q  # every factor below q < 2^32, so each product fits
+        term += _residues(sums[1 : 1 + k, part], co.radix, q)
+        term %= q
+        term *= u[1]
+        term += u[2] * _residues(sums[1 + k : 1 + 2 * k, part], co.radix, q) % q
+        term %= q
+        term *= u[0]
+        term += u[1] * u[2] % q * _residues(sums[1 + 2 * k :, part], co.radix, q) % q
+        term %= q
+        total += term.sum(axis=1) % q[:, 0]
+    return total % q[:, 0]
 
 
 def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
@@ -351,25 +522,15 @@ def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
     sum w u_x of its lower partners that rank above it in y.  The pair sum
     is then sum over items of u_y (w above + w u_x below).  An item's
     partners at different levels are different items, so both sums stay
-    below items * 2^32 and take no modulus until the end.
-
-    `weight` None means unit weights, the plane sweep that opens every
-    s = 2 sum: `below` is one row of counts, and u_x and `above` are exact
-    limbs (see `_Coordinates`), k rows where residues would take r, each
-    sum below (N - 1) radix.  Then above + u_x below is exact too, and it
-    is reduced modulo each modulus only at the end, one batch of items at
-    a time.
+    below items * 2^32 and take no modulus until the end.  `colour` None
+    pairs each lower half with its upper half within one set of points.
     """
     q = co.q
     x, y = dims
     start, length = _run_bounds(group)
     pos = np.arange(len(group)) - start
-    if weight is None:
-        lifted = np.take(co.limbs[x], point, axis=1)
-        below = np.zeros((1, len(group)), dtype=np.uint64)
-    else:
-        lifted = weight * _u(co, x, point) % q
-        below = np.zeros((len(q), len(group)), dtype=np.uint64)
+    lifted = weight * _u(co, x, point) % q
+    below = np.zeros((len(q), len(group)), dtype=np.uint64)
     above = np.zeros(lifted.shape, dtype=np.uint64)
     rank_y = co.rank[y, point]
     for level in range(int(length.max() - 1).bit_length()):
@@ -388,22 +549,14 @@ def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
         np.cumsum(lower, out=n_lo[1:])
         _add_columns(above, item[hi], _suffix_sums(lifted, item[lo], n_lo[hi], n_lo[stop[hi]]))
         first, stop = lo - n_lo[lo], stop[lo] - n_lo[stop[lo]]  # upper items before lo and before its block's end
-        if weight is None:
-            below[0, item[lo]] += (stop - first).astype(np.uint64)
-        else:
-            _add_columns(below, item[lo], _suffix_sums(weight, item[hi], first, stop))
-    if weight is None:
-        above += lifted * below
+        _add_columns(below, item[lo], _suffix_sums(weight, item[hi], first, stop))
     total = np.zeros(len(q), dtype=np.uint64)
     size = _batch(8 * len(q))
     for first in range(0, len(group), size):
         part = slice(first, first + size)
-        if weight is None:
-            sums = _residues(above[:, part], co.radix, q)
-        else:
-            sums = above[:, part] % q * weight[:, part] % q
-            sums += below[:, part] % q * lifted[:, part] % q
-            sums %= q
+        sums = above[:, part] % q * weight[:, part] % q
+        sums += below[:, part] % q * lifted[:, part] % q
+        sums %= q
         sums *= _u(co, y, point[part])
         sums %= q
         total += sums.sum(axis=1) % q[:, 0]
@@ -457,15 +610,17 @@ def _l2_work_bytes(n: int, s: int, base: int, precision: int) -> int:
     of N points in dimension s with `precision` base-b digits.
 
     Per point, 14 + 4k words for each coordinate (ranks, limbs and the
-    plane sweep's index arrays, k limbs each), and for s >= 3 another
-    2(s + 1) words per pair-term modulus (the weight rows of the halving
-    levels); plus 3s temporaries of _WORK_BYTES.  These coefficients bound,
-    with at least 10% to spare, the tracemalloc peaks measured on random
-    sets in bases 2, 3 and 13 for s = 1..5, N = 2 to 2^16 and k = 1, 2.
+    sweeps' state, index and sum rows, k limbs each), and for s >= 4
+    another 2(s + 1) words per pair-term modulus (the weight rows of the
+    halving levels); plus 3s temporaries of _WORK_BYTES.  These
+    coefficients bound, with at least 10% to spare, the tracemalloc peaks
+    measured on random sets in bases 2, 3 and 13 for s = 1..5, N = 2 to
+    2^16 and k = 1, 2.
     """
-    moduli = len(_moduli_above(n * n * base ** (precision * s)))
     limbs = -(-precision // _limb_digits(base, n))
-    words = s * (14 + 4 * limbs) + (2 * (s + 1) * moduli if s > 2 else 0)
+    words = s * (14 + 4 * limbs)
+    if s > 3:
+        words += 2 * (s + 1) * len(_moduli_above(n * n * base ** (precision * s)))
     return 8 * n * words + 3 * s * _WORK_BYTES
 
 
@@ -508,10 +663,10 @@ def l2_exact(ps: PointSet) -> DiscrepancyReport:
 
     The squared value is kept on the report as the Fraction `exact`; the
     float `value` is its square root.  About N (log N)^max(1, s-1) items
-    are sorted in all, each once per halving level of the plane kernel,
-    against N^2 s terms for the pairwise sum; each carries one uint64 sum
-    per modulus (4 to 6 of them at the usual sizes), or per limb in the
-    unit-weight plane sweep.
+    are sorted in all, each once per halving level of the innermost sweep,
+    against N^2 s terms for the pairwise sum; for s <= 3 each carries a
+    count and uint64 limb sums, for s >= 4 one uint64 sum per modulus (4
+    to 6 of them at the usual sizes).
     """
     n = len(ps)
     if n == 0:

@@ -316,7 +316,7 @@ def _candidate_trie(p: int, alpha: int, budget: int, max_rows: int) -> tuple[lis
     trie: list[list[tuple[int, int, int]]] = []
     counts: Counter = Counter()
 
-    def grow(rows: tuple[int, ...], weight: int) -> int:
+    def grow(rows: tuple[int, ...], weight: int):
         node, k = len(trie), len(rows) + 1  # k: the rows of a child
         trie.append([])
         counts[weight, k - 1] += 1
@@ -325,11 +325,27 @@ def _candidate_trie(p: int, alpha: int, budget: int, max_rows: int) -> tuple[lis
             child, step = rows + (r,), r + 1 - dropped
             if k > max_rows or weight + step > budget or (k >= alpha and child[k - alpha] != k - alpha):
                 break  # a larger row weighs more, and is a candidate only if this one is
-            trie[node].append((r, grow(child, weight + step), step))
-        return node
+            trie[node].append((r, len(trie), step))  # the child is the next node grown
+            yield grow(child, weight + step)
 
-    grow((), 0)
+    _depth_first(grow((), 0))
     return trie, counts
+
+
+def _depth_first(root) -> None:
+    """Run a depth-first search written as generators, on an explicit stack.
+
+    Each generator yields the generator of a child, which runs to its end
+    before its parent resumes: the order of recursive calls, with a depth
+    bounded by memory rather than by the interpreter's recursion limit.
+    """
+    stack = [root]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
 
 
 def _trie_walk(rows: list, b: int, s: int, p: int, m: int, trie, bound: int,
@@ -366,7 +382,7 @@ def _trie_walk(rows: list, b: int, s: int, p: int, m: int, trie, bound: int,
         """v reduced against the basis, which is left as it was; None when dependent."""
         return basis.popitem()[1] if reduce_row(v, 0, basis, b) is None else None
 
-    def visit(j: int, node: int, base: int, pending: dict) -> None:
+    def visit(j: int, node: int, base: int, pending: dict):
         nonlocal weight, found, reach
         for jj in range(j, s):
             offset = jj * p
@@ -387,14 +403,14 @@ def _trie_walk(rows: list, b: int, s: int, p: int, m: int, trie, bound: int,
                             continue
                     elif reduce_row(v, 0, basis, b) is None:
                         path.append(i)
-                        visit(jj, child, w, {k: None if u is None else resume(u) for k, u in pending.items()
-                                             if k > i and opening[k % p] <= reach - w})
+                        yield visit(jj, child, w, {k: None if u is None else resume(u) for k, u in pending.items()
+                                                   if k > i and opening[k % p] <= reach - w})
                         path.pop()
                         basis.popitem()
                         continue
                 weight, found, reach = w, path + [i], w - 1
 
-    visit(0, 0, 0, {j * p + row: resume(rows[j * p + row]) for j in range(s) for row in opening})
+    _depth_first(visit(0, 0, 0, {j * p + row: resume(rows[j * p + row]) for j in range(s) for row in opening}))
     return weight, found
 
 

@@ -7,12 +7,16 @@ with N through cancellation (about 1e-9 at N = 16384).
 `l2_integer_reference` is the same formula in Python integers, O(N^2 s)
 and exact: with x_jn = X_jn / P and u_jn = P - X_jn, the pair term is
 sum_{a,b} prod_j min(u_ja, u_jb) and the cross term sum_n prod_j (P^2 - X_jn^2).
+
+`tie_heavy` draws the tie-heavy point sets that the L2 tests feed to both.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from lowdisc.nets import PointSet
 
 
 def l2_float_reference(ps) -> float:
@@ -60,3 +64,14 @@ def l2_integer_reference(ps) -> Fraction:
         - Fraction(2 * cross, n * 2**s * big_p ** (2 * s))
         + Fraction(1, 3**s)
     )
+
+
+def tie_heavy(n, s, b, p, rng):
+    """N random points with duplicates, a first coordinate of three values
+    and, for s > 1, an all-zero last coordinate."""
+    digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
+    digits[n - n // 4 :] = digits[: n // 4]
+    digits[:, 0] = digits[np.arange(n) % 3, 0]
+    if s > 1:
+        digits[:, -1] = 0
+    return PointSet.from_digits(digits, b)

@@ -154,6 +154,12 @@ def test_verify_t_value_faure(capsys):
     assert "t-value,faure" in out and ",true" in out
 
 
+def test_verify_t_value_of_a_net_deeper_than_the_recursion_limit(capsys):
+    """The rank search walks 1200 rows of one coordinate on an explicit stack."""
+    assert run("verify", "t-value", "--family", "van-der-corput", "--b", "2", "--m", "1200") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "t-value,van-der-corput,b=2;m=1200;s=1;alpha=,0,<=0,true"
+
+
 def test_verify_hamming_cs(capsys):
     assert run("verify", "hamming", "--family", "chen-skriganov", "--b", "5",
                "--alpha", "2", "--m", "2", "--s", "2") == 0

@@ -33,7 +33,7 @@ from lowdisc.nets import PointSet, fraction_digits, generate_net_points
 from lowdisc.selftest import _oracle_pointsets
 
 from count_reference import count_below_reference
-from l2_reference import l2_float_reference, l2_integer_reference
+from l2_reference import l2_float_reference, l2_integer_reference, tie_heavy
 
 
 def single_point(*fracs, precision=8):
@@ -209,15 +209,9 @@ def test_l2_exact_preflight_admits_the_m20_net():
     assert discrepancy._l2_work_bytes(2**20, 2, 2, 60) <= discrepancy.MAX_L2_BYTES
 
 
-def _tie_heavy(n, s, b, p, rng):
-    """N random points with duplicates, a first coordinate of three values
-    and, for s > 1, an all-zero last coordinate."""
-    digits = rng.integers(0, b, size=(n, s, p)).astype(np.uint8)
-    digits[n - n // 4 :] = digits[: n // 4]
-    digits[:, 0] = digits[np.arange(n) % 3, 0]
-    if s > 1:
-        digits[:, -1] = 0
-    return PointSet.from_digits(digits, b)
+def test_l2_exact_preflight_admits_s3_60_digits_at_2_20():
+    """2^20 points of 60 base-2 digits in dimension 3: the s = 3 sweep keeps no weight rows."""
+    assert discrepancy._l2_work_bytes(2**20, 3, 2, 60) <= discrepancy.MAX_L2_BYTES
 
 
 def _tie_heavy_sets():
@@ -225,7 +219,7 @@ def _tie_heavy_sets():
     rng = np.random.default_rng(5)
     for s in range(1, 6):
         for n, b, p in ((1, 2, 3), (2, 3, 4), (300, 2, 70), (257, 3, 6), (300, 2, 12)):
-            yield _tie_heavy(n, s, b, p, rng)
+            yield tie_heavy(n, s, b, p, rng)
 
 
 @pytest.mark.parametrize(
@@ -234,9 +228,9 @@ def _tie_heavy_sets():
         lambda: [dp_net(3, 14, 2)],
         lambda: [dp_finite_pointset(2000, 3)],
         lambda: list(_tie_heavy_sets()),
-        lambda: [_tie_heavy(4096, 3, 2, 70, np.random.default_rng(5))],
-        lambda: [_tie_heavy(4096, 4, 2, 70, np.random.default_rng(5))],
-        lambda: [_tie_heavy(4096, 5, 3, 12, np.random.default_rng(5))],
+        lambda: [tie_heavy(4096, 3, 2, 70, np.random.default_rng(5))],
+        lambda: [tie_heavy(4096, 4, 2, 70, np.random.default_rng(5))],
+        lambda: [tie_heavy(4096, 5, 3, 12, np.random.default_rng(5))],
     ],
     ids=["dp_net-3-14-2", "dp_finite-s3-2000", "tie-heavy-s1-5", "tie-heavy-s3-k2", "tie-heavy-s4-k2", "tie-heavy-s5-b3"],
 )
@@ -255,7 +249,7 @@ def test_l2_exact_peak_stays_within_its_preflight_estimate(make):
 def test_l2_exact_is_exact_under_a_tiny_work_budget(monkeypatch):
     """A budget of a few KB puts many batch and chunk edges inside every sum."""
     monkeypatch.setattr(discrepancy, "_WORK_BYTES", 4096)
-    sets = list(_tie_heavy_sets())
+    sets = list(_tie_heavy_sets()) + [tie_heavy(1000, 3, 13, 20, np.random.default_rng(7))]
     assert any(-(-ps.precision // discrepancy._limb_digits(ps.base, len(ps))) == 2 for ps in sets)
     for ps in sets:
         assert l2_exact(ps).exact == l2_integer_reference(ps)

@@ -39,6 +39,12 @@ from lowdisc.constructions import (  # noqa: E402
 from lowdisc.discrepancy import (  # noqa: E402
     _LQ_BLOCK,
     _count_below,
+    _halve,
+    _integer_coordinates,
+    _moduli_above,
+    _plane_pairs,
+    _plane_sum,
+    _space_pairs,
     l2_exact,
     l2_exact_rational,
     local_discrepancy,
@@ -71,7 +77,7 @@ from lowdisc.pointfile import (  # noqa: E402
 from lowdisc.weights import _weight_matrix, min_dual_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
-from l2_reference import l2_float_reference, l2_integer_reference  # noqa: E402
+from l2_reference import l2_float_reference, l2_integer_reference, tie_heavy  # noqa: E402
 from net_reference import digit_ints, net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
 from rank_reference import min_dependent_support as per_support_search  # noqa: E402
@@ -574,6 +580,23 @@ def test_exact_l2_equals_rational_oracle(ps):
 @given(l2_sets(dims=(1, 2, 3, 4, 5), max_n=400))
 def test_exact_l2_equals_integer_pair_sum(ps):
     assert l2_exact(ps).exact == l2_integer_reference(ps)
+
+
+@given(l2_sets(dims=(2, 3), max_n=300))
+@example(tie_heavy(300, 2, 2, 70, np.random.default_rng(1)))  # two limbs
+@example(tie_heavy(257, 3, 13, 20, np.random.default_rng(2)))  # two limbs
+def test_exact_sweeps_match_the_pair_sum_and_the_general_recursion(ps):
+    """The s = 2 and s = 3 sweeps against the pairwise sum in integers, and
+    against Heinrich's recursion with unit weight residues, which serves s >= 4."""
+    n, big_p = len(ps), ps.base**ps.precision
+    assert l2_exact(ps).exact == l2_integer_reference(ps)
+    co = _integer_coordinates(ps, _moduli_above(n * n * big_p**ps.s)[:, None])
+    group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
+    weight = np.ones((len(co.q), n), dtype=np.uint64)
+    if ps.s == 2:
+        assert np.array_equal(_plane_pairs(co), _plane_sum(group, None, point, weight, (0, 1), co))
+    else:
+        assert np.array_equal(_space_pairs(co), _halve(group, None, point, weight, (0, 1, 2), co))
 
 
 @given(l2_sets(dims=(4, 5), max_n=300))
