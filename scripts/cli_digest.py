@@ -8,11 +8,12 @@ stderr, and the argv.  The corpus covers every family with `construct`,
 `verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
 bad size, the missing-flag, wrong-family and out-of-range-flag errors,
 the char check on the paper's alpha = 5 nets and on a b > 2 net, the
-witness lines of two b > 2 nets and the refusal of an oversized net.
+witness lines of two b > 2 nets, the refusal of an oversized net and
+the refusal of flags that a command or a family does not read.
 Run it on two checkouts (each with its own `src` on PYTHONPATH) and
 `diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
-of the exit code.  The corpus runs in about a second.
+of the exit code.  The corpus runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def corpus() -> list[tuple[str, ...]]:
         ("verify", "hamming", "--family", "faure", "--b", "257", "--m", "2", "--s", "2", "--alpha", "2"),
         # a net of 3^1000 points, refused with exit 2
         ("construct", "--family", "faure", "--b", "3", "--m", "1000", "--s", "2"),
+        # a flag outside the command's row: argparse refuses it before any file is opened
+        ("construct", "--family", "faure", *FAMILY_ARGS["faure"], "--q", "4"),
+        ("verify", "t-value", "--family", "faure", *FAMILY_ARGS["faure"], "--samples", "7"),
+        ("discrepancy", "no-such-points.txt", "--family", "faure"),
+        ("scaling", "--family", "dp-net", *FAMILY_ARGS["dp-net"], "--q", "4"),
+        ("selftest", "--cap", "5"),
+        # a size flag outside the family's row, and --alpha where no hamming check reads it
+        ("construct", "--family", "van-der-corput", *FAMILY_ARGS["van-der-corput"], "--s", "4"),
+        ("scaling", "--family", "davenport", "--N", GRIDS["davenport"], "--s", "2"),
+        ("verify", "t-value", "--family", "niederreiter", *FAMILY_ARGS["niederreiter"], "--alpha", "4"),
+        ("verify", "geometric", "no-such-points.txt", "--family", "faure"),
     ]
     return commands
 

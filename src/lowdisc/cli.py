@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: construct, verify, discrepancy, scaling, selftest.  Flag
-values can also come from a JSON config file (--config), parsed as flags
-placed before explicit ones, which win.  Exit codes: 0 success, 1
-parameter/precondition error, 2 capacity refusal, 3 verification or
-consistency failure.
+Subcommands (COMMANDS): construct, verify, discrepancy, scaling, selftest;
+each takes only the flags it reads.  Flag values can also come from a
+JSON config file (--config), parsed as flags placed before explicit ones,
+which win.  Exit codes: 0 success, 1 parameter/precondition error, 2
+capacity refusal, 3 verification or consistency failure.
 """
 
 from __future__ import annotations
@@ -92,7 +92,15 @@ FAMILIES: dict[str, Family] = {
                         lambda n, s, value, M: n * value / math.sqrt(math.log(n))),
 }
 MATRIX_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.t is not None)
+SIZE_FLAGS = ("b", "m", "s", "alpha", "N")  # the flags a family's row may list
 CHECKS = ("t-value", "geometric", "mu1", "hamming", "order", "char", "all")
+
+
+def _checks(check: str | None, row: Family) -> list[str]:
+    """The checks `verify CHECK` runs on the family: `all` adds only its guaranteed dual-weight check."""
+    if check == "all":
+        return [c for c in CHECKS[:-1] if c not in ("hamming", "order") or c == row.dual_check]
+    return [check]
 
 
 def _parse_grid(text: str | None, flag: str) -> list[int]:
@@ -117,8 +125,17 @@ def _single(text: str | None, flag: str) -> int:
     return grid[0]
 
 
+def _refuse_other_sizes(cfg: argparse.Namespace, row: Family) -> None:
+    """Refuse a size flag outside the family's row, but --alpha where verify's hamming check reads it."""
+    floor = "hamming" in _checks(getattr(cfg, "check", None), row)
+    for flag in SIZE_FLAGS:
+        if flag not in row.flags and getattr(cfg, flag) is not None and not (floor and flag == "alpha"):
+            raise ParameterError(f"family {cfg.family!r} does not take --{flag}")
+
+
 def _arguments(cfg: argparse.Namespace, row: Family, size: int | None = None) -> dict:
     """The constructor's arguments by flag; `size`, when given, replaces the size flag's value."""
+    _refuse_other_sizes(cfg, row)
     for flag in row.flags:
         if flag != row.size and getattr(cfg, flag) is None:
             raise ParameterError(f"family {cfg.family!r} needs --{flag}")
@@ -129,10 +146,8 @@ def _arguments(cfg: argparse.Namespace, row: Family, size: int | None = None) ->
 
 def build_matrices(cfg: argparse.Namespace) -> GeneratingMatrixSet:
     if cfg.family not in MATRIX_FAMILIES:
-        raise ParameterError(
-            f"family {cfg.family!r} has no single generating-matrix set; "
-            f"matrix families are {MATRIX_FAMILIES}"
-        )
+        raise ParameterError(f"family {cfg.family!r} has no single generating-matrix set; "
+                             f"matrix families are {MATRIX_FAMILIES}")
     row = FAMILIES[cfg.family]
     return row.build(*_arguments(cfg, row).values())
 
@@ -193,40 +208,25 @@ def cmd_construct(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _report_witness(name: str, found: tuple | None, gm: GeneratingMatrixSet) -> None:
-    """Print a failed check's witness dual element, if any, and its support to stderr."""
-    if found is None:
-        return
-    weight, witness = found  # witness: the (s, p) digit array of (k_1, ..., k_s)
-    ks = tuple(sum(d * gm.base**i for i, d in enumerate(row)) for row in witness.tolist())
-    support = [f"C{j} rows {np.flatnonzero(row).tolist()}"
-               for j, row in enumerate(witness, start=1) if row.any()]
-    print(
-        f"{name} witness: dual element {ks} of weight {weight}, "
-        f"support {'; '.join(support)}",
-        file=sys.stderr,
-    )
-
-
-def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> int:
-    if path is not None:
-        if check not in ("geometric", "all"):
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.path is not None:
+        if cfg.check not in ("geometric", "all"):
             raise ParameterError("point-file input supports the geometric check only")
-        ps = read_point_file(path)
+        given = [flag for flag in ("family", *SIZE_FLAGS) if getattr(cfg, flag) is not None]
+        if given:
+            raise ParameterError(f"point-file input does not take --{given[0]}")
+        ps = read_point_file(cfg.path)
         t_geo = geometric_t_value(ps)
         bound = (ps.provenance or {}).get("t_bound")
         if bound is not None and (type(bound) is not int or bound < 0):
             raise ParameterError(f"provenance t_bound {bound!r} is not a non-negative int")
         ok = True if bound is None else t_geo <= bound
         expected = "net-property" if bound is None else f"<={bound}"
-        _emit(
-            "check,family,params,value,expected,pass\n"
-            f"geometric,file,{path},{t_geo},{expected},{str(ok).lower()}\n",
-            cfg.out,
-        )
+        _emit("check,family,params,value,expected,pass\n"
+              f"geometric,file,{cfg.path},{t_geo},{expected},{str(ok).lower()}\n", cfg.out)
         return 0 if ok else 3
 
-    if check in ("geometric", "char", "all"):  # the checks that generate the points
+    if cfg.check in ("geometric", "char", "all"):  # the checks that generate the points
         _check_net_points(cfg)
     gm = build_matrices(cfg)
     row = FAMILIES[cfg.family]
@@ -236,16 +236,18 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
     failed = False
 
     def add(name: str, value, expected, ok: bool, found: tuple | None = None):
+        """One CSV row; a failed check prints its witness dual element, if any, and its support."""
         nonlocal failed
         failed |= not ok
-        if not ok:
-            _report_witness(name, found, gm)
+        if not ok and found is not None:
+            weight, witness = found  # witness: the (s, p) digit array of (k_1, ..., k_s)
+            ks = tuple(sum(d * gm.base**i for i, d in enumerate(k)) for k in witness.tolist())
+            support = "; ".join(f"C{j} rows {np.flatnonzero(k).tolist()}"
+                                for j, k in enumerate(witness, start=1) if k.any())
+            print(f"{name} witness: dual element {ks} of weight {weight}, support {support}", file=sys.stderr)
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
-    if check == "all":  # with only the dual-weight check that is the family's guarantee
-        selected = [c for c in CHECKS[:-1] if c not in ("hamming", "order") or c == row.dual_check]
-    else:
-        selected = [check]
+    selected = _checks(cfg.check, row)
     if {"t-value", "geometric", "mu1"} & set(selected):
         # one nrt search gives both the t-value and the mu1 row; --cap bounds it only for mu1
         nrt = min_dependent_support(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
@@ -278,13 +280,12 @@ def cmd_verify(check: str, cfg: argparse.Namespace, path: str | None = None) -> 
     return 3 if failed else 0
 
 
-def cmd_discrepancy(path: str, cfg: argparse.Namespace) -> int:
-    ps = read_point_file(path)
+def cmd_discrepancy(cfg: argparse.Namespace) -> int:
+    ps = read_point_file(cfg.path)
     prov = ps.provenance or {}
     family = str(prov.get("family", ""))
     params = ";".join(f"{k}={v}" for k, v in sorted(prov.items()) if k != "family")
-    rows = [CSV_HEADER]
-    rows.append(l2_exact(ps).csv_row(family, params))
+    rows = [CSV_HEADER, l2_exact(ps).csv_row(family, params)]
     if cfg.q != 2.0:
         rows.append(lq_estimate(ps, cfg.q, cfg.samples, cfg.seed).csv_row(family, params))
     _emit("\n".join(rows) + "\n", cfg.out)
@@ -296,6 +297,7 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
     if family is None:
         raise ParameterError("scaling needs --family")
     row = FAMILIES[family]
+    _refuse_other_sizes(cfg, row)  # before the grid: a stray flag exits 1, not as each row's error
     rows = ["family,params,N,s,value,n_times_value,ratio"]
     axis = row.size
     grid = _parse_grid(getattr(cfg, axis), axis)
@@ -311,9 +313,7 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
             ratio = row.ratio(n, s, rep.value, v)
-            rows.append(
-                f"{family},{axis}={v},{n},{s},{rep.value!r},{n * rep.value!r},{ratio!r}"
-            )
+            rows.append(f"{family},{axis}={v},{n},{s},{rep.value!r},{n * rep.value!r},{ratio!r}")
         except LowdiscError as exc:
             rows.append(f"{family},{axis}={v},,,error: {exc},,")
     _emit("\n".join(rows) + "\n", cfg.out)
@@ -322,9 +322,7 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
 
 def cmd_selftest(cfg: argparse.Namespace) -> int:
     from . import selftest  # selftest reads FAMILIES, so it imports this module
-
-    results = selftest.run_all()
-    return 0 if all(ok for _, ok, _ in results) else 3
+    return 0 if all(ok for _, ok, _ in selftest.run_all()) else 3
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +352,8 @@ def _none_or(parse):
     return functools.wraps(parse)(lambda text: None if text == "none" else parse(text))
 
 
-# The flags every subcommand takes, after --config; a config file may set exactly these.
+# Every flag a subcommand may take, after --config; a command's row lists those it reads,
+# and a config file may set exactly those.
 FLAGS = {
     "family": dict(choices=tuple(FAMILIES)),
     "b": dict(type=int, help="prime base"),
@@ -365,23 +364,44 @@ FLAGS = {
     "q": dict(type=float, default=2.0, help="discrepancy norm exponent (default 2)"),
     "samples": dict(type=int, default=4096, help="Monte Carlo samples (default 4096)"),
     "seed": dict(type=_none_or(_at_least(0)), default=0, help="random seed (default 0)"),
-    "cap": dict(type=_none_or(_at_least(0)), default=1 << 21, help="work cap (default 2^21): candidate "
-                "supports rank-checked by the mu1, hamming and order checks, up to the weight "
-                "searched"),
+    "cap": dict(type=_none_or(_at_least(0)), default=nets.WORK_CAP, help="work cap (default 2^21): "
+                "candidate supports rank-checked by the mu1, hamming and order checks, up to the "
+                "weight searched"),
     "out": dict(help="output path (default stdout)"),
 }
 NONE_FLAGS = ("seed", "cap")  # the flags whose value 'none' stands for a config file's null
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with flag values (flags win)")
-    for name, kwargs in FLAGS.items():
-        p.add_argument(f"--{name}", **kwargs)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: every decision the parser and the dispatch make by command."""
+
+    run: Callable[[argparse.Namespace], int]  # the handler, called with the parsed flags
+    help: str
+    flags: tuple[str, ...] = ()  # the FLAGS it reads, in FLAGS order; with none, no --config either
+    positionals: tuple[tuple[str, dict], ...] = ()  # (name, add_argument keywords)
 
 
-def _config_flags(path: str) -> list[str]:
-    """The config file's values as --key=value flags; a null is 'none' for the NONE_FLAGS
-    and leaves any other flag at its default."""
+_BUILD_FLAGS = ("family", *SIZE_FLAGS)
+# The handlers are called through this module's names, as the FAMILIES constructors are.
+COMMANDS: dict[str, Command] = {
+    "construct": Command(lambda args: cmd_construct(args), "build a point set and write the point file",
+                         (*_BUILD_FLAGS, "out")),
+    "verify": Command(lambda args: cmd_verify(args), "run structural checks on a construction",
+                      (*_BUILD_FLAGS, "seed", "cap", "out"),
+                      (("check", dict(choices=CHECKS)),
+                       ("path", dict(nargs="?", help="point file (geometric check only)")))),
+    "discrepancy": Command(lambda args: cmd_discrepancy(args), "discrepancy report for a point file",
+                           ("q", "samples", "seed", "out"), (("path", dict(help="point file to read")),)),
+    "scaling": Command(lambda args: cmd_scaling(args), "discrepancy across a grid of sizes",
+                       (*_BUILD_FLAGS, "out")),
+    "selftest": Command(lambda args: cmd_selftest(args), "run the full acceptance suite"),
+}
+
+
+def _config_flags(path: str, flags: tuple[str, ...]) -> list[str]:
+    """The config file's values as --key=value flags, keys among `flags`; a null is 'none' for
+    the NONE_FLAGS and leaves any other flag at its default."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -389,7 +409,7 @@ def _config_flags(path: str) -> list[str]:
         raise ParameterError(f"config file {path} is not UTF-8 text") from exc
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
-    unknown = set(data) - set(FLAGS)
+    unknown = set(data) - set(flags)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     return [f"--{key}={'none' if value is None else value}" for key, value in data.items()
@@ -401,25 +421,14 @@ def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="lowdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a point set and write the point file")
-    _add_common_flags(p)
-
-    p = sub.add_parser("verify", help="run structural checks on a construction")
-    p.add_argument("check", choices=CHECKS)
-    p.add_argument("path", nargs="?", help="point file (geometric check only)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("discrepancy", help="discrepancy report for a point file")
-    p.add_argument("path", help="point file to read")
-    _add_common_flags(p)
-
-    p = sub.add_parser("scaling", help="discrepancy across a grid of sizes")
-    _add_common_flags(p)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common_flags(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional, kwargs in command.positionals:
+            p.add_argument(positional, **kwargs)
+        if command.flags:
+            p.add_argument("--config", help="JSON file with flag values (flags win)")
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -427,23 +436,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's flags go right after the command, before argv's own."""
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+    if getattr(args, "config", None):
+        args = parser.parse_args(argv[:1] + _config_flags(args.config, COMMANDS[args.command].flags) + argv[1:])
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-        if args.command == "construct":
-            return cmd_construct(args)
-        if args.command == "verify":
-            return cmd_verify(args.check, args, args.path)
-        if args.command == "discrepancy":
-            return cmd_discrepancy(args.path, args)
-        if args.command == "scaling":
-            return cmd_scaling(args)
-        return cmd_selftest(args)
+        return COMMANDS[args.command].run(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2

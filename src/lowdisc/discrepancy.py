@@ -522,8 +522,7 @@ def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
     sum w u_x of its lower partners that rank above it in y.  The pair sum
     is then sum over items of u_y (w above + w u_x below).  An item's
     partners at different levels are different items, so both sums stay
-    below items * 2^32 and take no modulus until the end.  `colour` None
-    pairs each lower half with its upper half within one set of points.
+    below items * 2^32 and take no modulus until the end.
     """
     q = co.q
     x, y = dims
@@ -538,8 +537,7 @@ def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarr
         item = np.flatnonzero(length > (1 << level))  # groups larger than a half-block
         lower = (pos[item] >> level) & 1 == 0
         key = 2 * (start[item] + (pos[item] >> (level + 1)))  # one number per block
-        if colour is not None:
-            key += colour[item] != lower
+        key += colour[item] != lower
         order = np.argsort(key * co.rank.shape[1] + rank_y[item])
         item, lower, key = item[order], lower[order], key[order]
         del order

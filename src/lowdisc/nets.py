@@ -67,6 +67,7 @@ __all__ = [
 
 # The weights of the rank search: mu_1, the Hamming weight and mu_alpha.
 KINDS = ("nrt", "hamming", "mu")
+WORK_CAP = 1 << 21  # the default cap: candidate supports a rank search checks, elements of a dual space
 
 # Largest digit array, in bytes (one byte per digit), that point generation
 # allocates; larger requests raise CapacityError before any allocation.
@@ -625,7 +626,7 @@ class DualSpace:
         return not np.any((self.stacked @ np.ravel(digits)) % self.gm.base)
 
 
-def dual_space(gm: GeneratingMatrixSet, cap: int | None = 1 << 21) -> DualSpace:
+def dual_space(gm: GeneratingMatrixSet, cap: int | None = WORK_CAP) -> DualSpace:
     """The dual of the net; more than `cap` elements raise CapacityError, None means no bound."""
     return DualSpace(gm, cap)
 

@@ -118,7 +118,7 @@ def criterion_04_order_alpha() -> tuple[bool, str]:
             t_base = niederreiter_t_bound(alpha * s)
             for m in (1, 2, 3, 4):
                 gm = dp_net_matrices(alpha, m, s)
-                if order_alpha_profile(gm, alpha, t_base, cap=1 << 21) is not None:
+                if order_alpha_profile(gm, alpha, t_base) is not None:
                     return False, f"violated at alpha={alpha}, s={s}, m={m}"
                 checked += 1
     return True, f"{checked} (alpha, s, m) combinations verified"

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .nets import KINDS, DualSpace, GeneratingMatrixSet, min_dependent_support
+from .nets import KINDS, WORK_CAP, DualSpace, GeneratingMatrixSet, min_dependent_support
 
 __all__ = [
     "min_dual_weight",
@@ -77,7 +77,7 @@ def order_alpha_profile(
     gm_interlaced: GeneratingMatrixSet,
     alpha: int,
     t_base: int,
-    cap: int = 1 << 21,
+    cap: int = WORK_CAP,
 ) -> tuple[int, np.ndarray] | None:
     """The mu_alpha search for the higher-order dual condition, stopped at its floor.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lowdisc import discrepancy
-from lowdisc.cli import _parse_args, main, make_parser
+from lowdisc.cli import COMMANDS, FAMILIES, FLAGS, SIZE_FLAGS, _parse_args, main, make_parser
 from lowdisc.constructions import cs_matrices
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.nets import GeneratingMatrixSet, generate_net_points
@@ -91,13 +91,17 @@ def test_construct_stdout_is_pinned(capsys, argv, first_lines, digest):
 
 
 def test_construct_provenance_records_only_the_familys_flags(capsys):
-    """A flag the family does not take is not a parameter of the set: a one-dimensional
-    van der Corput set records no s, a Faure net no alpha."""
-    assert run("construct", "--family", "van-der-corput", "--b", "3", "--m", "2", "--s", "4") == 0
+    """A flag the family does not take is refused, not dropped: a van der Corput set has no s,
+    a Faure net no alpha, and a set's provenance records only its family's flags."""
+    assert run("construct", "--family", "van-der-corput", "--b", "3", "--m", "2", "--s", "4") == 1
+    assert capsys.readouterr() == ("", "error: family 'van-der-corput' does not take --s\n")
+    assert run("construct", "--family", "faure", "--b", "3", "--m", "2", "--s", "2", "--alpha", "2") == 1
+    assert capsys.readouterr() == ("", "error: family 'faure' does not take --alpha\n")
+    assert run("construct", "--family", "van-der-corput", "--b", "3", "--m", "2") == 0
     assert capsys.readouterr().out.splitlines()[1] == (
         '# provenance: {"b": 3, "family": "van-der-corput", "m": 2}'
     )
-    assert run("construct", "--family", "faure", "--b", "3", "--m", "2", "--s", "2", "--alpha", "2") == 0
+    assert run("construct", "--family", "faure", "--b", "3", "--m", "2", "--s", "2") == 0
     assert capsys.readouterr().out.splitlines()[1] == (
         '# provenance: {"b": 3, "family": "faure", "m": 2, "s": 2}'
     )
@@ -807,3 +811,105 @@ def test_parser_is_built_once_and_reused_after_usage_errors(capsys):
     assert together == alone
     assert [code for code, _ in alone] == [1, 0, 1, 1, 0, 1, 0]
     assert make_parser() is make_parser()
+
+
+# ---------------------------------------------------------
+# flags a command or family does not read
+# ---------------------------------------------------------
+
+# a value each flag accepts, and each family's flags for a small instance
+FLAG_VALUES = {"family": "faure", "b": "3", "m": "2", "s": "2", "alpha": "2", "N": "4", "q": "4",
+               "samples": "7", "seed": "1", "cap": "5", "out": "unused.txt"}
+FAMILY_ARGS = {
+    "van-der-corput": ("--b", "3", "--m", "3"),
+    "faure": ("--b", "3", "--s", "2", "--m", "2"),
+    "chen-skriganov": ("--b", "5", "--alpha", "2", "--s", "2", "--m", "1"),
+    "niederreiter": ("--s", "3", "--m", "4"),
+    "dp-net": ("--alpha", "2", "--s", "2", "--m", "3"),
+    "dp-finite": ("--s", "2", "--N", "13"),
+    "dp-sequence": ("--s", "2", "--N", "20"),
+    "davenport": ("--N", "10"),
+}
+FAURE = ("--family", "faure", *FAMILY_ARGS["faure"])
+VERIFY_FAURE_ALPHA = {  # --alpha off-family, read as the hamming floor: stdout as before
+    "hamming": "check,family,params,value,expected,pass\n"
+               "hamming,faure,b=3;m=2;s=2;alpha=2,2,>=3,false\n",
+    "all": "check,family,params,value,expected,pass\n"
+           "t-value,faure,b=3;m=2;s=2;alpha=2,0,<=0,true\n"
+           "geometric,faure,b=3;m=2;s=2;alpha=2,0,net-property,true\n"
+           "mu1,faure,b=3;m=2;s=2;alpha=2,3,3,true\n"
+           "hamming,faure,b=3;m=2;s=2;alpha=2,2,>=3,false\n"
+           "char,faure,b=3;m=2;s=2;alpha=2,1.234e-16,<=1e-9,true\n",
+}
+
+
+@pytest.fixture
+def faure_file(tmp_path, capsys):
+    path = tmp_path / "faure.txt"
+    assert run("construct", *FAURE, "--out", str(path)) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def _refused(argv, message, capsys):
+    """argv exits 1 with `message` as its one line of stderr and nothing on stdout."""
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_flag_outside_the_commands_row_exits_one(command, faure_file, tmp_path, capsys):
+    argv = {"construct": ("construct", *FAURE), "verify": ("verify", "t-value", *FAURE),
+            "discrepancy": ("discrepancy", faure_file), "scaling": ("scaling", *FAURE),
+            "selftest": ("selftest",)}[command]
+    if command != "selftest":  # the command runs without the stray flag
+        assert run(*argv) == 0
+        capsys.readouterr()
+    cfg = tmp_path / "run.json"
+    stray = [flag for flag in FLAGS if flag not in COMMANDS[command].flags]
+    assert len(stray) == {"construct": 4, "verify": 2, "discrepancy": 7, "scaling": 4, "selftest": 11}[command]
+    for flag in stray:
+        assert run(*argv, f"--{flag}", FLAG_VALUES[flag]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and f"--{flag}" in err
+        cfg.write_text(json.dumps({flag: FLAG_VALUES[flag]}))
+        if command == "selftest":  # it reads no flag, so it takes no config file either
+            _refused((*argv, "--config", str(cfg)), f"unrecognized arguments: --config {cfg}", capsys)
+        else:
+            _refused((*argv, "--config", str(cfg)), f"unknown config keys: ['{flag}']", capsys)
+
+
+@pytest.mark.parametrize("command", ["construct", "scaling"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_size_flag_outside_the_familys_row_exits_one(command, family, tmp_path, capsys):
+    argv = (command, "--family", family, *FAMILY_ARGS[family])
+    assert run(*argv) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "run.json"
+    for flag in SIZE_FLAGS:
+        if flag not in FAMILIES[family].flags:
+            message = f"family {family!r} does not take --{flag}"
+            _refused((*argv, f"--{flag}", FLAG_VALUES[flag]), message, capsys)
+            cfg.write_text(json.dumps({flag: FLAG_VALUES[flag]}))
+            _refused((*argv, "--config", str(cfg)), message, capsys)
+
+
+def test_verify_reads_off_family_alpha_only_as_the_hamming_floor(faure_file, tmp_path, capsys):
+    _refused(("verify", "t-value", "--family", "niederreiter", "--s", "3", "--m", "4", "--alpha", "4"),
+             "family 'niederreiter' does not take --alpha", capsys)
+    _refused(("verify", "all", "--family", "niederreiter", "--s", "3", "--m", "4", "--alpha", "4"),
+             "family 'niederreiter' does not take --alpha", capsys)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 2}))
+    for check, csv in VERIFY_FAURE_ALPHA.items():
+        for stray in (("--alpha", "2"), ("--config", str(cfg))):
+            assert run("verify", check, *FAURE, *stray) == 3
+            assert capsys.readouterr().out == csv
+    for check in ("t-value", "mu1", "char", "geometric"):
+        _refused(("verify", check, *FAURE, "--alpha", "2"), "family 'faure' does not take --alpha", capsys)
+    # a point file's check reads neither the family nor a size
+    assert run("verify", "geometric", faure_file) == 0
+    capsys.readouterr()
+    for flag in ("family", *SIZE_FLAGS):
+        _refused(("verify", "geometric", faure_file, f"--{flag}", FLAG_VALUES[flag]),
+                 f"point-file input does not take --{flag}", capsys)

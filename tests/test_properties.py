@@ -42,8 +42,6 @@ from lowdisc.discrepancy import (  # noqa: E402
     _halve,
     _integer_coordinates,
     _moduli_above,
-    _plane_pairs,
-    _plane_sum,
     _space_pairs,
     l2_exact,
     l2_exact_rational,
@@ -586,16 +584,15 @@ def test_exact_l2_equals_integer_pair_sum(ps):
 @example(tie_heavy(300, 2, 2, 70, np.random.default_rng(1)))  # two limbs
 @example(tie_heavy(257, 3, 13, 20, np.random.default_rng(2)))  # two limbs
 def test_exact_sweeps_match_the_pair_sum_and_the_general_recursion(ps):
-    """The s = 2 and s = 3 sweeps against the pairwise sum in integers, and
-    against Heinrich's recursion with unit weight residues, which serves s >= 4."""
+    """The s = 2 and s = 3 sweeps against the pairwise sum in integers, and the
+    s = 3 sweep against Heinrich's recursion with unit weight residues, which
+    serves s >= 4."""
     n, big_p = len(ps), ps.base**ps.precision
     assert l2_exact(ps).exact == l2_integer_reference(ps)
-    co = _integer_coordinates(ps, _moduli_above(n * n * big_p**ps.s)[:, None])
-    group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
-    weight = np.ones((len(co.q), n), dtype=np.uint64)
-    if ps.s == 2:
-        assert np.array_equal(_plane_pairs(co), _plane_sum(group, None, point, weight, (0, 1), co))
-    else:
+    if ps.s == 3:
+        co = _integer_coordinates(ps, _moduli_above(n * n * big_p**ps.s)[:, None])
+        group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
+        weight = np.ones((len(co.q), n), dtype=np.uint64)
         assert np.array_equal(_space_pairs(co), _halve(group, None, point, weight, (0, 1, 2), co))
 
 
