@@ -8,8 +8,9 @@ stderr, and the argv.  The corpus covers every family with `construct`,
 `verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
 bad size, the missing-flag, wrong-family and out-of-range-flag errors,
 the char check on the paper's alpha = 5 nets and on a b > 2 net, the
-witness lines of two b > 2 nets, the refusal of an oversized net and
-the refusal of flags that a command or a family does not read.
+witness lines of two b > 2 nets, and the refusal of an oversized net, of
+an empty grid, of abbreviated flags and of flags that a command or a
+family does not read.
 Run it on two checkouts (each with its own `src` on PYTHONPATH) and
 `diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
@@ -95,6 +96,12 @@ def corpus() -> list[tuple[str, ...]]:
         ("scaling", "--family", "davenport", "--N", GRIDS["davenport"], "--s", "2"),
         ("verify", "t-value", "--family", "niederreiter", *FAMILY_ARGS["niederreiter"], "--alpha", "4"),
         ("verify", "geometric", "no-such-points.txt", "--family", "faure"),
+        # flags take their exact names only: no prefix of one is accepted
+        ("construct", "--fam", "faure", *FAMILY_ARGS["faure"]),
+        ("discrepancy", "no-such-points.txt", "--s", "3"),
+        ("verify", "mu1", "--family", "faure", *FAMILY_ARGS["faure"], "--c", "5"),
+        # a grid with no value
+        ("scaling", "--family", "davenport", "--N", "5:2"),
     ]
     return commands
 

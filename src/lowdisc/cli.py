@@ -34,7 +34,6 @@ from .constructions import (
 from .discrepancy import CSV_HEADER, l2_exact, lq_estimate, roth_sequence_ratio
 from .errors import CapacityError, ConsistencyError, LowdiscError, ParameterError
 from .nets import (
-    GeneratingMatrixSet,
     char_property_deviation,
     dual_space,
     generate_net_points,
@@ -104,18 +103,20 @@ def _checks(check: str | None, row: Family) -> list[str]:
 
 
 def _parse_grid(text: str | None, flag: str) -> list[int]:
-    """Grid syntax: '7', '4:12' (inclusive), or '2,4,8'."""
+    """Grid syntax: '7', '4:12' (inclusive), or '2,4,8'; never empty."""
     if text is None:
         raise ParameterError(f"--{flag} is required here")
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
-        if "," in text:
-            return [int(v) for v in text.split(",")]
-        return [int(text)]
+            grid = list(range(int(lo), int(hi) + 1))
+        else:
+            grid = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ParameterError(f"--{flag}: bad grid value {text!r}") from exc
+    if not grid:
+        raise ParameterError(f"--{flag}: empty grid {text!r}")
+    return grid
 
 
 def _single(text: str | None, flag: str) -> int:
@@ -125,60 +126,42 @@ def _single(text: str | None, flag: str) -> int:
     return grid[0]
 
 
-def _refuse_other_sizes(cfg: argparse.Namespace, row: Family) -> None:
-    """Refuse a size flag outside the family's row, but --alpha where verify's hamming check reads it."""
+def _row(cfg: argparse.Namespace) -> Family:
+    """The family's row; refuses a size flag outside it, but --alpha where verify's hamming check reads it."""
+    if cfg.family is None:
+        raise ParameterError(f"{cfg.command} needs --family")
+    row = FAMILIES[cfg.family]
     floor = "hamming" in _checks(getattr(cfg, "check", None), row)
     for flag in SIZE_FLAGS:
         if flag not in row.flags and getattr(cfg, flag) is not None and not (floor and flag == "alpha"):
             raise ParameterError(f"family {cfg.family!r} does not take --{flag}")
+    return row
 
 
-def _arguments(cfg: argparse.Namespace, row: Family, size: int | None = None) -> dict:
-    """The constructor's arguments by flag; `size`, when given, replaces the size flag's value."""
-    _refuse_other_sizes(cfg, row)
+def _family(cfg: argparse.Namespace, size: int | None = None) -> tuple[Family, dict]:
+    """The family's row and its constructor's arguments by flag; `size`, when given, replaces the
+    size flag's value."""
+    row = _row(cfg)
     for flag in row.flags:
         if flag != row.size and getattr(cfg, flag) is None:
             raise ParameterError(f"family {cfg.family!r} needs --{flag}")
     if size is None:
         size = _single(getattr(cfg, row.size), row.size)
-    return {flag: size if flag == row.size else getattr(cfg, flag) for flag in row.flags}
+    return row, {flag: size if flag == row.size else getattr(cfg, flag) for flag in row.flags}
 
 
-def build_matrices(cfg: argparse.Namespace) -> GeneratingMatrixSet:
-    if cfg.family not in MATRIX_FAMILIES:
-        raise ParameterError(f"family {cfg.family!r} has no single generating-matrix set; "
-                             f"matrix families are {MATRIX_FAMILIES}")
-    row = FAMILIES[cfg.family]
-    return row.build(*_arguments(cfg, row).values())
-
-
-def _check_net_points(cfg: argparse.Namespace, size: int | None = None) -> None:
-    """Refuse a matrix family's b^m points from its flags (b = 2, s = alpha = 1 where it has none)
-    before building; where m x m int64 matrices exceed the limit, the constructor refuses at once."""
-    if cfg.family in MATRIX_FAMILIES:
-        args = _arguments(cfg, FAMILIES[cfg.family], size)
-        m = args["m"]
-        if m >= 1 and 8 * m * m <= nets.MAX_DIGIT_BYTES:  # so b^m is never computed for a huge m
-            nets.check_capacity(args.get("b", 2) ** m, args.get("s", 1), args.get("alpha", 1) * m)
-
-
-def _points(cfg: argparse.Namespace, row: Family, size: int | None = None,
-            gm: GeneratingMatrixSet | None = None):
-    """The family's point set of the given size (default: the size flag's); a net reuses `gm`."""
-    args = _arguments(cfg, row, size)
-    if cfg.family not in MATRIX_FAMILIES:
-        return row.build(*args.values())
-    if gm is None:
-        _check_net_points(cfg, size)
-        gm = row.build(*args.values())
-    return generate_net_points(gm, provenance={"family": cfg.family, **args})
-
-
-def build_points(cfg: argparse.Namespace, gm: GeneratingMatrixSet | None = None):
-    """The family's point set; matrix families reuse `gm` when given."""
-    if cfg.family not in FAMILIES:
-        raise ParameterError(f"unknown family {cfg.family!r}; choose one of {tuple(FAMILIES)}")
-    return _points(cfg, FAMILIES[cfg.family], gm=gm)
+def _build(cfg: argparse.Namespace, row: Family, args: dict, points: bool = True):
+    """(matrices, points) of one instance; a point family has no matrices (None).  A net's b^m points
+    are checked from `args` (b = 2, s = alpha = 1 where it has none) before its matrices are built,
+    and generated only when `points` (else None); where m x m int64 matrices exceed the limit, the
+    constructor refuses at once."""
+    if row.t is None:
+        return None, row.build(*args.values())
+    m = args["m"]
+    if points and m >= 1 and 8 * m * m <= nets.MAX_DIGIT_BYTES:  # so b^m is never computed for a huge m
+        nets.check_capacity(args.get("b", 2) ** m, args.get("s", 1), args.get("alpha", 1) * m)
+    gm = row.build(*args.values())
+    return gm, generate_net_points(gm, provenance={"family": cfg.family, **args}) if points else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -194,9 +177,7 @@ def _emit(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_construct(cfg: argparse.Namespace) -> int:
-    _check_net_points(cfg)
-    gm = build_matrices(cfg) if cfg.family in MATRIX_FAMILIES else None
-    ps = build_points(cfg, gm)
+    gm, ps = _build(cfg, *_family(cfg))
     if gm is not None:
         for j, mat in enumerate(gm.array.tolist(), start=1):
             print(f"C{j} = {mat}", file=sys.stderr)
@@ -226,10 +207,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
               f"geometric,file,{cfg.path},{t_geo},{expected},{str(ok).lower()}\n", cfg.out)
         return 0 if ok else 3
 
-    if cfg.check in ("geometric", "char", "all"):  # the checks that generate the points
-        _check_net_points(cfg)
-    gm = build_matrices(cfg)
-    row = FAMILIES[cfg.family]
+    if cfg.family is not None and cfg.family not in MATRIX_FAMILIES:  # before its flags are read
+        raise ParameterError(f"family {cfg.family!r} has no single generating-matrix set; "
+                             f"matrix families are {MATRIX_FAMILIES}")
+    row, args = _family(cfg)
+    selected = _checks(cfg.check, row)
+    gm, ps = _build(cfg, row, args, points=bool({"geometric", "char"} & set(selected)))
     rows = ["check,family,params,value,expected,pass"]
     params = f"b={gm.base};m={gm.cols};s={gm.s};alpha={cfg.alpha or ''}"
     alpha = cfg.alpha or 1
@@ -247,15 +230,13 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             print(f"{name} witness: dual element {ks} of weight {weight}, support {support}", file=sys.stderr)
         rows.append(f"{name},{cfg.family},{params},{value},{expected},{str(ok).lower()}")
 
-    selected = _checks(cfg.check, row)
     if {"t-value", "geometric", "mu1"} & set(selected):
         # one nrt search gives both the t-value and the mu1 row; --cap bounds it only for mu1
         nrt = min_dependent_support(gm, "nrt", cap=cfg.cap if "mu1" in selected else None)
         t_val = 0 if nrt is None else gm.cols + 1 - nrt[0]
-    ps = generate_net_points(gm) if {"geometric", "char"} & set(selected) else None
     for sel in selected:
         if sel == "t-value":
-            bound = row.t(*_arguments(cfg, row).values())
+            bound = row.t(*args.values())
             add("t-value", t_val, f"<={bound}", t_val <= bound)
         elif sel == "geometric":
             add("geometric", t_val, "net-property", geometric_net_check(ps, t_val))
@@ -294,10 +275,7 @@ def cmd_discrepancy(cfg: argparse.Namespace) -> int:
 
 def cmd_scaling(cfg: argparse.Namespace) -> int:
     family = cfg.family
-    if family is None:
-        raise ParameterError("scaling needs --family")
-    row = FAMILIES[family]
-    _refuse_other_sizes(cfg, row)  # before the grid: a stray flag exits 1, not as each row's error
+    row = _row(cfg)  # before the grid: a stray flag exits 1, not as each row's error
     rows = ["family,params,N,s,value,n_times_value,ratio"]
     axis = row.size
     grid = _parse_grid(getattr(cfg, axis), axis)
@@ -306,10 +284,10 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
         try:
             if row.sequence:  # one sequence, growing prefixes
                 if full_sequence is None:
-                    full_sequence = _points(cfg, row, max(grid))
+                    full_sequence = _build(cfg, *_family(cfg, max(grid)))[1]
                 ps = full_sequence.prefix(v)
             else:
-                ps = _points(cfg, row, v)
+                ps = _build(cfg, *_family(cfg, v))[1]
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
             ratio = row.ratio(n, s, rep.value, v)
@@ -419,10 +397,10 @@ def _config_flags(path: str, flags: tuple[str, ...]) -> list[str]:
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = _Parser(prog="lowdisc", description=__doc__)
+    parser = _Parser(prog="lowdisc", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)  # exact flag names only
         for positional, kwargs in command.positionals:
             p.add_argument(positional, **kwargs)
         if command.flags:

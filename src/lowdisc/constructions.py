@@ -331,7 +331,7 @@ def davenport_symmetrized(M: int) -> PointSet:
     n = M second coordinate would be 1 and wraps to 0 to stay inside [0,1).
     """
     if M < 1:
-        raise ParameterError("need M >= 1 and precision >= 1")
+        raise ParameterError("need M >= 1")
     check_capacity(2 * M, 2, _TAIL_DIGITS)
     num, den = 1, 1
     while den <= M * M:

@@ -113,7 +113,7 @@ def _canonical_body(data: bytes, start: int, base: int, s: int, precision: int, 
     separators = np.full(s, ord(" "), dtype=np.uint8)
     separators[-1] = ord("\n")
     digits = cells[:, :, :-1] - np.uint8(ord("0"))  # characters below '0' wrap above 9
-    if not (cells[:, :, -1] == separators).all() or (digits >= base).any():
+    if not (cells[:, :, -1] == separators).all() or digits.max(initial=0) >= base:
         return None
     return digits, provenance
 
