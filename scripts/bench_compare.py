@@ -28,12 +28,16 @@ subprocess, one at a time:
   `min_dependent_support(dp_net_matrices(3, 16, 2), "mu", 3)` with the
   weight it found; for each of these rank rungs, the `field.reduce_row`
   calls of one more run, a count that does not drift with the load of
-  the machine as times do;
+  the machine as times do; best of 3 timings of `geometric_net_check`
+  on the base-2 Niederreiter net s 8, m 16 at t = 7 (11 440 box shapes)
+  and of `geometric_t_value` on dp-net alpha 3, s 2, m 18, with the
+  verdict, the t found and the tracemalloc peak of the latter;
 - fresh rungs: `l2_exact` on dp-net alpha 3, s 2, m 18 and m 20 (N = 2^18
   and 2^20), and on dp-net alpha 3, s 3, m 20 (2^20 points of 60
-  digits), each once in a fresh subprocess per checkout, recording the
-  wall time of the call, the process's `ru_maxrss` before the call (the
-  point set built) and after it, and the exact squared value, or the
+  digits), and `geometric_t_value` on dp-net alpha 3, s 2, m 20, each
+  once in a fresh subprocess per checkout, recording the wall time of the
+  call, the process's `ru_maxrss` before the call (the point set built)
+  and after it, and the exact squared value or the t found, or the
   message of a `CapacityError` refusal;
 - `rerun`: the layer and fresh rungs once more with the change's side
   first, since each side runs them after the other, not in pairs.
@@ -70,7 +74,10 @@ from lowdisc.constructions import (
 )
 from lowdisc import field, nets as nets_module
 from lowdisc.discrepancy import l2_exact
-from lowdisc.nets import PointSet, compute_t_value, generate_net_points, min_dependent_support
+from lowdisc.nets import (
+    PointSet, compute_t_value, generate_net_points, geometric_net_check, geometric_t_value,
+    min_dependent_support,
+)
 from lowdisc.pointfile import dumps_point_file, loads_point_file
 
 def best(fn, repeat=5):
@@ -133,6 +140,15 @@ for name, (run, _) in rank.items():
     calls[0] = 0
     run()
     out[f"{name}_reduce_row_calls"] = calls[0]
+boxes = generate_net_points(niederreiter_net_matrices(8, 16))
+out["geometric_net_check_niederreiter_s8_m16_t7_s"] = best(lambda: geometric_net_check(boxes, 7), repeat=3)
+out["geometric_net_check_niederreiter_s8_m16_t7"] = geometric_net_check(boxes, 7)
+boxes = generate_net_points(dp_net_matrices(3, 18, 2))
+tracemalloc.start()
+out["geometric_t_value_dp_net_m18_t"] = geometric_t_value(boxes)
+out["geometric_t_value_dp_net_m18_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+out["geometric_t_value_dp_net_m18_s"] = best(lambda: geometric_t_value(boxes), repeat=3)
 print(json.dumps(out))
 """
 
@@ -142,18 +158,23 @@ import json, resource, sys, time
 from lowdisc.constructions import dp_net
 from lowdisc.discrepancy import l2_exact
 from lowdisc.errors import CapacityError
-ps = dp_net(3, int(sys.argv[1]), int(sys.argv[2]))
+from lowdisc.nets import geometric_t_value
+ps = dp_net(3, int(sys.argv[2]), int(sys.argv[3]))
+key, call = {"l2_exact": ("exact", lambda: str(l2_exact(ps).exact)),
+             "geometric_t_value": ("t", lambda: geometric_t_value(ps))}[sys.argv[1]]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
 try:
-    result = {"exact": str(l2_exact(ps).exact)}
+    result = {key: call()}
 except CapacityError as exc:
     result = {"refused": str(exc)}
 seconds = time.perf_counter() - start
 print(json.dumps({"s": seconds, "ru_maxrss_kb_before": before,
                   "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, **result}))
 """
-FRESH_RUNGS = {"l2_exact_dp_net_m18": (18, 2), "l2_exact_dp_net_m20": (20, 2), "l2_exact_dp_net_m20_s3": (20, 3)}
+FRESH_RUNGS = {"l2_exact_dp_net_m18": ("l2_exact", 18, 2), "l2_exact_dp_net_m20": ("l2_exact", 20, 2),
+               "l2_exact_dp_net_m20_s3": ("l2_exact", 20, 3),
+               "geometric_t_value_dp_net_m20": ("geometric_t_value", 20, 2)}
 
 
 def _env(root: Path) -> dict:
@@ -183,8 +204,8 @@ def layers(root: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def fresh(root: Path, m: int, s: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", FRESH, str(m), str(s)], cwd=root, env=_env(root),
+def fresh(root: Path, call: str, m: int, s: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", FRESH, call, str(m), str(s)], cwd=root, env=_env(root),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -244,16 +265,16 @@ def main() -> int:
         }
     for side, root in sides.items():
         record["layers"][side] = layers(root)
-    record["fresh"] = {"what": "l2_exact on dp-net alpha=3, m and s as named (s=2 unless named), "
+    record["fresh"] = {"what": "the named call on dp-net alpha=3, m and s as named (s=2 unless named), "
                                "one fresh subprocess per rung and side"}
-    for name, (m, s) in FRESH_RUNGS.items():
-        record["fresh"][name] = {side: fresh(root, m, s) for side, root in sides.items()}
+    for name, rung in FRESH_RUNGS.items():
+        record["fresh"][name] = {side: fresh(root, *rung) for side, root in sides.items()}
     reverse = {side: sides[side] for side in ("change", "parent")}
     rerun = {"order": "change first, then parent (the reverse of the first run)", "layers": {}, "fresh": {}}
     for side, root in reverse.items():
         rerun["layers"][side] = layers(root)
-    for name, (m, s) in FRESH_RUNGS.items():
-        rerun["fresh"][name] = {side: fresh(root, m, s) for side, root in reverse.items()}
+    for name, rung in FRESH_RUNGS.items():
+        rerun["fresh"][name] = {side: fresh(root, *rung) for side, root in reverse.items()}
     record["rerun"] = rerun
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -8,9 +8,10 @@ stderr, and the argv.  The corpus covers every family with `construct`,
 `verify all`/`t-value`/`order`/`hamming` and a `scaling` grid holding a
 bad size, the missing-flag, wrong-family and out-of-range-flag errors,
 the char check on the paper's alpha = 5 nets and on a b > 2 net, the
-witness lines of two b > 2 nets, and the refusal of an oversized net, of
-an empty grid, of abbreviated flags and of flags that a command or a
-family does not read.
+witness lines of two b > 2 nets, the geometric check of a 1200-coordinate
+net, a sequence grid whose largest size cannot be built, and the refusal
+of an oversized net, of an empty grid, of abbreviated flags and of flags
+that a command or a family does not read.
 Run it on two checkouts (each with its own `src` on PYTHONPATH) and
 `diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
@@ -102,6 +103,10 @@ def corpus() -> list[tuple[str, ...]]:
         ("verify", "mu1", "--family", "faure", *FAMILY_ARGS["faure"], "--c", "5"),
         # a grid with no value
         ("scaling", "--family", "davenport", "--N", "5:2"),
+        # a box walk over more coordinates than the recursion limit
+        ("verify", "geometric", "--family", "niederreiter", "--s", "1200", "--m", "1"),
+        # a sequence grid whose largest size cannot be built: the smaller rows keep their values
+        ("scaling", "--family", "dp-sequence", "--s", "2", "--N", "4,8,100000000000"),
     ]
     return commands
 

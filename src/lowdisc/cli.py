@@ -166,7 +166,7 @@ def _build(cfg: argparse.Namespace, row: Family, args: dict, points: bool = True
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="ascii") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -279,15 +279,19 @@ def cmd_scaling(cfg: argparse.Namespace) -> int:
     rows = ["family,params,N,s,value,n_times_value,ratio"]
     axis = row.size
     grid = _parse_grid(getattr(cfg, axis), axis)
-    full_sequence = None
+    sequence, failed = None, {}
+    if row.sequence:  # one build, at the largest size that builds; the rows are its prefixes
+        for v in sorted(set(grid), reverse=True):
+            try:
+                sequence = _build(cfg, *_family(cfg, v))[1]
+                break
+            except LowdiscError as exc:
+                failed[v] = exc  # reported on that size's own row
     for v in grid:
         try:
-            if row.sequence:  # one sequence, growing prefixes
-                if full_sequence is None:
-                    full_sequence = _build(cfg, *_family(cfg, max(grid)))[1]
-                ps = full_sequence.prefix(v)
-            else:
-                ps = _build(cfg, *_family(cfg, v))[1]
+            if v in failed:
+                raise failed[v]
+            ps = sequence.prefix(v) if row.sequence else _build(cfg, *_family(cfg, v))[1]
             rep = l2_exact(ps)
             n, s = len(ps), ps.s
             ratio = row.ratio(n, s, rep.value, v)

@@ -43,7 +43,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from decimal import Decimal
-from typing import Iterator
 
 import numpy as np
 
@@ -286,16 +285,6 @@ def _exponent(count: int, b: int) -> int:
     return m
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _prefix_weight(r: int, alpha: int) -> int:
     """mu_alpha weight of the first r rows of one coordinate."""
     return sum(range(max(r - alpha, 0) + 1, r + 1))
@@ -526,29 +515,41 @@ def _net_exponent(ps: PointSet) -> int:
     return m
 
 
-def _digit_prefixes(ps: PointSet, k: int) -> list[list[np.ndarray]]:
-    """prefixes[j][d], d <= k: the first d digits of coordinate j of every point, one base-b integer."""
-    digits = np.pad(ps.digit_array(), ((0, 0), (0, 0), (0, max(k - ps.precision, 0))))
-    prefixes = []
-    for j in range(ps.s):
-        vals = [np.zeros(len(ps), dtype=np.int64)]
-        for d in range(k):
-            vals.append(vals[-1] * ps.base + digits[:, j, d])
-        prefixes.append(vals)
-    return prefixes
+def _box_digits(ps: PointSet, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first k digits of every point, 0 past the precision: (s - 1, k, N) uint8 rows of the
+    leading coordinates, and `last[d]`, d <= k, the first d digits of the last as base-b integers."""
+    digits, kept = ps.digit_array(), min(k, ps.precision)
+    rows = np.zeros((ps.s - 1, k, len(ps)), dtype=np.uint8)
+    rows[:, :kept] = digits[:, :-1, :kept].transpose(1, 2, 0)
+    last = [np.zeros(len(ps), dtype=np.int64)]
+    for d in range(k):
+        last.append(last[-1] * ps.base + (digits[:, -1, d] if d < kept else 0))
+    return rows, last
 
 
-def _boxes_even(prefixes: list[list[np.ndarray]], b: int, k: int) -> bool:
-    """True iff every b-adic box of volume b^-k holds the same number of points."""
-    count = len(prefixes[0][0])
-    want = count // b**k
-    for d in _compositions(k, len(prefixes)):
-        box = np.zeros(count, dtype=np.int64)
-        for j, vals in enumerate(prefixes):
-            box = box * b ** d[j] + vals[d[j]]
-        if np.any(np.bincount(box, minlength=b**k) != want):
-            return False
-    return True
+def _boxes_even(rows: np.ndarray, last: list[np.ndarray], b: int, k: int) -> bool:
+    """True iff every b-adic box of volume b^-k holds the same number of points.
+
+    One depth-first walk over the coordinates meets every box shape d_1 + ... + d_s = k: coordinate
+    j takes d_j = 0, 1, ... digits, each extending the box index by one; the last takes the rest.
+    The walk stops at the first uneven box.
+    """
+    want, even = len(last[0]) // b**k, True
+
+    def visit(j: int, box: np.ndarray, left: int):
+        nonlocal even
+        if j == len(rows):
+            full = box * b**left + last[left] if left else box
+            even = bool(np.all(np.bincount(full, minlength=b**k) == want))
+            return
+        for d in range(left + 1):
+            box = box * b + rows[j, d - 1] if d else box
+            yield visit(j + 1, box, left - d)
+            if not even:
+                return
+
+    _depth_first(visit(0, np.zeros(len(last[0]), dtype=np.int64), k))
+    return even
 
 
 def geometric_net_check(ps: PointSet, t: int) -> bool:
@@ -560,18 +561,17 @@ def geometric_net_check(ps: PointSet, t: int) -> bool:
     m = _net_exponent(ps)
     if not 0 <= t <= m:
         raise ParameterError(f"t must be in [0, {m}]")
-    return _boxes_even(_digit_prefixes(ps, m - t), ps.base, m - t)
+    return _boxes_even(*_box_digits(ps, m - t), ps.base, m - t)
 
 
 def geometric_t_value(ps: PointSet) -> int:
     """The least t for which `geometric_net_check(ps, t)` holds, by box counting.
 
-    The digit prefixes are built once for every t.  At t = m the one box
-    holds every point, so the count always ends there.
+    The digits are read once for all t; at t = m the one box holds every point.
     """
     m = _net_exponent(ps)
-    prefixes = _digit_prefixes(ps, m)
-    return next(t for t in range(m + 1) if _boxes_even(prefixes, ps.base, m - t))
+    rows, last = _box_digits(ps, m)
+    return next(t for t in range(m + 1) if _boxes_even(rows, last, ps.base, m - t))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ takes (D @ C_j^T) mod b per coordinate, the direct form of the definition
 that `nets._net_digits` must equal.  Dual elements are (s, p) digit
 arrays, least significant digit first; `index_digits` and `digit_ints`
 convert between them and the integer vectors (k_1, ..., k_s) in which
-tests write them and the CLI prints witnesses.
+tests write them and the CLI prints witnesses.  `compositions` lists the
+box shapes and row prefixes that the loop oracles of the geometric check
+and of the t-value go through one by one.
 """
 
 import numpy as np
@@ -20,6 +22,16 @@ def net_digits_reference(count, b, matrices):
     for j, mat in enumerate(matrices):
         out[:, j] = (D @ np.asarray(mat, dtype=np.int64).T) % b
     return out
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def index_digits(indices, base, precision):

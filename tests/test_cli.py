@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowdisc import discrepancy
+from lowdisc import cli, discrepancy
 from lowdisc.cli import COMMANDS, FAMILIES, FLAGS, SIZE_FLAGS, _parse_args, main, make_parser
-from lowdisc.constructions import cs_matrices
+from lowdisc.constructions import cs_matrices, dp_sequence
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.nets import GeneratingMatrixSet, generate_net_points
 from lowdisc.pointfile import read_point_file, write_point_file
@@ -452,11 +452,11 @@ def test_verify_geometric_from_point_file(tmp_path, capsys):
     assert run("verify", "mu1", str(out)) == 1  # needs matrices
 
 
-def _diagonal_file(tmp_path, t_bound):
+def _diagonal_file(tmp_path, t_bound, name="diagonal.txt", **provenance):
     """The point file of the (1, 2, 2)-net on the diagonal, with t_bound in its provenance."""
-    path = tmp_path / "diagonal.txt"
-    write_point_file(generate_net_points(GeneratingMatrixSet(2, [np.eye(2)] * 2), {"t_bound": t_bound}),
-                     path)
+    path = tmp_path / name
+    write_point_file(generate_net_points(GeneratingMatrixSet(2, [np.eye(2)] * 2),
+                                         {"t_bound": t_bound, **provenance}), path)
     return str(path)
 
 
@@ -467,6 +467,21 @@ def test_verify_geometric_checks_the_files_t_bound(tmp_path, capsys):
     path = _diagonal_file(tmp_path, 0)
     assert run("verify", "geometric", path) == 3
     assert capsys.readouterr().out.splitlines()[1] == f"geometric,file,{path},1,<=0,false"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "geometric", "é.txt"),  # the path is part of the row
+    ("discrepancy", "cafe.txt"),  # "café" in the provenance: a JSON escape, so the file is ASCII
+])
+def test_out_file_is_utf8_text_equal_to_stdout(argv, tmp_path, capsys):
+    path = _diagonal_file(tmp_path, 1, argv[-1], family="café")
+    assert Path(path).read_bytes().isascii()
+    assert run(*argv[:-1], path) == 0
+    printed = capsys.readouterr().out
+    assert "é" in printed
+    out = tmp_path / "o.csv"
+    assert run(*argv[:-1], path, "--out", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == printed
 
 
 @pytest.mark.parametrize("t_bound", ["x", "1", -1, 1.5, True])
@@ -615,6 +630,19 @@ def test_scaling_rows_refuse_bad_sizes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "dp-sequence,N=-1,,,error: prefix of -1 points requested, need 0..4,,"
     assert lines[2].startswith("dp-sequence,N=4,4,2,")
+
+
+def test_scaling_sequence_keeps_the_rows_below_a_size_it_cannot_build(monkeypatch, capsys):
+    assert run("scaling", "--family", "dp-sequence", "--s", "2", "--N", "4,8") == 0
+    good = capsys.readouterr().out.splitlines()
+    builds = []
+    monkeypatch.setattr(cli, "dp_sequence", lambda s, n: builds.append(n) or dp_sequence(s, n))
+    assert run("scaling", "--family", "dp-sequence", "--s", "2", "--N", "4,8,100000000000") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == good
+    assert lines[3] == ("dp-sequence,N=100000000000,,,error: 100000000000 points x 2 coordinates x 185 digits "
+                        "exceed the 268435456-byte digit limit,,")
+    assert builds == [100000000000, 8]  # the largest size that builds, once for every row
 
 
 # each family's grid, whose first size gives an error row: flags, that row, sha256 of stdout

@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowdisc.constructions import cs_matrices, dp_net_matrices, faure_matrices, van_der_corput
+from lowdisc.constructions import (
+    cs_matrices,
+    dp_net,
+    dp_net_matrices,
+    faure_matrices,
+    niederreiter_net_matrices,
+    van_der_corput,
+)
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import (
     _TABLE_ROWS,
@@ -214,6 +221,25 @@ def test_geometric_agrees_with_algebraic_t():
         ps = generate_net_points(gm)
         for t in range(gm.cols + 1):
             assert geometric_net_check(ps, t) == (t >= t_alg)
+
+
+def test_geometric_check_walks_more_coordinates_than_the_recursion_limit():
+    """The box walk runs on an explicit stack: 1200 coordinates of 2 points at t = 0."""
+    assert geometric_net_check(generate_net_points(niederreiter_net_matrices(1200, 1)), 0)
+
+
+def test_geometric_t_value_peak_memory():
+    """dp-net alpha 3, s 2, m 16: the digits once, the last coordinate's 17 int64 prefixes and one
+    box per coordinate stay within 15 MB."""
+    ps = dp_net(3, 16, 2)
+    tracemalloc.start()
+    try:
+        t = geometric_t_value(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == compute_t_value(dp_net_matrices(3, 16, 2)) == 2
+    assert peak <= 15_000_000
 
 
 # ---------------------------------------------------------

@@ -54,7 +54,6 @@ from lowdisc.nets import (  # noqa: E402
     GeneratingMatrixSet,
     PointSet,
     _net_digits,
-    _compositions,
     char_property_sums,
     compute_t_value,
     dual_space,
@@ -76,7 +75,7 @@ from lowdisc.weights import _weight_matrix, min_dual_weight  # noqa: E402
 
 from count_reference import count_below_reference  # noqa: E402
 from l2_reference import l2_float_reference, l2_integer_reference, tie_heavy  # noqa: E402
-from net_reference import digit_ints, net_digits_reference  # noqa: E402
+from net_reference import compositions, digit_ints, net_digits_reference  # noqa: E402
 from pointfile_reference import digit_values_reference  # noqa: E402
 from rank_reference import min_dependent_support as per_support_search  # noqa: E402
 from rank_reference import rref, rref_kernel_basis  # noqa: E402
@@ -115,7 +114,7 @@ def geometric_loop_oracle(ps, t):
     if digits.shape[2] < m:
         pad = np.zeros((count, ps.s, m - digits.shape[2]), dtype=np.uint8)
         digits = np.concatenate([digits, pad], axis=2)
-    for d in _compositions(m - t, ps.s):
+    for d in compositions(m - t, ps.s):
         keys = {}
         for n in range(count):
             key = tuple(digits[n, j, : d[j]].tobytes() for j in range(ps.s))
@@ -131,7 +130,7 @@ def t_value_oracle(gm):
     m = gm.cols
     for t in range(m + 1):
         independent = True
-        for d in _compositions(m - t, gm.s):
+        for d in compositions(m - t, gm.s):
             take = [gm.array[j, : d[j]] for j in range(gm.s) if d[j] > 0]
             if take:
                 stacked = np.vstack(take)
@@ -270,12 +269,20 @@ def test_batched_walsh_sums_are_the_character_property(gm, seed):
         assert value == char_property_sums(ps, k[None])[0]
 
 
-@given(nets(max_m=5))
-def test_geometric_check_matches_loop_and_algebraic_t(gm):
+@given(nets(max_m=5), st.data())
+def test_geometric_check_matches_loop_and_algebraic_t(gm, data):
     ps = generate_net_points(gm)
     t = compute_t_value(gm)
     for tt in range(gm.cols + 1):
         assert geometric_net_check(ps, tt) == geometric_loop_oracle(ps, tt) == (tt >= t)
+    # one digit of one point changed: no digital net any more, so the loop oracle alone is the reference
+    digits = ps.digit_array().copy()
+    n, j, i = (data.draw(st.integers(0, size - 1)) for size in digits.shape)
+    digits[n, j, i] = (digits[n, j, i] + data.draw(st.integers(1, gm.base - 1))) % gm.base
+    changed = PointSet.from_digits(digits, gm.base)
+    accepted = [tt for tt in range(gm.cols + 1) if geometric_loop_oracle(changed, tt)]
+    assert [tt for tt in range(gm.cols + 1) if geometric_net_check(changed, tt)] == accepted
+    assert geometric_t_value(changed) == accepted[0]
 
 
 @given(nets())
