@@ -3,76 +3,64 @@
     python3 scripts/bench_compare.py --parent DIR --change DIR --out BENCH.json
 
 DIR is the root of a checkout (for example `git archive <commit> | tar -x
--C DIR`).  Two kinds of numbers are recorded, each run in a fresh
-subprocess, one at a time:
+-C DIR`).  The ladder is a list of rungs, each run as pairs of fresh
+subprocesses, one per checkout, one process at a time; the side that runs
+first alternates from pair to pair, starting with the parent.  Each rung
+gets `PAIRS` pairs, or the count its `RUNGS` row names.  Two kinds of rung:
 
-- end to end: for each workload that the change's BENCHMARK.json lists,
-  ten pairs of seed-1 `perfbench/run.py` runs of its `run_seconds`, one
-  per checkout, the side that runs first alternating from pair to pair;
-  the raw result line of every run is kept;
-- layers: best of 5 in-process timings of `generate_net_points` and of a
-  `dumps_point_file` + `loads_point_file` round trip, for dp-net alpha 3,
-  s 2, m 16 (N = 2^16), and the tracemalloc peak of the generation; best
-  of 5 timings of `dp_sequence(2, 2^16)` and `dp_finite_pointset(2^16 - 1,
-  3)`, each with the sha256 of its digit array, so that the two sides can
-  be checked equal; best
-  of 3 timings of `l2_exact` on that net (with its tracemalloc peak), on
-  dp-finite N = 8000 and N = 2004, s = 3, on `dp_sequence(2, 2047)` (two
-  limbs), on random base-2 sets of N = 1024 points with 32 digits for
-  s = 3, 4 and 5 and of N = 4096 points in s = 3 with 32 and with 60
-  digits (seed 0); and the exact squared values, so that the two sides
-  can be checked equal; best of 3 timings
-  of `compute_t_value` on Faure b 13, m 5, s 13, on Faure b 13, m 7,
-  s 13, on Faure b 17, m 6, s 17 and on the base-2 Niederreiter net s 6,
-  m 14, each with the t it found, and of the mu_3 search
-  `min_dependent_support(dp_net_matrices(3, 16, 2), "mu", 3)` with the
-  weight it found; for each of these rank rungs, the `field.reduce_row`
-  calls of one more run, a count that does not drift with the load of
-  the machine as times do; best of 3 timings of `geometric_net_check`
-  on the base-2 Niederreiter net s 8, m 16 at t = 7 (11 440 box shapes)
-  and of `geometric_t_value` on dp-net alpha 3, s 2, m 18, with the
-  verdict, the t found and the tracemalloc peak of the latter;
-- fresh rungs: `l2_exact` on dp-net alpha 3, s 2, m 18 and m 20 (N = 2^18
-  and 2^20), and on dp-net alpha 3, s 3, m 20 (2^20 points of 60
-  digits), and `geometric_t_value` on dp-net alpha 3, s 2, m 20, each
-  once in a fresh subprocess per checkout, recording the wall time of the
-  call, the process's `ru_maxrss` before the call (the point set built)
-  and after it, and the exact squared value or the t found, or the
-  message of a `CapacityError` refusal;
-- `rerun`: the layer and fresh rungs once more with the change's side
-  first, since each side runs them after the other, not in pairs.
+- the workloads that the change's BENCHMARK.json lists: one seed-1
+  `perfbench/run.py` run of its `run_seconds` per side, from that side's own
+  `perfbench/`, whose result line is kept as it is;
+- the rows of `RUNGS`: in the child, `measure` (this file's, on both sides,
+  as is the `scripts/cli_digest.py` beside it) runs `PREAMBLE` and the row's
+  `setup` (untimed), then times its `call` `repeat` times and records the
+  best time, `ru_maxrss` before and after the timed calls, and the result:
+  the exact squared value of an L2 report, the sha256 of a point set's
+  digits, or the value itself (a t, a weight, a verdict, the sha256 of the
+  `scripts/cli_digest.py` corpus output).  `records` adds values, each
+  from one more call: "peak", its tracemalloc peak, and "reduce_row", its
+  `field.reduce_row` calls, a count that does not drift with the load of
+  the machine as times do.  A `CapacityError` is recorded as the result.
 
-Each checkout is run with its own `src` on PYTHONPATH and its own
-`perfbench/`.  Before the first run, every `__pycache__` under both
-checkouts is removed and both are compiled anew with `compileall`, so
-that neither side pays for compiling its imports while the other reads a
-cache.  The summary gives the medians and the pairs the change won.
+Every run has the PYTHONPATH of its own checkout's `src`.  Before the first
+run, every `__pycache__` under both checkouts is removed and both are
+compiled anew with `compileall`, so that neither side pays for compiling
+its imports while the other reads a cache.  Each rung's summary gives, for
+each metric, both sides' medians, the parent's interquartile range and the
+pairs the change won (a lower value; ties count for neither), with whether
+both sides gave the same results and how many perfbench jobs failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
+HERE = Path(__file__).resolve().parent
 PAIRS = 10
 SEED = 1
-METRICS = ("run_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+UNITS = {"s": "s", "ru_maxrss_kb_before": "kB", "ru_maxrss_kb": "kB", "peak_bytes": "B",
+         "reduce_row_calls": "calls"}
 
-LAYERS = """
-import hashlib, json, time, tracemalloc
+PREAMBLE = """
 import numpy as np
 from lowdisc.constructions import (
-    dp_finite_pointset, dp_net_matrices, dp_sequence, faure_matrices, niederreiter_net_matrices,
+    dp_finite_pointset, dp_net, dp_net_matrices, dp_sequence, faure_matrices, niederreiter_net_matrices,
 )
-from lowdisc import field, nets as nets_module
 from lowdisc.discrepancy import l2_exact
 from lowdisc.nets import (
     PointSet, compute_t_value, generate_net_points, geometric_net_check, geometric_t_value,
@@ -80,107 +68,145 @@ from lowdisc.nets import (
 )
 from lowdisc.pointfile import dumps_point_file, loads_point_file
 
-def best(fn, repeat=5):
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def random_points(n, s, p):
+    return PointSet.from_digits(np.random.default_rng(0).integers(0, 2, (n, s, p), dtype=np.uint8), 2)
+"""
 
-gm = dp_net_matrices(3, 16, 2)
-tracemalloc.start()
-ps = generate_net_points(gm)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-assert loads_point_file(dumps_point_file(ps)) == ps
-out = {
-    "generate_net_points_s": best(lambda: generate_net_points(gm)),
-    "generate_net_points_peak_bytes": peak,
-    "point_file_round_trip_s": best(lambda: loads_point_file(dumps_point_file(ps))),
-    "point_file_bytes": len(dumps_point_file(ps)),
+
+class Rung(NamedTuple):
+    setup: str
+    call: str
+    repeat: int = 3
+    records: tuple[str, ...] = ()
+    pairs: int = PAIRS
+
+
+NET16 = "ps = generate_net_points(dp_net_matrices(3, 16, 2))"
+RUNGS = {
+    "generate_net_points_dp_net_m16": Rung("gm = dp_net_matrices(3, 16, 2)", "generate_net_points(gm)", 5,
+                                           ("peak",)),
+    "point_file_round_trip_dp_net_m16": Rung(NET16, "loads_point_file(dumps_point_file(ps))", 5),
+    "dp_sequence_s2_65536": Rung("", "dp_sequence(2, 2**16)", 5),
+    "dp_finite_pointset_65535_s3": Rung("", "dp_finite_pointset(2**16 - 1, 3)", 5),
+    "l2_exact_dp_net_m16": Rung(NET16, "l2_exact(ps)", 3, ("peak",)),
+    "l2_exact_dp_finite_8000_s3": Rung("ps = dp_finite_pointset(8000, 3)", "l2_exact(ps)"),
+    "l2_exact_dp_finite_2004_s3": Rung("ps = dp_finite_pointset(2004, 3)", "l2_exact(ps)"),
+    "l2_exact_dp_sequence_s2_2047": Rung("ps = dp_sequence(2, 2047)", "l2_exact(ps)"),
+    **{f"l2_exact_random_b2_1024_s{s}": Rung(f"ps = random_points(1024, {s}, 32)", "l2_exact(ps)")
+       for s in (3, 4, 5)},
+    **{f"l2_exact_random_b2_4096_s3_p{p}": Rung(f"ps = random_points(4096, 3, {p})", "l2_exact(ps)")
+       for p in (32, 60)},
+    **{f"compute_t_value_{name}": Rung(f"gm = {net}", "compute_t_value(gm)", 3, ("reduce_row",))
+       for name, net in {"faure_b13_m5_s13": "faure_matrices(13, 5, 13)",
+                         "faure_b13_m7_s13": "faure_matrices(13, 7, 13)",
+                         "faure_b17_m6_s17": "faure_matrices(17, 6, 17)",
+                         "niederreiter_s6_m14": "niederreiter_net_matrices(6, 14)"}.items()},
+    "min_dependent_support_mu3_dp_net_a3_m16_s2": Rung("gm = dp_net_matrices(3, 16, 2)",
+                                                       "min_dependent_support(gm, 'mu', 3)[0]", 3,
+                                                       ("reduce_row",)),
+    # 11 440 box shapes: the part of `verify all` on this net that the box walk serves
+    "geometric_net_check_niederreiter_s8_m16_t7": Rung(
+        "ps = generate_net_points(niederreiter_net_matrices(8, 16))", "geometric_net_check(ps, 7)"),
+    "geometric_t_value_dp_net_m18": Rung("ps = generate_net_points(dp_net_matrices(3, 18, 2))",
+                                         "geometric_t_value(ps)", 3, ("peak",)),
+    "l2_exact_dp_net_m18": Rung("ps = dp_net(3, 18, 2)", "l2_exact(ps)", 1),
+    "l2_exact_dp_net_m20": Rung("ps = dp_net(3, 20, 2)", "l2_exact(ps)", 1),
+    # about 50 s a call, so fewer pairs
+    "l2_exact_dp_net_m20_s3": Rung("ps = dp_net(3, 20, 3)", "l2_exact(ps)", 1, pairs=3),
+    "geometric_t_value_dp_net_m20": Rung("ps = dp_net(3, 20, 2)", "geometric_t_value(ps)", 1),
+    # byte-identical CLI behaviour on both sides shows as the same result
+    "cli_digest": Rung("import hashlib\nfrom cli_digest import digest",
+                       "hashlib.sha256(digest().encode()).hexdigest()", 1),
 }
-sequences = {"dp_sequence_s2_65536": lambda: dp_sequence(2, 2**16),
-             "dp_finite_pointset_65535_s3": lambda: dp_finite_pointset(2**16 - 1, 3)}
-for name, build in sequences.items():
-    out[f"{name}_s"] = best(build)
-    out[f"{name}_sha256"] = hashlib.sha256(build().digit_array().tobytes()).hexdigest()
-tracemalloc.start()
-l2_exact(ps)
-out["l2_exact_dp_net_m16_peak_bytes"] = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-rng = np.random.default_rng(0)
-sets = {"dp_net_m16": ps, "dp_finite_8000_s3": dp_finite_pointset(8000, 3),
-        "dp_finite_2004_s3": dp_finite_pointset(2004, 3), "dp_sequence_s2_2047": dp_sequence(2, 2047)}
-for s in (3, 4, 5):
-    sets[f"random_b2_1024_s{s}"] = PointSet.from_digits(rng.integers(0, 2, (1024, s, 32), dtype=np.uint8), 2)
-for p in (32, 60):
-    sets[f"random_b2_4096_s3_p{p}"] = PointSet.from_digits(rng.integers(0, 2, (4096, 3, p), dtype=np.uint8), 2)
-for name, points in sets.items():
-    out[f"l2_exact_{name}_s"] = best(lambda: l2_exact(points), repeat=3)
-    out[f"l2_exact_{name}_exact"] = str(l2_exact(points).exact)
-nets = {"faure_b13_m5_s13": faure_matrices(13, 5, 13), "faure_b13_m7_s13": faure_matrices(13, 7, 13),
-        "faure_b17_m6_s17": faure_matrices(17, 6, 17), "niederreiter_s6_m14": niederreiter_net_matrices(6, 14)}
-rank = {f"compute_t_value_{name}": (lambda net=net: compute_t_value(net), "t") for name, net in nets.items()}
-mu3_net = dp_net_matrices(3, 16, 2)
-rank["min_dependent_support_mu3_dp_net_a3_m16_s2"] = (lambda: min_dependent_support(mu3_net, "mu", 3)[0],
-                                                     "weight")
-for name, (run, found) in rank.items():
-    out[f"{name}_s"] = best(run, repeat=3)
-    out[f"{name}_{found}"] = run()
-calls = [0]
-reduce_row = field.reduce_row
-
-def counted(*args):
-    calls[0] += 1
-    return reduce_row(*args)
-
-field.reduce_row = nets_module.reduce_row = counted
-for name, (run, _) in rank.items():
-    calls[0] = 0
-    run()
-    out[f"{name}_reduce_row_calls"] = calls[0]
-boxes = generate_net_points(niederreiter_net_matrices(8, 16))
-out["geometric_net_check_niederreiter_s8_m16_t7_s"] = best(lambda: geometric_net_check(boxes, 7), repeat=3)
-out["geometric_net_check_niederreiter_s8_m16_t7"] = geometric_net_check(boxes, 7)
-boxes = generate_net_points(dp_net_matrices(3, 18, 2))
-tracemalloc.start()
-out["geometric_t_value_dp_net_m18_t"] = geometric_t_value(boxes)
-out["geometric_t_value_dp_net_m18_peak_bytes"] = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-out["geometric_t_value_dp_net_m18_s"] = best(lambda: geometric_t_value(boxes), repeat=3)
-print(json.dumps(out))
-"""
 
 
-FRESH = """
-import json, resource, sys, time
-from lowdisc.constructions import dp_net
-from lowdisc.discrepancy import l2_exact
-from lowdisc.errors import CapacityError
-from lowdisc.nets import geometric_t_value
-ps = dp_net(3, int(sys.argv[2]), int(sys.argv[3]))
-key, call = {"l2_exact": ("exact", lambda: str(l2_exact(ps).exact)),
-             "geometric_t_value": ("t", lambda: geometric_t_value(ps))}[sys.argv[1]]
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-start = time.perf_counter()
-try:
-    result = {key: call()}
-except CapacityError as exc:
-    result = {"refused": str(exc)}
-seconds = time.perf_counter() - start
-print(json.dumps({"s": seconds, "ru_maxrss_kb_before": before,
-                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, **result}))
-"""
-FRESH_RUNGS = {"l2_exact_dp_net_m18": ("l2_exact", 18, 2), "l2_exact_dp_net_m20": ("l2_exact", 20, 2),
-               "l2_exact_dp_net_m20_s3": ("l2_exact", 20, 3),
-               "geometric_t_value_dp_net_m20": ("geometric_t_value", 20, 2)}
+def measure(name: str) -> None:
+    """Run rung `name` of `RUNGS` in this process and print its result line."""
+    from lowdisc import field, nets
+    from lowdisc.errors import CapacityError
+
+    rung = RUNGS[name]
+    scope: dict = {}
+    exec(PREAMBLE + rung.setup, scope)
+    call = eval(f"lambda: {rung.call}", scope)
+    values = {"ru_maxrss_kb_before": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+    times = []
+    for _ in range(rung.repeat):
+        start = time.perf_counter()
+        try:
+            result = call()
+        except CapacityError as exc:
+            result = f"refused: {exc}"
+        times.append(time.perf_counter() - start)
+    values.update(s=min(times), ru_maxrss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    if "peak" in rung.records:
+        tracemalloc.start()
+        call()
+        values["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    if "reduce_row" in rung.records:
+        reduce_row, calls = field.reduce_row, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return reduce_row(*args)
+
+        field.reduce_row = nets.reduce_row = counted
+        call()
+        values["reduce_row_calls"] = calls[0]
+    if isinstance(result, nets.PointSet):
+        result = hashlib.sha256(result.digit_array().tobytes()).hexdigest()
+    elif hasattr(result, "exact"):
+        result = str(result.exact)
+    metrics = {key: {"value": value, "unit": UNITS[key]} for key, value in values.items()}
+    print(json.dumps({"result": result, "metrics": metrics}, default=int))
 
 
-def _env(root: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src")
-    return env
+def command(name: str, seconds: int) -> list[str]:
+    """The interpreter arguments of one run of rung `name`, from the root of a checkout."""
+    if name in RUNGS:
+        return ["-c", f"import sys; sys.path.insert(0, {str(HERE)!r}); import bench_compare; "
+                      f"bench_compare.measure({name!r})"]
+    return ["perfbench/run.py", "--workload", name, "--seed", str(SEED), "--seconds", str(seconds),
+            "--trace", "0"]
+
+
+def run(root: Path, argv: list[str]) -> dict:
+    """The last stdout line, as JSON, of one fresh subprocess of argv in the checkout at root."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(count: int, run_side) -> list[dict]:
+    """`count` pairs of `run_side(side)`, one per side, the parent first in even pairs."""
+    pairs = []
+    for i in range(count):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pairs.append({"first": order[0], **{side: run_side(side) for side in order}})
+    return pairs
+
+
+def summarise(pairs: list[dict]) -> dict:
+    """Per metric, the medians, parent IQR and change wins of the pairs; whether every pair's two
+    results are equal; and each side's failed perfbench jobs."""
+    metrics = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        parent, change = ([p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES)
+        q = statistics.quantiles(parent, n=4)
+        metrics[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_iqr": q[2] - q[0],
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return {
+        "metrics": metrics,
+        "same_result": all(p["parent"].get("result") == p["change"].get("result") for p in pairs),
+        "failed": {side: sum(p[side].get("failed", 0) for p in pairs) for side in SIDES},
+    }
 
 
 def fresh_bytecode(root: Path) -> None:
@@ -191,91 +217,32 @@ def fresh_bytecode(root: Path) -> None:
         raise RuntimeError(f"compileall failed under {root}")
 
 
-def perfbench(root: Path, workload: str, seconds: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def layers(root: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root, env=_env(root),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def fresh(root: Path, call: str, m: int, s: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", FRESH, call, str(m), str(s)], cwd=root, env=_env(root),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def metric(line: dict, name: str) -> float:
-    return line["metrics"][name]["value"]
-
-
-def summarise(pairs: list[dict]) -> dict:
-    out = {}
-    for name in METRICS:
-        parent = [metric(p["parent"], name) for p in pairs]
-        change = [metric(p["change"], name) for p in pairs]
-        q = statistics.quantiles(parent, n=4)
-        out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
-            "parent_iqr": q[2] - q[0],
-            "change_wins": sum(c < p for p, c in zip(parent, change)),
-            "pairs": len(pairs),
-        }
-    return out
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = benchmark["run_seconds"]
-    for root in sides.values():
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for root in roots.values():
         fresh_bytecode(root)
     record = {
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "bytecode": "every __pycache__ under both checkouts removed, then both compiled "
                     "with compileall, before the first run",
-        "perfbench": {"seconds": seconds, "seed": SEED, "workloads": {}},
-        "layers": {"repeat": 5, "l2_exact_repeat": 3, "rank_repeat": 3,
-                   "net": "dp-net alpha=3 s=2 m=16 (N=65536)"},
+        "preamble": PREAMBLE,
+        "rungs": {},
     }
-    for workload in (w["name"] for w in benchmark["workloads"]):
-        pairs = []
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = perfbench(sides[side], workload, seconds)
-            pairs.append(pair)
-            print(workload, i, {s: metric(pair[s], "run_s") for s in order}, file=sys.stderr)
-        failed = {side: sum(p[side]["failed"] for p in pairs) for side in sides}
-        record["perfbench"]["workloads"][workload] = {
-            "summary": summarise(pairs), "failed_jobs": failed, "pairs": pairs,
-        }
-    for side, root in sides.items():
-        record["layers"][side] = layers(root)
-    record["fresh"] = {"what": "the named call on dp-net alpha=3, m and s as named (s=2 unless named), "
-                               "one fresh subprocess per rung and side"}
-    for name, rung in FRESH_RUNGS.items():
-        record["fresh"][name] = {side: fresh(root, *rung) for side, root in sides.items()}
-    reverse = {side: sides[side] for side in ("change", "parent")}
-    rerun = {"order": "change first, then parent (the reverse of the first run)", "layers": {}, "fresh": {}}
-    for side, root in reverse.items():
-        rerun["layers"][side] = layers(root)
-    for name, rung in FRESH_RUNGS.items():
-        rerun["fresh"][name] = {side: fresh(root, *rung) for side, root in reverse.items()}
-    record["rerun"] = rerun
+    start = time.monotonic()
+    for name in [w["name"] for w in benchmark["workloads"]] + list(RUNGS):
+        argv = command(name, benchmark["run_seconds"])
+        rung = RUNGS[name]._asdict() if name in RUNGS else {"argv": argv, "pairs": PAIRS}
+        pairs = run_pairs(rung["pairs"], lambda side: run(roots[side], argv))
+        record["rungs"][name] = {"rung": rung, "summary": summarise(pairs), "pairs": pairs}
+        print(name, json.dumps(record["rungs"][name]["summary"]), file=sys.stderr)
+    record["wall_s"] = time.monotonic() - start
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

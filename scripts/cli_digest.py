@@ -24,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import shlex
+import sys
 
 from lowdisc.cli import main
 
@@ -121,7 +122,14 @@ def run(argv: tuple[str, ...]) -> tuple[str, bytes]:
     return code, out.getvalue().encode() + b"\0" + err.getvalue().encode()
 
 
-if __name__ == "__main__":
+def digest() -> str:
+    """The printed digest: one line per command of the corpus."""
+    lines = []
     for argv in corpus():
         code, captured = run(argv)
-        print(code, hashlib.sha256(captured).hexdigest(), shlex.join(argv))
+        lines.append(f"{code} {hashlib.sha256(captured).hexdigest()} {shlex.join(argv)}\n")
+    return "".join(lines)
+
+
+if __name__ == "__main__":
+    sys.stdout.write(digest())

@@ -517,11 +517,12 @@ def _net_exponent(ps: PointSet) -> int:
 
 def _box_digits(ps: PointSet, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The first k digits of every point, 0 past the precision: (s - 1, k, N) uint8 rows of the
-    leading coordinates, and `last[d]`, d <= k, the first d digits of the last as base-b integers."""
+    leading coordinates, and `last[d]`, d <= k, the first d digits of the last as base-b integers.
+    The prefixes are below b^k <= N, so they are int32 whenever N fits (N <= 2^28 under MAX_DIGIT_BYTES)."""
     digits, kept = ps.digit_array(), min(k, ps.precision)
     rows = np.zeros((ps.s - 1, k, len(ps)), dtype=np.uint8)
     rows[:, :kept] = digits[:, :-1, :kept].transpose(1, 2, 0)
-    last = [np.zeros(len(ps), dtype=np.int64)]
+    last = [np.zeros(len(ps), dtype=np.int32 if len(ps) <= np.iinfo(np.int32).max else np.int64)]
     for d in range(k):
         last.append(last[-1] * ps.base + (digits[:, -1, d] if d < kept else 0))
     return rows, last

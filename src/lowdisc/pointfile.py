@@ -9,10 +9,11 @@ digits with commas.  Round trips are bit-exact.
 
 Bases up to 10 are written as one (N, s, precision + 1) byte array: the
 digit characters of each coordinate and a space after it, or a newline
-after the last.  Reading takes the same shortcut back: when the text after
-the header (and an optional provenance line 2) is exactly that layout, one
-vectorised check validates it and the digits are read from the reshaped
-bytes.  Anything else -- comments elsewhere, CRLF, extra whitespace, comma
+after the last; `write_point_file` writes that array's buffer to the file
+as it is, with no str copy.  Reading takes the same shortcut back: when
+the text after the header (and an optional provenance line 2) is exactly
+that layout, one vectorised check validates it and the digits are read
+from the reshaped bytes.  Anything else -- comments elsewhere, CRLF, extra whitespace, comma
 digits, every malformed file -- goes to the line parser, which is the
 fallback, the oracle the shortcut must agree with, and the only source of
 body error messages.  It splits the lines into coordinate fields in Python
@@ -47,29 +48,39 @@ _PROVENANCE = b"# provenance: "
 _HEADER_CHARS = 4096  # the longest first line `read_point_file` checks before the body
 
 
-def dumps_point_file(ps: PointSet) -> str:
+def _encoded(ps: PointSet) -> tuple[bytes, np.ndarray | bytes]:
+    """The header lines and the body of the point file, as ASCII bytes; for bases up to 10 the body
+    is the (N, s, precision + 1) uint8 array of its characters."""
     lines = [f"{ps.base} {_exponent(len(ps), ps.base)} {ps.s} {ps.precision} {len(ps)}"]
     if ps.provenance is not None:
         lines.append(_PROVENANCE.decode() + json.dumps(ps.provenance, sort_keys=True))
+    head = ("\n".join(lines) + "\n").encode("ascii")
     digits = ps.digit_array()
     if ps.base <= 10:
         body = np.empty(digits.shape[:2] + (ps.precision + 1,), dtype=np.uint8)
         np.add(digits, ord("0"), out=body[:, :, :-1])
         body[:, :, -1] = ord(" ")
         body[:, -1, -1] = ord("\n")
-        body = body.tobytes()
-    else:
-        # each digit's characters and the separator after it, NUL-padded to a common width
-        tokens = np.array([[f"{d}{sep}" for d in range(ps.base)] for sep in ", \n"], dtype="S")
-        sep = np.zeros((ps.s, ps.precision), dtype=np.intp)
-        sep[:, -1] = 1
-        sep[-1, -1] = 2
-        body = tokens[sep, digits].tobytes().replace(b"\0", b"")
-    return "\n".join(lines) + "\n" + body.decode("ascii")
+        return head, body
+    # each digit's characters and the separator after it, NUL-padded to a common width
+    tokens = np.array([[f"{d}{sep}" for d in range(ps.base)] for sep in ", \n"], dtype="S")
+    sep = np.zeros((ps.s, ps.precision), dtype=np.intp)
+    sep[:, -1] = 1
+    sep[-1, -1] = 2
+    return head, tokens[sep, digits].tobytes().replace(b"\0", b"")
+
+
+def dumps_point_file(ps: PointSet) -> str:
+    head, body = _encoded(ps)
+    return head.decode("ascii") + str(body, "ascii")  # decoded from the buffer: no bytes copy
 
 
 def write_point_file(ps: PointSet, path) -> None:
-    Path(path).write_text(dumps_point_file(ps), encoding="ascii")
+    """Write the bytes of `dumps_point_file(ps)`, the body straight from its buffer."""
+    head, body = _encoded(ps)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(body)
 
 
 def _header(line: str) -> tuple[int, int, int, int]:

@@ -20,6 +20,7 @@ from lowdisc.nets import (
     _TABLE_ROWS,
     DualSpace,
     GeneratingMatrixSet,
+    _box_digits,
     _candidate_trie,
     _net_digits,
     PointSet,
@@ -228,8 +229,18 @@ def test_geometric_check_walks_more_coordinates_than_the_recursion_limit():
     assert geometric_net_check(generate_net_points(niederreiter_net_matrices(1200, 1)), 0)
 
 
+def test_box_digits_keeps_int32_prefixes_of_the_last_coordinate():
+    ps = dp_net(3, 10, 2)
+    rows, last = _box_digits(ps, 10)
+    digits = ps.digit_array()[:, -1, :10].astype(np.int64)
+    assert rows.dtype == np.uint8 and len(last) == 11
+    for d, prefix in enumerate(last):
+        assert prefix.dtype == np.int32
+        assert np.array_equal(prefix, digits[:, :d] @ (2 ** np.arange(d - 1, -1, -1)))
+
+
 def test_geometric_t_value_peak_memory():
-    """dp-net alpha 3, s 2, m 16: the digits once, the last coordinate's 17 int64 prefixes and one
+    """dp-net alpha 3, s 2, m 16: the digits once, the last coordinate's 17 int32 prefixes and one
     box per coordinate stay within 15 MB."""
     ps = dp_net(3, 16, 2)
     tracemalloc.start()

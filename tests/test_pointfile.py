@@ -44,6 +44,17 @@ def test_round_trip_quantized_set(tmp_path):
     assert read_point_file(path) == ps
 
 
+@pytest.mark.parametrize("base", [2, 11])
+@pytest.mark.parametrize("provenance", [None, {"family": "manual", "note": "caf\u00e9"}])
+def test_write_point_file_writes_the_dumps_bytes(tmp_path, base, provenance):
+    digits = np.random.default_rng(base).integers(0, base, (7, 3, 4), dtype=np.uint8)
+    ps = PointSet.from_digits(digits, base, provenance)
+    path = tmp_path / "points.txt"
+    write_point_file(ps, path)
+    assert path.read_bytes() == dumps_point_file(ps).encode()
+    assert read_point_file(path) == ps
+
+
 def test_header_reports_m():
     text = dumps_point_file(van_der_corput(2, 3))
     assert text.splitlines()[0] == "2 3 1 3 8"
