@@ -20,7 +20,9 @@ gets `PAIRS` pairs, or the count its `RUNGS` row names.  Two kinds of rung:
   `scripts/cli_digest.py` corpus output).  `records` adds values, each
   from one more call: "peak", its tracemalloc peak, and "reduce_row", its
   `field.reduce_row` calls, a count that does not drift with the load of
-  the machine as times do.  A `CapacityError` is recorded as the result.
+  the machine as times do; "file" makes the result the sha256 of the file
+  at `path` (see `FILE`) that the call wrote, read in chunks after the
+  timed calls.  A `CapacityError` is recorded as the result.
 
 Every run has the PYTHONPATH of its own checkout's `src`.  Before the first
 run, every `__pycache__` under both checkouts is removed and both are
@@ -66,10 +68,27 @@ from lowdisc.nets import (
     PointSet, compute_t_value, generate_net_points, geometric_net_check, geometric_t_value,
     min_dependent_support,
 )
-from lowdisc.pointfile import dumps_point_file, loads_point_file
+from lowdisc.pointfile import dumps_point_file, loads_point_file, read_point_file
 
 def random_points(n, s, p):
     return PointSet.from_digits(np.random.default_rng(0).integers(0, 2, (n, s, p), dtype=np.uint8), 2)
+"""
+# the set-up of the point-file rungs: `path` is a file in a temporary directory that the child removes
+# when it exits, and `to_stdout(argv)` runs the CLI with stdout redirected into that file
+FILE = """
+import contextlib
+import subprocess
+import sys
+import tempfile
+from lowdisc.cli import main
+
+tmp = tempfile.TemporaryDirectory()
+path = tmp.name + "/points.txt"
+M20 = ["construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "20"]
+
+def to_stdout(argv):
+    with open(path, "w") as out, contextlib.redirect_stdout(out):
+        return main(argv)
 """
 
 
@@ -96,6 +115,8 @@ RUNGS = {
        for s in (3, 4, 5)},
     **{f"l2_exact_random_b2_4096_s3_p{p}": Rung(f"ps = random_points(4096, 3, {p})", "l2_exact(ps)")
        for p in (32, 60)},
+    **{f"l2_exact_random_b2_4096_s{s}": Rung(f"ps = random_points(4096, {s}, 32)", "l2_exact(ps)")
+       for s in (4, 5)},
     **{f"compute_t_value_{name}": Rung(f"gm = {net}", "compute_t_value(gm)", 3, ("reduce_row",))
        for name, net in {"faure_b13_m5_s13": "faure_matrices(13, 5, 13)",
                          "faure_b13_m7_s13": "faure_matrices(13, 7, 13)",
@@ -114,6 +135,12 @@ RUNGS = {
     # about 50 s a call, so fewer pairs
     "l2_exact_dp_net_m20_s3": Rung("ps = dp_net(3, 20, 3)", "l2_exact(ps)", 1, pairs=3),
     "geometric_t_value_dp_net_m20": Rung("ps = dp_net(3, 20, 2)", "geometric_t_value(ps)", 1),
+    # the point file of a 126 MB digit array, its bytes as the result
+    "construct_dp_net_m20_out": Rung(FILE, "main(M20 + ['--out', path])", 1, ("file",)),
+    "construct_dp_net_m20_stdout": Rung(FILE, "to_stdout(M20)", 1, ("file",)),
+    # the file is written by another process, so that `ru_maxrss` is the read's own
+    "read_point_file_dp_net_m20": Rung(FILE + "subprocess.run([sys.executable, '-m', 'lowdisc', *M20, '--out', path],"
+                                              " check=True, capture_output=True)", "read_point_file(path)", 1),
     # byte-identical CLI behaviour on both sides shows as the same result
     "cli_digest": Rung("import hashlib\nfrom cli_digest import digest",
                        "hashlib.sha256(digest().encode()).hexdigest()", 1),
@@ -154,6 +181,12 @@ def measure(name: str) -> None:
         field.reduce_row = nets.reduce_row = counted
         call()
         values["reduce_row_calls"] = calls[0]
+    if "file" in rung.records:  # the bytes the call wrote to `path`, hashed in chunks
+        digest = hashlib.sha256()
+        with open(scope["path"], "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+        result = digest.hexdigest()
     if isinstance(result, nets.PointSet):
         result = hashlib.sha256(result.digit_array().tobytes()).hexdigest()
     elif hasattr(result, "exact"):

@@ -113,13 +113,14 @@ def corpus() -> list[tuple[str, ...]]:
 
 
 def run(argv: tuple[str, ...]) -> tuple[str, bytes]:
-    out, err = io.StringIO(), io.StringIO()
+    # stdout has a binary layer, as a real one does: bytes written to `sys.stdout.buffer` are kept
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="", write_through=True), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(main(list(argv)))
         except Exception as exc:  # a traceback is behaviour too: record its type
             code = type(exc).__name__
-    return code, out.getvalue().encode() + b"\0" + err.getvalue().encode()
+    return code, out.buffer.getvalue() + b"\0" + err.getvalue().encode()
 
 
 def digest() -> str:

@@ -41,7 +41,7 @@ from .nets import (
     geometric_t_value,
     min_dependent_support,
 )
-from .pointfile import dumps_point_file, read_point_file, write_point_file
+from .pointfile import read_point_file, write_point_file
 from .weights import order_alpha_profile, t_alpha
 
 
@@ -133,7 +133,7 @@ def _row(cfg: argparse.Namespace) -> Family:
     row = FAMILIES[cfg.family]
     floor = "hamming" in _checks(getattr(cfg, "check", None), row)
     for flag in SIZE_FLAGS:
-        if flag not in row.flags and getattr(cfg, flag) is not None and not (floor and flag == "alpha"):
+        if flag not in row.flags and getattr(cfg, flag, None) is not None and not (floor and flag == "alpha"):
             raise ParameterError(f"family {cfg.family!r} does not take --{flag}")
     return row
 
@@ -181,11 +181,10 @@ def cmd_construct(cfg: argparse.Namespace) -> int:
     if gm is not None:
         for j, mat in enumerate(gm.array.tolist(), start=1):
             print(f"C{j} = {mat}", file=sys.stderr)
+    sys.stdout.flush()  # text written so far goes before the point file's bytes
+    write_point_file(ps, cfg.out or sys.stdout.buffer)
     if cfg.out:
-        write_point_file(ps, cfg.out)
         print(f"wrote {len(ps)} points to {cfg.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(dumps_point_file(ps))
     return 0
 
 
@@ -193,7 +192,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.path is not None:
         if cfg.check not in ("geometric", "all"):
             raise ParameterError("point-file input supports the geometric check only")
-        given = [flag for flag in ("family", *SIZE_FLAGS) if getattr(cfg, flag) is not None]
+        given = [flag for flag in ("family", *SIZE_FLAGS) if getattr(cfg, flag, None) is not None]
         if given:
             raise ParameterError(f"point-file input does not take --{given[0]}")
         ps = read_point_file(cfg.path)
@@ -370,7 +369,8 @@ COMMANDS: dict[str, Command] = {
     "construct": Command(lambda args: cmd_construct(args), "build a point set and write the point file",
                          (*_BUILD_FLAGS, "out")),
     "verify": Command(lambda args: cmd_verify(args), "run structural checks on a construction",
-                      (*_BUILD_FLAGS, "seed", "cap", "out"),
+                      # matrix families only, whose size is m: no --N
+                      (*(flag for flag in _BUILD_FLAGS if flag != "N"), "seed", "cap", "out"),
                       (("check", dict(choices=CHECKS)),
                        ("path", dict(nargs="?", help="point file (geometric check only)")))),
     "discrepancy": Command(lambda args: cmd_discrepancy(args), "discrepancy report for a point file",
@@ -389,6 +389,8 @@ def _config_flags(path: str, flags: tuple[str, ...]) -> list[str]:
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"config file {path} is not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise ParameterError(f"config file {path} nests its JSON too deeply") from exc
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
     unknown = set(data) - set(flags)

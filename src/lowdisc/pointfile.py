@@ -7,20 +7,28 @@ holding s whitespace-separated digit strings, most significant digit
 first.  Bases up to 10 use one character per digit; larger bases separate
 digits with commas.  Round trips are bit-exact.
 
-Bases up to 10 are written as one (N, s, precision + 1) byte array: the
-digit characters of each coordinate and a space after it, or a newline
-after the last; `write_point_file` writes that array's buffer to the file
-as it is, with no str copy.  Reading takes the same shortcut back: when
-the text after the header (and an optional provenance line 2) is exactly
-that layout, one vectorised check validates it and the digits are read
-from the reshaped bytes.  Anything else -- comments elsewhere, CRLF, extra whitespace, comma
-digits, every malformed file -- goes to the line parser, which is the
-fallback, the oracle the shortcut must agree with, and the only source of
-body error messages.  It splits the lines into coordinate fields in Python
-and reads all their digits, comma-separated numbers included, in one
-vectorised pass.  The header is checked against the digit-array capacity
-before any body work, and `read_point_file` checks it before reading the
-body from disk.
+There is one writer: a generator yields the file's bytes, the header lines
+and then the points in blocks of at most `_BLOCK_BYTES` of text (one point
+at least).  `write_point_file` writes the blocks to a path or to a binary
+stream (`construct` passes `sys.stdout.buffer` when it has no --out), and
+`dumps_point_file` joins them; so every destination gets the same bytes,
+and a writer holds one block beside the digit array, never the whole
+text.  For bases up to 10 a block is the (n, s, precision + 1) byte array
+of its characters: the digit characters of each coordinate and a space
+after it, or a newline after the last.
+
+Reading takes the same layout back: when the text after the header (and an
+optional provenance line 2) is exactly that layout, one vectorised check
+validates it and the digits are read from the reshaped bytes.  Anything
+else -- comments elsewhere, CRLF, extra whitespace, comma digits, every
+malformed file -- goes to the line parser, which is the fallback, the
+oracle the shortcut must agree with, and the only source of body error
+messages.  It splits the lines into coordinate fields in Python and reads
+all their digits, comma-separated numbers included, in one vectorised
+pass.  Both read a provenance line by one rule (`_provenance`: valid JSON,
+then a JSON object).  The header is checked against the digit-array
+capacity before any body work, and `read_point_file` checks it before
+reading the body from disk.
 
 Every read is of bytes: `read_point_file` reads the file once, as bytes,
 and `loads_point_file` reads a str as its UTF-8 bytes, so a text reads
@@ -31,6 +39,7 @@ from the bytes in place; only the line parser decodes a str copy.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from pathlib import Path
@@ -46,41 +55,44 @@ __all__ = ["write_point_file", "read_point_file", "dumps_point_file", "loads_poi
 _FIRST_ASCII_LINE = re.compile(b"[^\n\r\v\f\x1c\x1d\x1e]*")
 _PROVENANCE = b"# provenance: "
 _HEADER_CHARS = 4096  # the longest first line `read_point_file` checks before the body
+_BLOCK_BYTES = 1 << 20  # the text of one block of points that a writer holds at once
 
 
-def _encoded(ps: PointSet) -> tuple[bytes, np.ndarray | bytes]:
-    """The header lines and the body of the point file, as ASCII bytes; for bases up to 10 the body
-    is the (N, s, precision + 1) uint8 array of its characters."""
-    lines = [f"{ps.base} {_exponent(len(ps), ps.base)} {ps.s} {ps.precision} {len(ps)}"]
+def _blocks(ps: PointSet):
+    """The point file's ASCII bytes, in order: the header lines, then the points in blocks of at most
+    `_BLOCK_BYTES` of text (one point at least); for bases up to 10 a block is the (n, s, precision + 1)
+    uint8 array of its characters."""
+    yield f"{ps.base} {_exponent(len(ps), ps.base)} {ps.s} {ps.precision} {len(ps)}\n".encode("ascii")
     if ps.provenance is not None:
-        lines.append(_PROVENANCE.decode() + json.dumps(ps.provenance, sort_keys=True))
-    head = ("\n".join(lines) + "\n").encode("ascii")
-    digits = ps.digit_array()
-    if ps.base <= 10:
-        body = np.empty(digits.shape[:2] + (ps.precision + 1,), dtype=np.uint8)
-        np.add(digits, ord("0"), out=body[:, :, :-1])
-        body[:, :, -1] = ord(" ")
-        body[:, -1, -1] = ord("\n")
-        return head, body
-    # each digit's characters and the separator after it, NUL-padded to a common width
-    tokens = np.array([[f"{d}{sep}" for d in range(ps.base)] for sep in ", \n"], dtype="S")
-    sep = np.zeros((ps.s, ps.precision), dtype=np.intp)
-    sep[:, -1] = 1
-    sep[-1, -1] = 2
-    return head, tokens[sep, digits].tobytes().replace(b"\0", b"")
+        yield _PROVENANCE + json.dumps(ps.provenance, sort_keys=True).encode("ascii") + b"\n"
+    # a digit's text is at most the widest digit and the separator after it
+    rows = max(1, _BLOCK_BYTES // (ps.s * ps.precision * (len(str(ps.base - 1)) + 1)))
+    if ps.base > 10:
+        # each digit's characters and the separator after it, NUL-padded to a common width
+        tokens = np.array([[f"{d}{sep}" for d in range(ps.base)] for sep in ", \n"], dtype="S")
+        sep = np.zeros((ps.s, ps.precision), dtype=np.intp)
+        sep[:, -1] = 1
+        sep[-1, -1] = 2
+    for lo in range(0, len(ps), rows):
+        digits = ps.digit_array()[lo : lo + rows]
+        if ps.base > 10:
+            yield tokens[sep, digits].tobytes().replace(b"\0", b"")
+            continue
+        block = np.empty(digits.shape[:2] + (ps.precision + 1,), dtype=np.uint8)
+        np.add(digits, ord("0"), out=block[:, :, :-1])
+        block[:, :, -1] = ord(" ")
+        block[:, -1, -1] = ord("\n")
+        yield block
 
 
 def dumps_point_file(ps: PointSet) -> str:
-    head, body = _encoded(ps)
-    return head.decode("ascii") + str(body, "ascii")  # decoded from the buffer: no bytes copy
+    return "".join(str(block, "ascii") for block in _blocks(ps))
 
 
-def write_point_file(ps: PointSet, path) -> None:
-    """Write the bytes of `dumps_point_file(ps)`, the body straight from its buffer."""
-    head, body = _encoded(ps)
-    with open(path, "wb") as f:
-        f.write(head)
-        f.write(body)
+def write_point_file(ps: PointSet, dest) -> None:
+    """Write the bytes of `dumps_point_file(ps)` block by block to `dest`, a path or a binary stream."""
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as f:
+        f.writelines(_blocks(ps))
 
 
 def _header(line: str) -> tuple[int, int, int, int]:
@@ -97,10 +109,22 @@ def _header(line: str) -> tuple[int, int, int, int]:
     return base, s, precision, count
 
 
+def _provenance(text: str, lineno: int) -> dict:
+    """The JSON object of the `# provenance:` comment on line `lineno`, from the text after its
+    colon; ParameterError when that is not JSON (nesting too deep included) or not an object."""
+    try:
+        provenance = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"line {lineno}: bad provenance json") from exc
+    if not isinstance(provenance, dict):
+        raise ParameterError(f"line {lineno}: provenance is not a json object")
+    return provenance
+
+
 def _canonical_body(data: bytes, start: int, base: int, s: int, precision: int, count: int):
     """(digits, provenance) when the ASCII text bytes from `start` on -- the
     newline that ends the header, then the rest -- are exactly what
-    dumps_point_file writes for base <= 10; None otherwise.  Never raises."""
+    dumps_point_file writes for base <= 10; None otherwise.  Raises only `_provenance`'s error."""
     if base > 10 or not data.startswith(b"\n", start):
         return None
     start += 1
@@ -110,12 +134,7 @@ def _canonical_body(data: bytes, start: int, base: int, s: int, precision: int, 
         line = data[start + len(_PROVENANCE) : end].decode("ascii")
         if end < 0 or not line.isprintable():
             return None
-        try:
-            provenance = json.loads(line)
-        except ValueError:
-            return None
-        if not isinstance(provenance, dict):
-            return None
+        provenance = _provenance(line, 2)  # the line parser's first line too, so its error is the same
         start = end + 1
     if len(data) - start != count * s * (precision + 1):
         return None
@@ -178,12 +197,7 @@ def _parse_lines(lines: list[str], base: int, s: int, precision: int, count: int
         if raw.startswith("#"):
             body = raw[1:].strip()
             if body.startswith("provenance:"):
-                try:
-                    provenance = json.loads(body[len("provenance:") :])
-                except json.JSONDecodeError as exc:
-                    raise ParameterError(f"line {lineno}: bad provenance json") from exc
-                if not isinstance(provenance, dict):
-                    raise ParameterError(f"line {lineno}: provenance is not a json object")
+                provenance = _provenance(body[len("provenance:") :], lineno)
         elif words := raw.split():
             if len(words) != s:
                 raise ParameterError(f"line {lineno}: point has {len(words)} coordinates, expected {s}")

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowdisc import cli, discrepancy
+from lowdisc import cli, discrepancy, pointfile
 from lowdisc.cli import COMMANDS, FAMILIES, FLAGS, SIZE_FLAGS, _parse_args, main, make_parser
 from lowdisc.constructions import cs_matrices, dp_sequence
 from lowdisc.discrepancy import l2_exact_rational
 from lowdisc.nets import GeneratingMatrixSet, generate_net_points
-from lowdisc.pointfile import read_point_file, write_point_file
+from lowdisc.pointfile import dumps_point_file, read_point_file, write_point_file
 
 from count_reference import count_below_reference
 
@@ -88,6 +88,21 @@ def test_construct_stdout_is_pinned(capsys, argv, first_lines, digest):
     out = capsys.readouterr().out
     assert out.splitlines()[:2] == first_lines
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "dp-net", "--alpha", "2", "--s", "2", "--m", "6"),
+    ("--family", "faure", "--b", "11", "--m", "2", "--s", "3"),
+], ids=["b2", "b11"])
+def test_construct_prints_the_bytes_it_writes_to_out(argv, tmp_path, monkeypatch, capsysbinary):
+    """stdout gets exactly the bytes of --out, through the same writer, over many blocks."""
+    monkeypatch.setattr(pointfile, "_BLOCK_BYTES", 64)
+    path = tmp_path / "points.txt"
+    assert run("construct", *argv, "--out", str(path)) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert run("construct", *argv) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+    assert path.stat().st_size > 10 * pointfile._BLOCK_BYTES
 
 
 def test_construct_provenance_records_only_the_familys_flags(capsys):
@@ -789,6 +804,28 @@ def test_config_file_not_utf8_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: config file {cfg} is not UTF-8 text\n"
 
 
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("comment", ["# provenance: ", "#provenance:"], ids=["canonical", "line-parser"])
+def test_deeply_nested_provenance_exits_one(comment, tmp_path, monkeypatch, capsys):
+    """The canonical reader and the line parser refuse the same line 2 with the same error."""
+    if comment == "# provenance: ":  # the canonical layout is refused without the line parser
+        monkeypatch.setattr(pointfile, "_parse_lines", None)
+    lines = dumps_point_file(generate_net_points(cs_matrices(5, 2, 1, 2))).splitlines(True)
+    path = tmp_path / "nested.txt"
+    path.write_text(lines[0] + comment + NESTED_JSON + "\n" + "".join(lines[1:]))
+    assert run("discrepancy", str(path)) == 1
+    assert capsys.readouterr() == ("", "error: line 2: bad provenance json\n")
+
+
+def test_config_file_nested_too_deeply_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(NESTED_JSON)
+    assert run("construct", "--config", str(cfg)) == 1
+    assert capsys.readouterr() == ("", f"error: config file {cfg} nests its JSON too deeply\n")
+
+
 def test_config_null_seed_and_cap_read_as_none(tmp_path, capsys):
     """A null seed draws fresh entropy and a null cap lifts the bound, as `--seed none`
     and `--cap none` do; a flag still overrides the file."""
@@ -904,7 +941,7 @@ def test_a_flag_outside_the_commands_row_exits_one(command, faure_file, tmp_path
         capsys.readouterr()
     cfg = tmp_path / "run.json"
     stray = [flag for flag in FLAGS if flag not in COMMANDS[command].flags]
-    assert len(stray) == {"construct": 4, "verify": 2, "discrepancy": 7, "scaling": 4, "selftest": 11}[command]
+    assert len(stray) == {"construct": 4, "verify": 3, "discrepancy": 7, "scaling": 4, "selftest": 11}[command]
     for flag in stray:
         assert run(*argv, f"--{flag}", FLAG_VALUES[flag]) == 1
         out, err = capsys.readouterr()
@@ -954,6 +991,8 @@ def test_verify_reads_off_family_alpha_only_as_the_hamming_floor(faure_file, tmp
     # a point file's check reads neither the family nor a size
     assert run("verify", "geometric", faure_file) == 0
     capsys.readouterr()
-    for flag in ("family", *SIZE_FLAGS):
+    for flag in ("family", "b", "m", "s", "alpha"):
         _refused(("verify", "geometric", faure_file, f"--{flag}", FLAG_VALUES[flag]),
                  f"point-file input does not take --{flag}", capsys)
+    # verify builds matrix families only, so it has no --N at all
+    _refused(("verify", "geometric", faure_file, "--N", "4"), "unrecognized arguments: --N 4", capsys)

@@ -1,7 +1,16 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lowdisc.constructions import davenport_symmetrized, dp_finite_pointset, faure_matrices, van_der_corput
+from lowdisc.constructions import (
+    davenport_symmetrized,
+    dp_finite_pointset,
+    dp_net_matrices,
+    faure_matrices,
+    van_der_corput,
+)
 from lowdisc import pointfile
 from lowdisc.errors import CapacityError, ParameterError
 from lowdisc.nets import PointSet, generate_net_points
@@ -44,15 +53,44 @@ def test_round_trip_quantized_set(tmp_path):
     assert read_point_file(path) == ps
 
 
-@pytest.mark.parametrize("base", [2, 11])
+@pytest.mark.parametrize("base", [2, 5, 11, 251])
 @pytest.mark.parametrize("provenance", [None, {"family": "manual", "note": "caf\u00e9"}])
-def test_write_point_file_writes_the_dumps_bytes(tmp_path, base, provenance):
-    digits = np.random.default_rng(base).integers(0, base, (7, 3, 4), dtype=np.uint8)
-    ps = PointSet.from_digits(digits, base, provenance)
-    path = tmp_path / "points.txt"
-    write_point_file(ps, path)
-    assert path.read_bytes() == dumps_point_file(ps).encode()
-    assert read_point_file(path) == ps
+def test_write_point_file_writes_the_dumps_bytes(tmp_path, monkeypatch, base, provenance):
+    """A path, a binary stream and dumps_point_file get the same bytes: one point, exactly one
+    block, one point past a block and many blocks, each block within the text budget."""
+    monkeypatch.setattr(pointfile, "_BLOCK_BYTES", 200)
+    rng = np.random.default_rng(base)
+
+    def points(n):
+        return PointSet.from_digits(rng.integers(0, base, (n, 3, 4), dtype=np.uint8), base, provenance)
+
+    head = 1 if provenance is None else 2
+    per_block = bytes(list(pointfile._blocks(points(100)))[head]).count(b"\n")
+    assert 1 < per_block < 100
+    for n in (1, per_block, per_block + 1, 7 * per_block + 3):
+        ps = points(n)
+        blocks = [bytes(block) for block in pointfile._blocks(ps)][head:]
+        assert len(blocks) == -(-n // per_block)
+        assert max(map(len, blocks)) <= pointfile._BLOCK_BYTES
+        path, stream = tmp_path / f"points{n}.txt", io.BytesIO()
+        write_point_file(ps, path)
+        write_point_file(ps, stream)
+        assert path.read_bytes() == stream.getvalue() == dumps_point_file(ps).encode()
+        assert not stream.closed
+        assert read_point_file(path) == ps
+
+
+def test_writing_holds_a_few_blocks_beside_the_digit_array(tmp_path):
+    ps = generate_net_points(dp_net_matrices(3, 16, 2))
+    path = tmp_path / "m16.txt"
+    tracemalloc.start()
+    try:
+        write_point_file(ps, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 6 * pointfile._BLOCK_BYTES
+    assert peak <= 3 * pointfile._BLOCK_BYTES
 
 
 def test_header_reports_m():
@@ -86,6 +124,13 @@ def test_digit_out_of_range_rejected():
 def test_provenance_must_be_a_json_object():
     with pytest.raises(ParameterError, match=r"line 2: provenance is not a json object"):
         loads_point_file("2 1 1 2 1\n# provenance: 5\n01\n")
+
+
+@pytest.mark.parametrize("comment", ["# provenance: ", "#provenance:"])
+def test_provenance_beyond_the_int_digit_limit_is_bad_json(comment):
+    """json.loads raises a plain ValueError for an integer of more than 4300 digits."""
+    with pytest.raises(ParameterError, match=r"line 2: bad provenance json"):
+        loads_point_file(f"2 1 1 2 1\n{comment}{{\"a\": {'1' * 5000}}}\n01\n")
 
 
 def test_str_and_bytes_refuse_non_ascii_text_alike(tmp_path):
