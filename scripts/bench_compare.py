@@ -115,7 +115,10 @@ RUNGS = {
        for s in (3, 4, 5)},
     **{f"l2_exact_random_b2_4096_s3_p{p}": Rung(f"ps = random_points(4096, 3, {p})", "l2_exact(ps)")
        for p in (32, 60)},
-    **{f"l2_exact_random_b2_4096_s{s}": Rung(f"ps = random_points(4096, {s}, 32)", "l2_exact(ps)")
+    **{f"l2_exact_random_b2_4096_s{s}": Rung(f"ps = random_points(4096, {s}, 32)", "l2_exact(ps)", 3, ("peak",))
+       for s in (4, 5)},
+    # the s >= 4 hot spot: 3 to 12 s a call, so fewer pairs
+    **{f"l2_exact_random_b2_16384_s{s}": Rung(f"ps = random_points(16384, {s}, 32)", "l2_exact(ps)", 1, pairs=3)
        for s in (4, 5)},
     **{f"compute_t_value_{name}": Rung(f"gm = {net}", "compute_t_value(gm)", 3, ("reduce_row",))
        for name, net in {"faure_b13_m5_s13": "faure_matrices(13, 5, 13)",

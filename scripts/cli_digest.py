@@ -9,9 +9,9 @@ stderr, and the argv.  The corpus covers every family with `construct`,
 bad size, the missing-flag, wrong-family and out-of-range-flag errors,
 the char check on the paper's alpha = 5 nets and on a b > 2 net, the
 witness lines of two b > 2 nets, the geometric check of a 1200-coordinate
-net, a sequence grid whose largest size cannot be built, and the refusal
-of an oversized net, of an empty grid, of abbreviated flags and of flags
-that a command or a family does not read.
+net, a sequence grid whose largest size cannot be built, `scaling` grids
+at s = 4 and 5, and the refusal of an oversized net, of an empty grid, of
+abbreviated flags and of flags that a command or a family does not read.
 Run it on two checkouts (each with its own `src` on PYTHONPATH) and
 `diff` the outputs: an empty diff means the commands behave
 byte-identically.  An exception escaping `main` prints its type in place
@@ -108,6 +108,9 @@ def corpus() -> list[tuple[str, ...]]:
         ("verify", "geometric", "--family", "niederreiter", "--s", "1200", "--m", "1"),
         # a sequence grid whose largest size cannot be built: the smaller rows keep their values
         ("scaling", "--family", "dp-sequence", "--s", "2", "--N", "4,8,100000000000"),
+        # exact L2 at s = 4 and 5, on the weighted sweep
+        ("scaling", "--family", "niederreiter", "--s", "5", "--m", "1:8"),
+        ("scaling", "--family", "dp-finite", "--s", "4", "--N", "2,17,40"),
     ]
     return commands
 

@@ -391,6 +391,10 @@ def _config_flags(path: str, flags: tuple[str, ...]) -> list[str]:
         raise ParameterError(f"config file {path} is not UTF-8 text") from exc
     except RecursionError as exc:
         raise ParameterError(f"config file {path} nests its JSON too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # int() refuses integers above its digit limit
+        raise ParameterError(f"config file {path} holds an integer too long to read") from exc
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
     unknown = set(data) - set(flags)

@@ -20,14 +20,17 @@ sweep runs inside each group.  Each pair's product goes to the item whose
 own factors multiply it, so every per-item sum is a count or an exact
 uint64 sum of coordinates; the sums are added per point over all levels
 and taken modulo the moduli once per point.  That is O(N log^2 N) for
-s = 2 and O(N log^3 N) for s = 3.  For s >= 4, Heinrich's recursion
-(S. Heinrich, Math. Comp. 65 (1996) 1621-1633) halves on rank in the
-first s - 2 coordinates, carrying each item's weight as residues, down
-to a weighted plane kernel for the last two, O(N log^s N).  Integer
-sums are carried modulo coprime moduli below 2^32 and recovered by the
-Chinese remainder theorem; the squared value is kept as a Fraction on the
-report.  `l2_exact_rational` is the same formula with
-Fraction coordinates, a brute-force oracle for small inputs.  General Lq
+s = 2 and O(N log^3 N) for s = 3.  For s >= 4 the same `_sweep` nests,
+one per coordinate 0..s-3, each inside a block of the level above: at
+each level an item takes a side bit, and the lower half multiplies u_j
+into its weights, kept as residues.  A pair lives on between items of
+opposite sides at every level, grouped by (block, side bits), and the
+last two coordinates run a weighted plane step per level; blocks of at
+most 2^T items go pair by pair.  That is O(N log^s N).  Integer sums
+are carried modulo coprime moduli below 2^32 and recovered by the
+Chinese remainder theorem; the squared value is kept as a Fraction on
+the report.  `l2_exact_rational` is the same formula with Fraction
+coordinates, a brute-force oracle for small inputs.  General Lq
 norms have no closed form and are estimated by stratified Monte Carlo;
 the points below each draw are counted with prefix bitsets (sort each
 coordinate once, look up one bitset per coordinate, AND them, popcount),
@@ -40,12 +43,13 @@ int64 rank per point and coordinate.  The s = 2 and s = 3 sweeps keep
 their per-point sums as limbs too, exact in uint64, and reduce them
 modulo the r moduli once at the end; residues are formed from the limbs
 where they are needed, one batch at a time.  So the working set is O(N)
-words, about s (14 + 4k) per point, plus 2 (s + 1) per modulus for the
-weight rows of the halving levels when s >= 4; every other temporary of
-`l2_exact` and of the Lq counter is a batch of at most _WORK_BYTES.
-`l2_exact` estimates its working set before allocating and refuses one
-above MAX_L2_BYTES with CapacityError, as `lq_estimate` does for draws
-above MAX_DRAW_BYTES.
+words, about s (14 + 4k) per point, plus s + 3 per modulus when s >= 4:
+a weight row for each nested sweep and the plane step, the plane step's
+lifted weights and two sums, and two rows of its temporaries; no item is
+copied per level.  Every other temporary of `l2_exact` and of the Lq
+counter is a batch of at most _WORK_BYTES.  `l2_exact` estimates its
+working set before allocating and refuses one above MAX_L2_BYTES with
+CapacityError, as `lq_estimate` does for draws above MAX_DRAW_BYTES.
 
 The lower bound is Roth's L2 bound c_s (log N)^((s-1)/2) / N with the
 explicit constant c_s = 7 / (27 * 2^(2s-1) * (log 2)^((s-1)/2) *
@@ -122,8 +126,9 @@ def local_discrepancy(ps: PointSet, t: Sequence[float]) -> float:
     return float(inside) / len(ps) - float(np.prod(anchor))
 
 
-# Groups of at most this many (A, B) pairs are summed pair by pair.
-_DIRECT_PAIRS = 64
+# T: at s >= 4 the pairs within blocks of 2^T items, and the pairs of a set with
+# at most 2^(T-2) of them per item, are summed pair by pair.
+_DIRECT_LEVELS = 4
 # Bytes of one temporary of l2_exact or _count_below: every batch of items,
 # pairs, points or anchors holds this many bytes over the bytes of one.
 _WORK_BYTES = 1 << 18
@@ -255,14 +260,6 @@ def _point_sums(co: _Coordinates, moduli: np.ndarray, factor: np.ndarray | None)
     return diagonal, cross
 
 
-def _run_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each item's run of equal sorted keys."""
-    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    lengths = np.diff(starts, append=len(keys))
-    return np.repeat(starts, lengths), np.repeat(lengths, lengths)
-
-
 def _pair_term(co: _Coordinates, diagonal: np.ndarray) -> np.ndarray:
     """T = sum_{a,b} prod_j min(u_ja, u_jb), modulo each pair-term modulus.
 
@@ -270,21 +267,14 @@ def _pair_term(co: _Coordinates, diagonal: np.ndarray) -> np.ndarray:
     order of the first coordinate, whose minimum there is u_1a: a closed
     form for s = 1 (folded into the diagonal's factors, see `_l2_squared`),
     the exact sweeps `_plane_pairs` for s = 2 and `_space_pairs` for s = 3,
-    whose per-point sums are counts and uint64 limbs, and for s >= 4
-    halving on that rank with weight residues (Heinrich's recursion,
-    `_halve`) down to the weighted plane kernel.
+    whose per-point sums are counts and uint64 limbs, and for s >= 4 the
+    nested sweeps of `_weighted_pairs`, whose items carry weight residues.
     """
     q = co.q[:, 0]
-    s, n = co.rank.shape
+    s = co.rank.shape[0]
     if s == 1:
         return diagonal
-    if s == 2:
-        off = _plane_pairs(co)
-    elif s == 3:
-        off = _space_pairs(co)
-    else:
-        group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
-        off = _halve(group, None, point, np.ones((len(q), n), dtype=np.uint64), tuple(range(s)), co)
+    off = {2: _plane_pairs, 3: _space_pairs}.get(s, _weighted_pairs)(co)
     return (diagonal + 2 * off) % q
 
 
@@ -447,115 +437,116 @@ def _space_pairs(co: _Coordinates) -> np.ndarray:
     return total % q[:, 0]
 
 
-def _cross_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
-    """Sum over groups g of sum_{a in A_g, b in B_g} w_a w_b prod_{j in dims} min(u_ja, u_jb).
+def _weighted_pairs(co: _Coordinates) -> np.ndarray:
+    """sum_{a < b} prod_j min(u_ja, u_jb) over the pairs in rank order of coordinate 0,
+    for s >= 3, modulo each modulus.
 
-    Items are (group id, colour: True for A, point index) and a column of
-    weight residues each, with at least two dims; the result is taken modulo
-    each modulus.  Groups without both colours hold no pairs; the rest are
-    sorted by rank in dims[0] and go to the plane kernel when two dims are
-    left, and are halved otherwise.
+    A `_sweep` halves on rank in coordinate 0.  At level l a pair across
+    the halves of a block has u_0 of its lower item, which takes u_0 as
+    its weight (the upper item takes 1).  Each block is a group, its two
+    halves of opposite colours, and goes on to `_group_pairs` with
+    coordinates 1..s-1, ranked in coordinate 1 as the sweep orders it.
     """
     q = co.q
-    size = int(group.max()) + 1
-    pairs = (np.bincount(group[colour], minlength=size) * np.bincount(group[~colour], minlength=size))[group]
+    n = co.rank.shape[1]
+    point = np.argsort(co.rank[0])
+    state = np.stack([np.arange(n), co.rank[1, point], point]).astype(np.uint64)  # ranks in 0 and 1, point
     total = np.zeros(len(q), dtype=np.uint64)
-    leaf = (pairs > 0) & (pairs <= _DIRECT_PAIRS)
-    if leaf.any():
-        total = _direct_sum(group[leaf], colour[leaf], point[leaf], weight[:, leaf], dims, co)
-    keep = np.flatnonzero(pairs > _DIRECT_PAIRS)
-    if not len(keep):
+    for level, (upper, _, _) in enumerate(_sweep(state, (n - 1).bit_length())):
+        point, colour = state[2].astype(np.int64), upper == 1
+        weight = _u(co, 0, point)
+        weight[:, colour] = 1
+        group = (state[0] >> (level + 1)).astype(np.int64)
+        total += _group_pairs(co, 1, point, group, colour, weight, level + 1)
+        total %= q[:, 0]
+    return total
+
+
+def _group_pairs(co: _Coordinates, j: int, point, group, colour, weight, levels: int) -> np.ndarray:
+    """sum w_a w_b prod_{i >= j} min(u_ia, u_ib) over the pairs (a, b) of items of one
+    group and opposite colours, modulo each modulus.
+
+    Item i sits at position i; each group lies in one block of 2^levels
+    positions, sorted by rank in coordinate j.  With T = _DIRECT_LEVELS,
+    at most 2^(T-2) pairs per item go to `_direct_sum` at once.  Else it
+    takes the pairs within blocks of 2^T positions, and the larger blocks
+    are halved on position: by `_plane_groups` for the last two
+    coordinates, by a `_sweep` before them.  At its level l a pair across
+    the halves of a block has u_j of its lower item, which multiplies u_j
+    into its weight (one (r, n) take per level; no item is copied), and
+    goes on with coordinates j+1.. in the group (block, group, colour XOR
+    half), numbered afresh.
+    """
+    q = co.q
+    s, n = co.rank.shape[0], len(point)
+    pos = np.arange(n)
+    n_a = np.bincount(group[colour], minlength=int(group.max()) + 1)
+    few = n_a @ (np.bincount(group, minlength=len(n_a)) - n_a) <= n << (_DIRECT_LEVELS - 2)
+    total = _direct_sum(group if few else (pos >> _DIRECT_LEVELS) * len(n_a) + group, colour, point, weight,
+                        tuple(range(j, s)), co)
+    if few:
         return total
-    order = keep[np.argsort(group[keep] * co.rank.shape[1] + co.rank[dims[0], point[keep]])]
-    group, colour, point, weight = group[order], colour[order], point[order], weight[:, order]
-    if len(dims) == 2:
-        return total + _plane_sum(group, colour, point, weight, dims, co)
-    return total + _halve(group, colour, point, weight, dims, co)
+    if j == s - 2:
+        return (total + _plane_groups(co, point, group, colour, weight, levels)) % q[:, 0]
+    state = np.stack([pos, co.rank[j + 1, point]]).astype(np.uint64)  # position, rank in coordinate j + 1
+    for level, (upper, _, _) in enumerate(_sweep(state, levels)):
+        if level < _DIRECT_LEVELS:
+            continue  # within blocks of 2^T, summed above
+        item, half = state[0].astype(np.int64), upper == 1
+        sub = np.take(weight, item, axis=1)
+        lift = _u(co, j, point[item])
+        lift[:, half] = 1
+        sub *= lift
+        sub %= q
+        del lift
+        key = 2 * ((item >> (level + 1)) * len(n_a) + group[item]) + (colour[item] != half)
+        key = np.unique(key, return_inverse=True)[1]
+        total += _group_pairs(co, j + 1, point[item], key, colour[item], sub, level + 1)
+        total %= q[:, 0]
+    return total
 
 
-def _halve(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
-    """The pairs of `_cross_sum` found by halving each group on rank in dims[0].
+def _plane_groups(co: _Coordinates, point, group, colour, weight, levels: int) -> np.ndarray:
+    """The sum of `_group_pairs` over the last two coordinates (x, y) from the halving
+    level T on, in one sort per level.
 
-    At each level, every block of 2^(level+1) consecutive ranks splits in
-    a lower and an upper half.  A pair across the halves has its minimum
-    u_j at the lower item, which takes u_j into its weight; the pair goes
-    on with dims[1:] in a group of its own, one per block and pairing of
-    halves.  Items come sorted by (group, rank); `colour` None pairs each
-    lower half with its upper half within one set of points.  One call
-    takes as many levels at once as fill a batch of weight residues.
-    """
-    q = co.q
-    start, length = _run_bounds(group)
-    pos = np.arange(len(group)) - start
-    lifted = weight * _u(co, dims[0], point) % q
-    total = np.zeros(len(q), dtype=np.uint64)
-    levels = int(length.max() - 1).bit_length()
-    step = _batch(8 * len(q) * len(group))  # levels per recursive call
-    for first in range(0, levels, step):
-        level = np.arange(first, min(first + step, levels))[:, None]
-        lower = (pos >> level) & 1 == 0
-        block_key = pos >> (level + 1)
-        fresh = np.ones(lower.shape, dtype=bool)
-        fresh[:, 1:] = (group[1:] != group[:-1]) | (block_key[:, 1:] != block_key[:, :-1])
-        block = np.cumsum(fresh) - 1  # numbered across all levels of the call
-        c = lower if colour is None else np.broadcast_to(colour, lower.shape)
-        live = (length > (1 << level)).ravel()  # groups larger than a half-block
-        total += _cross_sum(
-            (2 * block + (c != lower).ravel())[live],
-            c.ravel()[live],
-            np.tile(point, len(level))[live],
-            np.where(lower, lifted[:, None], weight[:, None]).reshape(len(q), -1)[:, live],
-            dims[1:],
-            co,
-        )
-    return total % q[:, 0]
-
-
-def _plane_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
-    """The sum of `_cross_sum` over the last two dims (x, y), in one sort per halving level.
-
-    Each group is halved on rank in x as in `_halve`, and each block's
-    items are sorted by rank in y.  A pair across the halves of a block
-    has u_x of its lower item L, and u_y of whichever of L and its upper
-    item U ranks lower in y.  So every item keeps two sums: `below`, the
-    weight of its upper partners that rank above it in y, and `above`,
-    sum w u_x of its lower partners that rank above it in y.  The pair sum
-    is then sum over items of u_y (w above + w u_x below).  An item's
-    partners at different levels are different items, so both sums stay
+    Each level sorts the items by (block, group, colour XOR half) and rank
+    in y, so that a run holds a block's pairs across the halves with
+    opposite colours.  The sums are those of `_plane_pairs` with weights:
+    `below`, the weight of an item's upper partners that rank above it in
+    y, and `above`, sum w u_x of its lower partners that rank above it in
+    y, give sum over items of u_y (w above + w u_x below).  Both stay
     below items * 2^32 and take no modulus until the end.
     """
     q = co.q
-    x, y = dims
-    start, length = _run_bounds(group)
-    pos = np.arange(len(group)) - start
-    lifted = weight * _u(co, x, point) % q
-    below = np.zeros((len(q), len(group)), dtype=np.uint64)
+    s, n = co.rank.shape[0], len(point)
+    pos = np.arange(n)
+    lifted = weight * _u(co, s - 2, point) % q
+    below = np.zeros(lifted.shape, dtype=np.uint64)
     above = np.zeros(lifted.shape, dtype=np.uint64)
-    rank_y = co.rank[y, point]
-    for level in range(int(length.max() - 1).bit_length()):
-        # each index array is rebound or dropped once used, so that no dead one of N items stays alive
-        item = np.flatnonzero(length > (1 << level))  # groups larger than a half-block
-        lower = (pos[item] >> level) & 1 == 0
-        key = 2 * (start[item] + (pos[item] >> (level + 1)))  # one number per block
-        key += colour[item] != lower
-        order = np.argsort(key * co.rank.shape[1] + rank_y[item])
-        item, lower, key = item[order], lower[order], key[order]
-        del order
-        stop = np.add(*_run_bounds(key), out=key)  # end of each item's block
+    rank_y = co.rank[s - 1, point]
+    side = 2 * group + colour
+    for level in range(_DIRECT_LEVELS, levels):
+        lower = (pos >> level) & 1 == 0
+        key = (pos >> (level + 1)) * (2 * int(group.max()) + 2) + (side ^ lower)
+        item = np.argsort(key * n + rank_y)
+        lower, key = lower[item], key[item]
+        stop = np.searchsorted(key, key, side="right")  # end of each item's run
         lo, hi = np.flatnonzero(lower), np.flatnonzero(~lower)
-        n_lo = np.zeros(len(item) + 1, dtype=np.int64)  # lower items before each position
+        n_lo = np.zeros(n + 1, dtype=np.int64)  # lower items before each position
         np.cumsum(lower, out=n_lo[1:])
         _add_columns(above, item[hi], _suffix_sums(lifted, item[lo], n_lo[hi], n_lo[stop[hi]]))
-        first, stop = lo - n_lo[lo], stop[lo] - n_lo[stop[lo]]  # upper items before lo and before its block's end
+        first, stop = lo - n_lo[lo], stop[lo] - n_lo[stop[lo]]  # upper items before lo and before its run's end
         _add_columns(below, item[lo], _suffix_sums(weight, item[hi], first, stop))
+        del item, lower, key, stop, lo, hi, n_lo, first
     total = np.zeros(len(q), dtype=np.uint64)
     size = _batch(8 * len(q))
-    for first in range(0, len(group), size):
+    for first in range(0, n, size):
         part = slice(first, first + size)
         sums = above[:, part] % q * weight[:, part] % q
         sums += below[:, part] % q * lifted[:, part] % q
         sums %= q
-        sums *= _u(co, y, point[part])
+        sums *= _u(co, s - 1, point[part])
         sums %= q
         total += sums.sum(axis=1) % q[:, 0]
     return total % q[:, 0]
@@ -579,9 +570,11 @@ def _add_columns(acc: np.ndarray, columns: np.ndarray, values: np.ndarray) -> No
 
 
 def _direct_sum(group, colour, point, weight, dims, co: _Coordinates) -> np.ndarray:
-    """The sum of `_cross_sum`, pair by pair, for groups of few pairs, one batch of pairs at a time."""
+    """sum w_a w_b prod_{j in dims} min(u_ja, u_jb) over the pairs (a, b) of items of one
+    group and opposite colours, pair by pair, one batch of pairs at a time, modulo each modulus."""
     q = co.q
     total = np.zeros(len(q), dtype=np.uint64)
+    group = np.unique(group, return_inverse=True)[1]
     a_items = np.flatnonzero(colour)
     a_items = a_items[np.argsort(group[a_items], kind="stable")]
     b_items = np.flatnonzero(~colour)
@@ -609,16 +602,18 @@ def _l2_work_bytes(n: int, s: int, base: int, precision: int) -> int:
 
     Per point, 14 + 4k words for each coordinate (ranks, limbs and the
     sweeps' state, index and sum rows, k limbs each), and for s >= 4
-    another 2(s + 1) words per pair-term modulus (the weight rows of the
-    halving levels); plus 3s temporaries of _WORK_BYTES.  These
-    coefficients bound, with at least 10% to spare, the tracemalloc peaks
-    measured on random sets in bases 2, 3 and 13 for s = 1..5, N = 2 to
-    2^16 and k = 1, 2.
+    another s + 3 words per pair-term modulus: the weight rows of the
+    s - 2 nested levels down to the plane step (`_weighted_pairs`), the
+    plane step's lifted weights and two sums, and two rows of its sums'
+    temporaries; plus 3s temporaries of _WORK_BYTES.  These coefficients
+    bound, with at least 10% to spare, the tracemalloc peaks measured on
+    random and tie-heavy sets in bases 2, 3 and 13 for k = 1, 2, s = 1..5
+    and N = 2 to 2^16, and s = 6, 7 and N = 2 to 2^12.
     """
     limbs = -(-precision // _limb_digits(base, n))
     words = s * (14 + 4 * limbs)
     if s > 3:
-        words += 2 * (s + 1) * len(_moduli_above(n * n * base ** (precision * s)))
+        words += (s + 3) * len(_moduli_above(n * n * base ** (precision * s)))
     return 8 * n * words + 3 * s * _WORK_BYTES
 
 
@@ -663,8 +658,8 @@ def l2_exact(ps: PointSet) -> DiscrepancyReport:
     float `value` is its square root.  About N (log N)^max(1, s-1) items
     are sorted in all, each once per halving level of the innermost sweep,
     against N^2 s terms for the pairwise sum; for s <= 3 each carries a
-    count and uint64 limb sums, for s >= 4 one uint64 sum per modulus (4
-    to 6 of them at the usual sizes).
+    count and uint64 limb sums, for s >= 4 a weight and two uint64 sums per
+    modulus (4 to 6 moduli at the usual sizes).
     """
     n = len(ps)
     if n == 0:

@@ -826,6 +826,13 @@ def test_config_file_nested_too_deeply_exits_one(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: config file {cfg} nests its JSON too deeply\n")
 
 
+def test_config_file_with_an_overlong_integer_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"b": ' + "7" * 5000 + "}")
+    assert run("construct", "--config", str(cfg)) == 1
+    assert capsys.readouterr() == ("", f"error: config file {cfg} holds an integer too long to read\n")
+
+
 def test_config_null_seed_and_cap_read_as_none(tmp_path, capsys):
     """A null seed draws fresh entropy and a null cap lifts the bound, as `--seed none`
     and `--cap none` do; a flag still overrides the file."""

@@ -38,11 +38,12 @@ from lowdisc.constructions import (  # noqa: E402
 )
 from lowdisc.discrepancy import (  # noqa: E402
     _LQ_BLOCK,
+    _DIRECT_LEVELS,
     _count_below,
-    _halve,
     _integer_coordinates,
     _moduli_above,
     _space_pairs,
+    _weighted_pairs,
     l2_exact,
     l2_exact_rational,
     local_discrepancy,
@@ -582,7 +583,15 @@ def test_exact_l2_equals_rational_oracle(ps):
     assert l2_integer_reference(ps) == rep.exact
 
 
-@given(l2_sets(dims=(1, 2, 3, 4, 5), max_n=400))
+@given(l2_sets(dims=(1, 2, 3, 4, 5), max_n=400) | l2_sets(dims=(6, 7), max_n=80))
+@example(tie_heavy(2**_DIRECT_LEVELS - 1, 4, 2, 12, np.random.default_rng(1)))  # N around the direct blocks of 2^T
+@example(tie_heavy(2**_DIRECT_LEVELS, 4, 2, 70, np.random.default_rng(2)))
+@example(tie_heavy(2**_DIRECT_LEVELS + 1, 4, 3, 6, np.random.default_rng(3)))
+@example(tie_heavy(2 ** (_DIRECT_LEVELS + 1), 4, 2, 12, np.random.default_rng(4)))
+@example(tie_heavy(2**_DIRECT_LEVELS - 1, 5, 3, 6, np.random.default_rng(5)))
+@example(tie_heavy(2**_DIRECT_LEVELS, 5, 2, 12, np.random.default_rng(6)))
+@example(tie_heavy(2**_DIRECT_LEVELS + 1, 5, 2, 70, np.random.default_rng(7)))
+@example(tie_heavy(2 ** (_DIRECT_LEVELS + 1), 5, 13, 20, np.random.default_rng(8)))
 def test_exact_l2_equals_integer_pair_sum(ps):
     assert l2_exact(ps).exact == l2_integer_reference(ps)
 
@@ -592,15 +601,12 @@ def test_exact_l2_equals_integer_pair_sum(ps):
 @example(tie_heavy(257, 3, 13, 20, np.random.default_rng(2)))  # two limbs
 def test_exact_sweeps_match_the_pair_sum_and_the_general_recursion(ps):
     """The s = 2 and s = 3 sweeps against the pairwise sum in integers, and the
-    s = 3 sweep against Heinrich's recursion with unit weight residues, which
-    serves s >= 4."""
+    s = 3 limb sweep against the weighted sweep that serves s >= 4, run at s = 3."""
     n, big_p = len(ps), ps.base**ps.precision
     assert l2_exact(ps).exact == l2_integer_reference(ps)
     if ps.s == 3:
         co = _integer_coordinates(ps, _moduli_above(n * n * big_p**ps.s)[:, None])
-        group, point = np.zeros(n, dtype=np.int64), np.argsort(co.rank[0])
-        weight = np.ones((len(co.q), n), dtype=np.uint64)
-        assert np.array_equal(_space_pairs(co), _halve(group, None, point, weight, (0, 1, 2), co))
+        assert np.array_equal(_space_pairs(co), _weighted_pairs(co))
 
 
 @given(l2_sets(dims=(4, 5), max_n=300))
