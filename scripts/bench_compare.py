@@ -63,7 +63,7 @@ import numpy as np
 from lowdisc.constructions import (
     dp_finite_pointset, dp_net, dp_net_matrices, dp_sequence, faure_matrices, niederreiter_net_matrices,
 )
-from lowdisc.discrepancy import l2_exact
+from lowdisc.discrepancy import l2_exact, lq_estimate
 from lowdisc.nets import (
     PointSet, compute_t_value, generate_net_points, geometric_net_check, geometric_t_value,
     min_dependent_support,
@@ -144,6 +144,14 @@ RUNGS = {
     # the file is written by another process, so that `ru_maxrss` is the read's own
     "read_point_file_dp_net_m20": Rung(FILE + "subprocess.run([sys.executable, '-m', 'lowdisc', *M20, '--out', path],"
                                               " check=True, capture_output=True)", "read_point_file(path)", 1),
+    # 16 384 anchors at s = 2: the per-draw cost of the generator; the Lq value is the result
+    "lq_estimate_q4_16384_dp_net_m14": Rung("ps = dp_net(3, 14, 2)", "lq_estimate(ps, 4.0, 16384, seed=1).value", 5),
+    # a whole CLI process, imports included; the sha256 of its stdout is the result
+    "verify_all_faure_b7_m3_s3_process": Rung(
+        "import hashlib\nimport subprocess\nimport sys\n"
+        "VERIFY = [sys.executable, '-m', 'lowdisc', 'verify', 'all', '--family', 'faure', '--b', '7', '--m', '3',"
+        " '--s', '3']",
+        "hashlib.sha256(subprocess.run(VERIFY, check=True, capture_output=True).stdout).hexdigest()", 5),
     # byte-identical CLI behaviour on both sides shows as the same result
     "cli_digest": Rung("import hashlib\nfrom cli_digest import digest",
                        "hashlib.sha256(digest().encode()).hexdigest()", 1),

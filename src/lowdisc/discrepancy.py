@@ -70,7 +70,7 @@ import numpy as np
 
 from .constructions import arbitrary_n_trim, dp_sequence
 from .errors import CapacityError, ParameterError
-from .nets import PointSet
+from .nets import PointSet, seeded_generator
 
 __all__ = [
     "DiscrepancyReport",
@@ -752,7 +752,7 @@ def lq_estimate(
     ps: PointSet,
     q: float,
     samples: int,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> DiscrepancyReport:
     """Stratified Monte Carlo estimate of the Lq discrepancy, q < infinity.
 
@@ -764,11 +764,16 @@ def lq_estimate(
     once per coordinate into prefix bitsets, and a draw's count is the
     popcount of the AND of one bitset per coordinate, about
     samples * N * s / 64 word operations plus N log N per coordinate.  The
-    anchors are shifted into their cells inside the draw array, axis by
-    axis, and the counts are turned into |local discrepancy|^q in place, so
-    the peak allocation stays near the draw array plus two sample-length
-    float64 arrays (2x the draws for s = 2).  A draw array above
-    MAX_DRAW_BYTES is refused with CapacityError before anything is drawn.
+    anchors are uniform 53-bit doubles k 2^-53 from `seeded_generator(seed)`
+    (Python's MT19937), written into the preallocated draw array in chunks
+    of _WORK_BYTES; `randbytes` of a multiple of 4 bytes continues one
+    stream, so the draws do not depend on the chunk size.  They are shifted
+    into their cells inside the draw array, axis by axis, and the counts
+    are turned into |local discrepancy|^q in place, so the peak allocation
+    stays near the draw array plus two sample-length float64 arrays (2x the
+    draws for s = 2), plus under 1 MiB of chunks and batches.  A draw array
+    above MAX_DRAW_BYTES is refused with CapacityError before anything is
+    drawn, and a negative seed with ParameterError.
     """
     if not 1 <= q < math.inf:
         raise ParameterError("need 1 <= q < infinity")
@@ -789,9 +794,14 @@ def lq_estimate(
     cells_per_axis = 2**level
     cells = cells_per_axis**s
     per_cell = samples // cells
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     x = ps.float_array()
-    t = rng.random((cells, per_cell, s))
+    t = np.empty((cells, per_cell, s))
+    draws = t.reshape(-1)
+    step = _batch(8)
+    for lo in range(0, draws.size, step):  # the top 53 bits of each 8 bytes
+        words = np.frombuffer(rng.randbytes(8 * min(step, draws.size - lo)), dtype="<u8")
+        np.multiply(words >> 11, 2.0**-53, out=draws[lo : lo + step])
     shift = np.arange(cells_per_axis)[:, None]
     for j in range(s):  # cells are i_1..i_s in C order: coordinate j moves by i_(j+1)
         t.reshape(cells_per_axis**j, cells_per_axis, -1, s)[:, :, :, j] += shift

@@ -40,6 +40,7 @@ the digit array (`char_property_sums`).
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from decimal import Decimal
@@ -62,6 +63,22 @@ __all__ = [
     "char_property_sums",
     "char_property_deviation",
 ]
+
+
+def seeded_generator(seed: int | None) -> random.Random:
+    """The generator behind every seeded draw: Python's `random.Random` (MT19937).
+
+    None seeds it from the operating system.  A negative seed is refused
+    rather than folded onto its absolute value, as `random.Random` would.
+    """
+    if seed is not None and seed < 0:
+        raise ParameterError(f"need a seed >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def uniform_digits(rng: random.Random, b: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An int64 array of `shape` holding uniform draws from 0..b-1, in C order."""
+    return np.array([rng.randrange(b) for _ in range(math.prod(shape))], dtype=np.int64).reshape(shape)
 
 
 # The weights of the rank search: mu_1, the Hamming weight and mu_alpha.
@@ -678,25 +695,28 @@ def char_property_sums(ps: PointSet, kdigits: np.ndarray) -> np.ndarray:
 
 
 def char_property_deviation(ps: PointSet, dual: DualSpace, in_dual: int | None, drawn: int,
-                            seed: int) -> float:
+                            seed: int | None) -> float:
     """The worst deviation of the net's character sums from the character property.
 
     The sums are compared with 1 at the first `in_dual` dual elements (all
-    of them if None) and with 0 at `drawn` indices outside the dual, drawn
-    digit by digit, uniformly from F_b^(s p), with `seed` by rejecting dual
-    members.  A dual that holds every index leaves none to draw and is refused.
+    of them if None) and with 0 at `drawn` indices outside the dual.  Those
+    are the first `drawn` non-members of a stream of indices drawn digit by
+    digit, uniformly from F_b^(s p), by `seeded_generator(seed)`; each batch
+    of candidates is tested for membership with one product with the
+    stacked system.  A dual that holds every index leaves none to draw and
+    is refused, as is a negative seed.
     """
     gm = dual.gm
     if drawn > 0 and dual.kernel_dim == gm.s * gm.rows:
         raise ParameterError("every Walsh index is in the dual, so none can be drawn outside it")
+    rng = seeded_generator(seed)
     inside = dual.element_digits(in_dual)
-    rng = np.random.default_rng(seed)
-    outside = []
-    while len(outside) < drawn:
-        k = rng.integers(0, gm.base, size=(gm.s, gm.rows))
-        if not dual.contains(k):
-            outside.append(k)
-    outside = np.array(outside, dtype=np.int64).reshape(-1, gm.s, gm.rows)
-    sums = [complex(v) for v in char_property_sums(ps, np.concatenate([inside, outside]))]
+    outside = np.empty((0, gm.s * gm.rows), dtype=np.int64)
+    while len(outside) < drawn:  # a batch of the indices still missing: none is drawn beyond them
+        candidates = uniform_digits(rng, gm.base, (drawn - len(outside), gm.s * gm.rows))
+        off_dual = ((candidates @ dual.stacked.T) % gm.base).any(axis=1)
+        outside = np.concatenate([outside, candidates[off_dual]])
+    indices = np.concatenate([inside, outside.reshape(-1, gm.s, gm.rows)])
+    sums = [complex(v) for v in char_property_sums(ps, indices)]
     count = len(inside)
     return max([0.0] + [abs(v - 1.0) for v in sums[:count]] + [abs(v) for v in sums[count:]])

@@ -44,6 +44,8 @@ from .nets import (
     compute_t_value,
     dual_space,
     generate_net_points,
+    seeded_generator,
+    uniform_digits,
 )
 from .weights import min_dual_weight, order_alpha_profile
 
@@ -76,10 +78,10 @@ def criterion_02_structure_floor() -> tuple[bool, str]:
 
 
 def _random_full_rank_net(b: int, m: int, s: int, seed: int) -> GeneratingMatrixSet:
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     mats = []
     while len(mats) < s:
-        mat = rng.integers(0, b, size=(m, m))
+        mat = uniform_digits(rng, b, (m, m))
         if matrix_rank(mat, b) == m:
             mats.append(mat)
     return GeneratingMatrixSet(b, mats)
@@ -141,11 +143,11 @@ def _oracle_pointsets() -> list[PointSet]:
     sets.append(generate_net_points(dp_net_matrices(3, 2, 1)))
     sets.append(davenport_symmetrized(8))
     sets.append(davenport_symmetrized(3))
-    rng = np.random.default_rng(5)
+    rng = seeded_generator(5)
     while len(sets) < 50:
-        n = int(rng.integers(1, 65))
-        s = int(rng.integers(1, 4))
-        sets.append(PointSet.from_digits(rng.integers(0, 2, size=(n, s, 10)).astype(np.uint8), 2))
+        n = rng.randrange(1, 65)
+        s = rng.randrange(1, 4)
+        sets.append(PointSet.from_digits(uniform_digits(rng, 2, (n, s, 10)).astype(np.uint8), 2))
     return sets
 
 

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowdisc
 from lowdisc import cli, discrepancy, pointfile
 from lowdisc.cli import COMMANDS, FAMILIES, FLAGS, SIZE_FLAGS, _parse_args, main, make_parser
 from lowdisc.constructions import cs_matrices, dp_sequence
@@ -574,13 +579,41 @@ def test_discrepancy_oversized_lq_exits_two_before_drawing(tmp_path, monkeypatch
     def draws(*args, **kwargs):
         raise AssertionError("the preflight must refuse before any draw")
 
-    # Generator.random cannot be patched (immutable type); lq_estimate's only
-    # draws come from the generator made here, right before them
-    monkeypatch.setattr(np.random, "default_rng", draws)
+    # lq_estimate's only draws come from the random.Random it makes right before them
+    monkeypatch.setattr(random, "Random", draws)
     assert run("discrepancy", str(out), "--q", "3", "--samples", str(10**12)) == 2
     err = capsys.readouterr().err
     assert err.startswith("capacity error: 1000000000000 samples x 1 coordinates")
     assert "Traceback" not in err
+
+
+def test_discrepancy_lq_csv_is_the_same_for_the_same_seed(tmp_path, capsys):
+    points = tmp_path / "dp.txt"
+    run("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "6", "--out", str(points))
+    csvs = []
+    for seed, name in (("3", "a.csv"), ("3", "b.csv"), ("4", "c.csv")):
+        out = tmp_path / name
+        assert run("discrepancy", str(points), "--q", "4", "--samples", "4096", "--seed", seed,
+                   "--out", str(out)) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] != csvs[2]
+
+
+def test_verify_all_and_lq_leave_numpy_random_unimported(tmp_path):
+    """The seeded draws come from the stdlib generator, so a CLI process never loads numpy.random."""
+    points = tmp_path / "dp.txt"
+    run("construct", "--family", "dp-net", "--alpha", "3", "--s", "2", "--m", "6", "--out", str(points))
+    script = (
+        "import sys\n"
+        "from lowdisc.cli import main\n"
+        "assert main(['verify', 'all', '--family', 'faure', '--b', '7', '--m', '3', '--s', '3']) == 0\n"
+        f"assert main(['discrepancy', {str(points)!r}, '--q', '4', '--samples', '256']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lowdisc.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert "estimated" in proc.stdout and "char,faure" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_config_threads_key_is_unknown(tmp_path, capsys):

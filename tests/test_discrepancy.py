@@ -166,7 +166,7 @@ def test_criterion_05_sets_are_pinned():
         digits = ps.digit_array()
         digest.update(f"{ps.base} {digits.shape}".encode())
         digest.update(digits.tobytes())
-    assert digest.hexdigest() == "f44608bb628243dfae92f393538e7805689491a256197ff6525e91f837eba1d1"
+    assert digest.hexdigest() == "67fa51c55518a1c2747a916b00b1d1e7c83ed259f570be622450638e59d6b2d4"
 
 
 def test_l2_exact_equals_rational_oracle_on_criterion_05_sets():
@@ -295,6 +295,8 @@ def test_lq_rejects_bad_arguments():
         lq_estimate(ORIGIN_1D, math.inf, 100)
     with pytest.raises(ParameterError):
         lq_estimate(ORIGIN_1D, 0.5, 100)
+    with pytest.raises(ParameterError, match="need a seed >= 0, got -1"):
+        lq_estimate(ORIGIN_1D, 2.0, 100, seed=-1)
 
 
 def test_lq_reports_a_roth_ratio_only_for_q_at_least_two():
@@ -325,6 +327,34 @@ def test_lq_works_above_the_numpy_dimension_limit(monkeypatch):
     assert fast.s == 65 and math.isfinite(fast.value)
     monkeypatch.setattr(discrepancy, "_count_below", count_below_reference)
     assert lq_estimate(ps, 2.0, 100, seed=1) == fast
+
+
+def test_lq_anchors_are_53_bit_doubles_in_the_unit_interval(monkeypatch):
+    """Below 2^16 samples at s = 16 the grid is one cell, so the anchors are the raw draws: 32 chunks."""
+    ps = PointSet.from_digits(np.zeros((4, 16, 8), dtype=np.uint8), 2)
+    count_below, seen = discrepancy._count_below, []
+    monkeypatch.setattr(discrepancy, "_count_below", lambda x, t: seen.append(t.copy()) or count_below(x, t))
+    lq_estimate(ps, 2.0, 2**16 - 1, seed=3)
+    (t,) = seen
+    assert t.shape == (2**16 - 1, 16)
+    assert t.min() >= 0.0 and t.max() < 1.0
+    scaled = t * 2.0**53
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert set(np.unique(scaled % 2)) == {0.0, 1.0}  # the lowest of the 53 bits is drawn too
+    assert abs(t.mean() - 0.5) < 1e-3
+
+
+def test_lq_peak_allocation_stays_within_its_docstring_bound():
+    """The draw array plus two sample-length float64 arrays, plus 1 MiB for chunks and batches."""
+    ps = dp_net(2, 4, 2)
+    samples = 1 << 20
+    tracemalloc.start()
+    try:
+        lq_estimate(ps, 3.0, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= samples * ps.s * 8 + 2 * samples * 8 + (1 << 20)
 
 
 def test_lq_peak_allocation_stays_within_2_2_draw_arrays():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -381,9 +382,16 @@ def test_char_check_refuses_a_dual_of_every_index(monkeypatch):
     gm = GeneratingMatrixSet(2, np.zeros((1, 1, 1), dtype=np.int64))
     ps, dual = generate_net_points(gm), dual_space(gm, None)
     assert dual.kernel_dim == 1 and char_property_deviation(ps, dual, None, 0, 5) == 0.0
-    monkeypatch.setattr(dual, "contains", lambda k: pytest.fail("an index was drawn"))
+    monkeypatch.setattr(random, "Random", lambda seed: pytest.fail("an index was drawn"))
     with pytest.raises(ParameterError, match="every Walsh index is in the dual"):
         char_property_deviation(ps, dual, 64, 20, 5)
+
+
+def test_char_check_refuses_a_negative_seed():
+    """random.Random(-1) would silently draw the stream of seed 1."""
+    gm = faure_matrices(3, 2, 2)
+    with pytest.raises(ParameterError, match="need a seed >= 0, got -1"):
+        char_property_deviation(generate_net_points(gm), dual_space(gm, None), 4, 4, -1)
 
 
 # ---------------------------------------------------------
